@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import analytic_steady_state
 from .darkstate import estimate_mixing_angle, verify_dark_state
 from .model import Configuration, SystemParams, build_liouvillian
 from .optics import (
@@ -45,7 +44,13 @@ from .optics import (
     prefactor,
     sweep,
 )
-from .steady import StepTooLargeError, steady_state, evolve, is_density_matrix
+from .steady import (
+    StepTooLargeError,
+    evolve,
+    is_density_matrix,
+    solve_grid,
+    steady_state,
+)
 from .presets import REFERENCE_VG_NM_PER_S
 
 __all__ = [
@@ -109,6 +114,8 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
 def _number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {field} must be a number, got {value!r}")
+    if not math.isfinite(value):  # JSON's NaN/Infinity literals parse
+        raise ConfigError(f"field {field} must be finite, got {value!r}")
     return float(value)
 
 
@@ -149,6 +156,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"field sweep.points must be an integer >= 3, got {points!r}")
     if not sweep_min < sweep_max:
         raise ConfigError("field sweep.min must be below sweep.max")
+    if not math.isfinite(sweep_max - sweep_min):  # the grid would be NaN/inf
+        raise ConfigError("fields sweep.min, sweep.max span more than a float holds")
 
     opt = _require(raw, "optics", "")
     _check_keys(opt, {"n0", "mu", "omega_probe", "angular_convention"}, "optics.")
@@ -279,13 +288,6 @@ def read_sweep_json(path) -> tuple[dict, list[dict], list[dict]]:
     return doc["metadata"], doc["records"], doc["errors"]
 
 
-def _solve_backend(params: SystemParams, delta: float, backend: str) -> np.ndarray:
-    p = replace(params, delta_probe=delta)
-    if backend == "analytic":
-        return analytic_steady_state(p)
-    return steady_state(build_liouvillian(p))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -365,11 +367,11 @@ def cmd_steady(run: RunConfig, delta: float) -> int:
     backends = ("numeric", "analytic") if run.backend == "both" else (run.backend,)
     states = {}
     for backend in backends:
-        try:
-            states[backend] = _solve_backend(run.params, delta, backend)
-        except Exception as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        [rho] = solve_grid(run.params, [delta], backend)
+        if isinstance(rho, Exception):
+            print(f"error: {type(rho).__name__}: {rho}", file=sys.stderr)
             return EXIT_SOLVER
+        states[backend] = rho
         print(f"backend {backend}:")
         print(_format_rho(states[backend]))
     if len(states) == 2:
@@ -445,11 +447,11 @@ def cmd_darkstate(run: RunConfig) -> int:
     backends = ("numeric", "analytic") if run.backend == "both" else (run.backend,)
     states = {}
     for backend in backends:
-        try:
-            states[backend] = _solve_backend(run.params, 0.0, backend)
-        except Exception as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        [rho] = solve_grid(run.params, [0.0], backend)
+        if isinstance(rho, Exception):
+            print(f"error: {type(rho).__name__}: {rho}", file=sys.stderr)
             return EXIT_SOLVER
+        states[backend] = rho
     if len(states) == 2:
         disc = float(np.abs(states["numeric"] - states["analytic"]).max())
         if disc > BACKEND_AGREEMENT_TOL:
@@ -545,6 +547,11 @@ def main(argv: list[str] | None = None) -> int:
         if cfg in ("lambda", "cascade", "vee"):  # bundled reference configs
             cfg = str(bundled_config_path(cfg))
         run = load_config(cfg)
+        for option in ("delta", "t_end", "dt"):
+            value = getattr(args, option, None)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"option --{option.replace('_', '-')} must be "
+                                  f"finite, got {value!r}")
         if args.command == "sweep":
             return cmd_sweep(run, args.out)
         if args.command == "steady":

@@ -21,14 +21,13 @@ therefore restricted to the lambda system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import analytic_steady_state
-from .model import Configuration, SystemParams, build_liouvillian
-from .steady import steady_state
-from .su3 import shift_operator
+from .model import Configuration, SystemParams
+from .steady import solve_grid
+from .su3 import LEVEL_INDEX, shift_operator
 
 __all__ = [
     "UndefinedAngleError",
@@ -39,8 +38,6 @@ __all__ = [
     "dark_state_vector",
     "verify_dark_state",
 ]
-
-_LEVEL_INDEX = {1: 2, 2: 1, 3: 0}
 
 # (p, q): bare-state pair spanning the dark superposition, cos on p
 _DARK_PAIR = {
@@ -73,18 +70,15 @@ def population_sweep(params: SystemParams, delta_min: float, delta_max: float,
                      points: int, backend: str = "analytic",
                      ) -> list[tuple[float, float, float, float]]:
     """Steady-state populations (delta, rho11, rho22, rho33) on a uniform
-    probe-detuning grid.  Solver errors propagate to the caller."""
+    probe-detuning grid.  The first failing point's solver error propagates
+    to the caller."""
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
+    deltas = np.linspace(delta_min, delta_max, points)
     out = []
-    for d in np.linspace(delta_min, delta_max, points):
-        p = replace(params, delta_probe=float(d))
-        if backend == "numeric":
-            rho = steady_state(build_liouvillian(p))
-        elif backend == "analytic":
-            rho = analytic_steady_state(p)
-        else:
-            raise ValueError(f"backend must be 'numeric' or 'analytic', got {backend!r}")
+    for d, rho in zip(deltas, solve_grid(params, deltas, backend)):
+        if isinstance(rho, Exception):
+            raise rho
         out.append((float(d), float(rho[2, 2].real), float(rho[1, 1].real),
                     float(rho[0, 0].real)))
     return out
@@ -121,8 +115,8 @@ def dark_state_vector(theta: float, config: Configuration) -> np.ndarray:
         raise ValueError(f"theta must be in [0, pi/2], got {theta}")
     p, q = _DARK_PAIR[config]
     vec = np.zeros(3, dtype=complex)
-    vec[_LEVEL_INDEX[p]] = np.cos(theta)
-    vec[_LEVEL_INDEX[q]] = -np.sin(theta)
+    vec[LEVEL_INDEX[p]] = np.cos(theta)
+    vec[LEVEL_INDEX[q]] = -np.sin(theta)
     return vec
 
 

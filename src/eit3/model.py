@@ -26,12 +26,13 @@ The diagonal entries rho_33, rho_22, rho_11 sit at vec indices 0, 4, 8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .su3 import shift_operator
+from .su3 import LEVEL_INDEX, shift_operator
 
 __all__ = [
     "Configuration",
@@ -43,6 +44,7 @@ __all__ = [
     "build_hamiltonian_rwa",
     "build_dissipator",
     "build_liouvillian",
+    "build_liouvillian_stack",
     "obe_rhs",
 ]
 
@@ -93,6 +95,8 @@ class SystemParams:
     configuration, in the order (Gamma_31, Gamma_32) for lambda,
     (Gamma_21, Gamma_32) for cascade and (Gamma_21, Gamma_31) for vee;
     spontaneous decay from lower to higher levels is structurally absent.
+    Couplings, decay constants and detunings must be finite; couplings and
+    decay constants must also be >= 0.
     A unique steady state additionally needs at least one positive decay
     constant; that is diagnosed by the solver (DegenerateNullSpaceError),
     since purely unitary parameter sets are still valid for time evolution.
@@ -107,6 +111,10 @@ class SystemParams:
     delta_pump: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("g_probe", "g_pump", "gamma_a", "gamma_b",
+                     "delta_probe", "delta_pump"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("g_probe", "g_pump", "gamma_a", "gamma_b"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -150,10 +158,6 @@ def unvectorize(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((3, 3), order="F")
 
 
-def _level(i: int) -> int:
-    return {1: 2, 2: 1, 3: 0}[i]
-
-
 def build_hamiltonian_rwa(params: SystemParams) -> np.ndarray:
     """Time-independent rotating-frame Hamiltonian (MHz), Hermitian.
 
@@ -168,24 +172,34 @@ def build_hamiltonian_rwa(params: SystemParams) -> np.ndarray:
     so that i[rho, H_rot] reproduces the coherent part of the optical Bloch
     equations of the configuration.
     """
-    H = np.zeros((3, 3), dtype=complex)
-    dp, dq = params.delta_probe, params.delta_pump
+    return _hamiltonian_stack(params, [params.delta_probe])[0]
+
+
+def _hamiltonian_stack(params: SystemParams, delta_probe) -> np.ndarray:
+    """:func:`build_hamiltonian_rwa` at each probe detuning, shape (N, 3, 3).
+
+    Every entry is the scalar expression evaluated elementwise, so each
+    slice equals the single-detuning Hamiltonian bit for bit.
+    """
+    dp, dq = np.asarray(delta_probe, dtype=float), params.delta_pump
+    H = np.zeros((len(dp), 3, 3), dtype=complex)
+    upper, middle = LEVEL_INDEX[3], LEVEL_INDEX[2]
     cfg = params.config
     if cfg is Configuration.LAMBDA:
-        H[_level(3), _level(3)] = dp
-        H[_level(2), _level(2)] = dp - dq
+        H[:, upper, upper] = dp
+        H[:, middle, middle] = dp - dq
     elif cfg is Configuration.CASCADE:
-        H[_level(3), _level(3)] = dp + dq
-        H[_level(2), _level(2)] = dp
+        H[:, upper, upper] = dp + dq
+        H[:, middle, middle] = dp
     else:  # VEE
-        H[_level(3), _level(3)] = dp
-        H[_level(2), _level(2)] = dq
+        H[:, upper, upper] = dp
+        H[:, middle, middle] = dq
     (pl, pu) = cfg.probe_transition
-    H[_level(pu), _level(pl)] += params.g_probe
-    H[_level(pl), _level(pu)] += params.g_probe
+    H[:, LEVEL_INDEX[pu], LEVEL_INDEX[pl]] += params.g_probe
+    H[:, LEVEL_INDEX[pl], LEVEL_INDEX[pu]] += params.g_probe
     (ql, qu) = cfg.pump_transition
-    H[_level(qu), _level(ql)] += params.g_pump
-    H[_level(ql), _level(qu)] += params.g_pump
+    H[:, LEVEL_INDEX[qu], LEVEL_INDEX[ql]] += params.g_pump
+    H[:, LEVEL_INDEX[ql], LEVEL_INDEX[qu]] += params.g_pump
     return H
 
 
@@ -211,10 +225,32 @@ def build_dissipator(params: SystemParams) -> Liouvillian:
 
 def build_liouvillian(params: SystemParams) -> Liouvillian:
     """Full generator: commutator part i[rho, H_rot] plus the dissipator."""
-    H = build_hamiltonian_rwa(params)
-    L = 1j * (np.kron(H.T, _I3) - np.kron(_I3, H))
-    L += build_dissipator(params).matrix
+    L = build_liouvillian_stack(params, [params.delta_probe])[0]
     return Liouvillian(matrix=L, rate_scale=params.rate_scale)
+
+
+def build_liouvillian_stack(params: SystemParams, delta_probe) -> np.ndarray:
+    """Liouvillian matrices of ``params`` at each probe detuning in
+    ``delta_probe``, shape (N, 9, 9).
+
+    Slice n equals ``build_liouvillian(replace(params,
+    delta_probe=delta_probe[n])).matrix`` bit for bit: the commutator is
+    formed per slice from that slice's Hamiltonian and the
+    detuning-independent dissipator is added once.  (Splitting L into
+    L0 + Delta L1 would not be exact: (dp + dq) - dp and dq round
+    differently.)
+    """
+    H = _hamiltonian_stack(params, delta_probe)
+    I3 = _I3[np.newaxis]
+    L = 1j * (_kron_stack(H.transpose(0, 2, 1), I3) - _kron_stack(I3, H))
+    L += build_dissipator(params).matrix
+    return L
+
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a[n], b[n]) for each slice of two broadcastable (N, 3, 3)
+    stacks: the products np.kron forms, without its per-call set-up."""
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, 9, 9)
 
 
 def obe_rhs(params: SystemParams, rho: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ not converted to 1/m.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -37,10 +36,10 @@ from scipy.constants import hbar as _HBAR
 from scipy.constants import physical_constants as _PHYS
 
 from .analytic import analytic_steady_state
-from .model import Configuration, SystemParams, build_liouvillian
+from .model import Configuration, SystemParams
 from .presets import REFERENCE_OMEGA_MHZ, REFERENCE_VG_NM_PER_S, reference_params
-from .steady import steady_state
-from .su3 import gell_mann
+from .steady import solve_grid
+from .su3 import LEVEL_INDEX, gell_mann
 
 __all__ = [
     "ANGULAR_CONVENTIONS",
@@ -111,6 +110,8 @@ class OpticalConstants:
 
     def __post_init__(self) -> None:
         for name in ("omega_probe", "n0", "mu", "epsilon0", "hbar", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.angular_convention is not None \
@@ -185,80 +186,56 @@ def absorption(rho_s: np.ndarray, k: OpticalConstants,
     return prefactor(k) * tr_im
 
 
-def _solve(params: SystemParams, delta: float, backend: str) -> np.ndarray:
-    p = replace(params, delta_probe=float(delta))
-    if backend == "numeric":
-        return steady_state(build_liouvillian(p))
-    if backend == "analytic":
-        return analytic_steady_state(p)
-    raise ValueError(f"backend must be 'numeric' or 'analytic', got {backend!r}")
-
-
 def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
-          delta_max: float, points: int, backend: str = "analytic",
-          workers: int = 1) -> list[SpectralPoint]:
+          delta_max: float, points: int,
+          backend: str = "analytic") -> list[SpectralPoint]:
     """Uniform probe-detuning sweep with group quantities attached.
 
     Group index and velocity use central differences of Tr[rho lam_r] on
     the grid (one-sided at the two endpoints, flagged via ``edge_stencil``).
-    Sweep points are independent and may be evaluated concurrently
-    (``workers`` > 1) with deterministic, Delta-ordered output.  If any
-    point's solve fails, a :class:`SweepError` is raised carrying the
-    partial result and the ordered (delta, error) list.
+    The states come from :func:`eit3.steady.solve_grid`: the numeric
+    backend solves the grid as batched stacks of Liouvillians, 256
+    detunings at a time, and the analytic backend evaluates the closed
+    forms point by point; either way the output is Delta-ordered and
+    deterministic.  If any point's solve fails, a :class:`SweepError` is
+    raised carrying the partial result and the ordered (delta, error) list.
     """
     if points < 3:
         raise ValueError(f"points must be >= 3, got {points}")
     if not delta_min < delta_max:
         raise ValueError("delta_min must be < delta_max")
-    if backend not in ("numeric", "analytic"):
-        raise ValueError(f"backend must be 'numeric' or 'analytic', got {backend!r}")
     deltas = np.linspace(delta_min, delta_max, points)
-
-    def solve_one(d: float):
-        try:
-            return _solve(params, d, backend)
-        except Exception as exc:  # collected per point, delta attached
-            return exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve_one, deltas))
-    else:
-        solved = [solve_one(d) for d in deltas]
-
+    solved = solve_grid(params, deltas, backend)
     failures = [(float(d), r) for d, r in zip(deltas, solved)
                 if isinstance(r, Exception)]
+    good = [i for i, r in enumerate(solved) if not isinstance(r, Exception)]
 
+    rho = np.array([solved[i] for i in good]).reshape(-1, 3, 3)
     pref = prefactor(k)
     lam_r, lam_i = _probe_lambdas(params.config)
+    tr_re = np.trace(rho @ lam_r, axis1=1, axis2=2).real
+    tr_im = np.trace(rho @ lam_i, axis1=1, axis2=2).real
     pl, pu = params.config.probe_transition
-    idx = {1: 2, 2: 1, 3: 0}
-    coh_index = (idx[pl], idx[pu])  # e.g. rho_13 at [2, 0]
-
-    def base_fields(d, rho):
-        tr_re = float(np.trace(rho @ lam_r).real)
-        tr_im = float(np.trace(rho @ lam_i).real)
-        return dict(delta=float(d), n=1.0 + pref * tr_re, alpha=pref * tr_im,
-                    rho11=float(rho[2, 2].real), rho22=float(rho[1, 1].real),
-                    rho33=float(rho[0, 0].real),
-                    probe_coherence=complex(rho[coh_index]))
-
+    coherence = rho[:, LEVEL_INDEX[pl], LEVEL_INDEX[pu]]  # e.g. rho_13 at [2, 0]
+    if failures:  # the surviving grid is broken: no group quantities
+        n_g = v_g = np.full(len(good), math.nan)
+        edge = [True] * len(good)
+    else:
+        slope = np.gradient(tr_re, deltas[1] - deltas[0])  # one-sided at the ends
+        n_g = 1.0 + pref * k.omega_probe * slope
+        v_g = k.c / n_g
+        edge = [i == 0 or i == points - 1 for i in range(points)]
+    # .tolist() hands out Python floats, whose repr the CSV writer relies on
+    pts = [SpectralPoint(delta=d, n=n, alpha=a, n_g=ng, v_g=vg, rho11=r11,
+                         rho22=r22, rho33=r33, probe_coherence=c, edge_stencil=e)
+           for d, n, a, ng, vg, r11, r22, r33, c, e in zip(
+               deltas[good].tolist(), (1.0 + pref * tr_re).tolist(),
+               (pref * tr_im).tolist(), n_g.tolist(), v_g.tolist(),
+               rho[:, 2, 2].real.tolist(), rho[:, 1, 1].real.tolist(),
+               rho[:, 0, 0].real.tolist(), coherence.tolist(), edge)]
     if failures:
-        pts = [SpectralPoint(**base_fields(d, r), n_g=math.nan, v_g=math.nan,
-                             edge_stencil=True)
-               for d, r in zip(deltas, solved) if not isinstance(r, Exception)]
         raise SweepError(pts, failures)
-
-    tr_re = np.array([np.trace(r @ lam_r).real for r in solved])
-    h = deltas[1] - deltas[0]
-    slope = np.gradient(tr_re, h)  # central inside, one-sided at the ends
-    out = []
-    for i, (d, rho) in enumerate(zip(deltas, solved)):
-        n_g = 1.0 + pref * k.omega_probe * float(slope[i])
-        out.append(SpectralPoint(**base_fields(d, rho), n_g=n_g,
-                                 v_g=k.c / n_g,
-                                 edge_stencil=(i == 0 or i == points - 1)))
-    return out
+    return pts
 
 
 def group_velocity(sweep_points: list[SpectralPoint], k: OpticalConstants,
@@ -302,7 +279,8 @@ def _resonant_vg(config: Configuration, convention: str, h: float = 0.3) -> floa
                          angular_convention=convention)
     params = reference_params(config)
     lam_r, _ = _probe_lambdas(config)
-    tr = [float(np.trace(_solve(params, d, "analytic") @ lam_r).real)
+    tr = [float(np.trace(analytic_steady_state(replace(params, delta_probe=d))
+                         @ lam_r).real)
           for d in (-h, 0.0, h)]
     slope = (tr[2] - tr[0]) / (2 * h)
     return k.c / (1.0 + prefactor(k) * k.omega_probe * slope)

@@ -4,16 +4,27 @@ The steady state is the unit-trace null vector of the Liouvillian.  For the
 generic (one-dimensional null space) case it is found by replacing the last
 population-derivative row of L -- the row generating d(rho_11)/dt -- with
 the trace constraint and solving the resulting linear system; the SVD is
-used only to diagnose degeneracy and conditioning.
+used only to diagnose degeneracy and conditioning.  The same solve serves
+one Liouvillian (:func:`steady_state`) and a stack of them
+(:func:`steady_states`); :func:`solve_grid` runs either backend over a
+probe-detuning grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import DIAGONAL_VEC_INDICES, Liouvillian, unvectorize, vectorize
+from .analytic import analytic_steady_state
+from .model import (
+    DIAGONAL_VEC_INDICES,
+    Liouvillian,
+    SystemParams,
+    build_liouvillian_stack,
+    unvectorize,
+    vectorize,
+)
 
 __all__ = [
     "DegenerateNullSpaceError",
@@ -22,6 +33,8 @@ __all__ = [
     "Trajectory",
     "null_space_dimension",
     "steady_state",
+    "steady_states",
+    "solve_grid",
     "evolve",
     "is_density_matrix",
 ]
@@ -32,6 +45,9 @@ NULL_TOL = 1e-10
 COND_LIMIT = 1e14
 # integrator step must satisfy h <= STEP_SAFETY / rate_scale
 STEP_SAFETY = 0.1
+# detunings per batched solve in solve_grid: bounds a sweep's working set
+# (building all 2001 points of a sweep at once costs ~8 MB of peak memory)
+_CHUNK = 256
 
 
 class DegenerateNullSpaceError(ValueError):
@@ -79,35 +95,105 @@ def is_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
 
 def null_space_dimension(L: Liouvillian, tol: float = NULL_TOL) -> int:
     """Number of singular values of L at or below tol * sigma_max."""
-    sv = np.linalg.svd(L.matrix, compute_uv=False)
-    return int(np.sum(sv <= tol * sv.max()))
+    return int(_null_space_dimensions(L.matrix[np.newaxis], tol)[0])
+
+
+def _null_space_dimensions(stack: np.ndarray, tol: float) -> np.ndarray:
+    sv = np.linalg.svd(stack, compute_uv=False)  # descending: sigma_max first
+    return (sv <= tol * sv[:, :1]).sum(axis=1)
 
 
 def steady_state(L: Liouvillian) -> np.ndarray:
     """Unique stationary density matrix of the Liouvillian.
 
-    Raises :class:`DegenerateNullSpaceError` when the null space has
-    dimension > 1 and :class:`SingularSolveError` when the trace-constrained
-    system exceeds the conditioning limit.  The returned state satisfies
-    max|L vec(rho)| <= 1e-10 max|L| and Tr rho = 1.
+    The one-matrix case of :func:`steady_states`.  Raises
+    :class:`DegenerateNullSpaceError` when the null space has dimension > 1
+    and :class:`SingularSolveError` when the trace-constrained system
+    exceeds the conditioning limit or L has non-finite entries.  The
+    returned state satisfies max|L vec(rho)| <= 1e-10 max|L| and
+    Tr rho = 1.
     """
-    if null_space_dimension(L) > 1:
-        raise DegenerateNullSpaceError(
-            "DegenerateNullSpace: Liouvillian null space has dimension > 1; "
-            "the stationary state is not unique")
-    M = L.matrix.copy()
+    rho = steady_states(L.matrix[np.newaxis])[0]
+    if isinstance(rho, ValueError):
+        raise rho
+    return rho
+
+
+def steady_states(matrices: np.ndarray) -> list[np.ndarray | ValueError]:
+    """Stationary density matrix of each Liouvillian in an (N, 9, 9) stack,
+    or the error that matrix fails with, in stack order.
+
+    Every matrix gets both checks: a null-space dimension above 1 (singular
+    values at or below NULL_TOL * sigma_max) gives
+    :class:`DegenerateNullSpaceError`; otherwise a condition estimate of the
+    trace-bordered matrix above COND_LIMIT, or non-finite entries, give
+    :class:`SingularSolveError`.  The matrices that pass are solved in one
+    batched call; per matrix, the arithmetic is that of a one-matrix stack.
+    """
+    M = np.asarray(matrices)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    bordered = M.copy()
+    # a zero stand-in for non-finite matrices: LAPACK's SVD would otherwise
+    # fail the whole stack
+    bordered[~finite] = 0.0
+    nulls = _null_space_dimensions(bordered, NULL_TOL)
     trace_row = DIAGONAL_VEC_INDICES[-1]  # d(rho_11)/dt row
-    M[trace_row, :] = 0.0
-    M[trace_row, list(DIAGONAL_VEC_INDICES)] = 1.0
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSolveError(
-            f"SingularSolve: condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    bordered[:, trace_row, :] = 0.0
+    bordered[:, trace_row, list(DIAGONAL_VEC_INDICES)] = 1.0
+    cond = np.linalg.cond(bordered)
+    ok = finite & (nulls <= 1) & (cond <= COND_LIMIT)  # a NaN cond fails too
+
     b = np.zeros(9, dtype=complex)
     b[trace_row] = 1.0
-    rho = unvectorize(np.linalg.solve(M, b))
+    x = np.linalg.solve(bordered[ok], b)
+    # column-major unvectorization of each solution, vec(rho)[3*c + r] = rho[r, c]
+    rho = x.reshape(-1, 3, 3).transpose(0, 2, 1)
     # symmetrize away the solver's rounding-level Hermiticity defect
-    return 0.5 * (rho + rho.conj().T)
+    solved = iter(0.5 * (rho + rho.conj().transpose(0, 2, 1)))
+    return [next(solved) if passed else _failure(fin, dim, c)
+            for passed, fin, dim, c in zip(ok.tolist(), finite.tolist(),
+                                           nulls.tolist(), cond.tolist())]
+
+
+def _failure(finite: bool, null_dim: int, cond: float) -> ValueError:
+    """The error of a matrix that failed a check of :func:`steady_states`."""
+    if not finite:
+        return SingularSolveError(
+            "SingularSolve: Liouvillian has non-finite entries")
+    if null_dim > 1:
+        return DegenerateNullSpaceError(
+            "DegenerateNullSpace: Liouvillian null space has dimension > 1; "
+            "the stationary state is not unique")
+    return SingularSolveError(
+        f"SingularSolve: condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
+
+
+def solve_grid(params: SystemParams, deltas,
+               backend: str = "numeric") -> list[np.ndarray | Exception]:
+    """Steady state of ``params`` at each probe detuning in ``deltas``, or
+    the error that point fails with, in grid order.
+
+    The numeric backend builds and solves the Liouvillian stack in chunks
+    of 256 detunings (:func:`steady_states`), each state equal bit for bit
+    to ``steady_state(build_liouvillian(replace(params, delta_probe=d)))``;
+    the analytic backend evaluates the closed forms point by point.
+    """
+    if backend == "numeric":
+        deltas = np.asarray(deltas, dtype=float)
+        out: list = []
+        for start in range(0, len(deltas), _CHUNK):
+            chunk = deltas[start:start + _CHUNK]
+            out += steady_states(build_liouvillian_stack(params, chunk))
+        return out
+    if backend == "analytic":
+        out = []
+        for d in deltas:
+            try:
+                out.append(analytic_steady_state(replace(params, delta_probe=float(d))))
+            except Exception as exc:  # reported per point, like the numeric errors
+                out.append(exc)
+        return out
+    raise ValueError(f"backend must be 'numeric' or 'analytic', got {backend!r}")
 
 
 def _step_bound(L: Liouvillian) -> float:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "LEVEL_INDEX",
     "SHIFT_FAMILIES",
     "SHIFT_COMPONENTS",
     "shift_operator",
@@ -36,7 +37,7 @@ __all__ = [
     "is_hermitian",
 ]
 
-_LEVEL_INDEX = {1: 2, 2: 1, 3: 0}  # level label -> matrix row/column
+LEVEL_INDEX = {1: 2, 2: 1, 3: 0}  # level label -> matrix row/column
 
 SHIFT_FAMILIES = ("T", "U", "V")
 SHIFT_COMPONENTS = ("plus", "minus", "three")
@@ -48,7 +49,7 @@ _FAMILY_LEVELS = {"T": (3, 2), "U": (2, 1), "V": (3, 1)}
 def _ketbra(i: int, j: int) -> np.ndarray:
     """|i><j| for level labels i, j in {1, 2, 3}."""
     m = np.zeros((3, 3), dtype=complex)
-    m[_LEVEL_INDEX[i], _LEVEL_INDEX[j]] = 1.0
+    m[LEVEL_INDEX[i], LEVEL_INDEX[j]] = 1.0
     return m
 
 

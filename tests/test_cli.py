@@ -85,6 +85,36 @@ def test_negative_gamma_rejected(tmp_path, capsys):
     assert "gamma_a" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend", ["numeric", "analytic"])
+@pytest.mark.parametrize("field,overrides", [
+    ("g_probe", {"g_probe": math.nan}),
+    ("gamma_b", {"gamma_b": math.inf}),
+    ("delta_pump", {"delta_pump": math.nan}),
+    ("optics.n0", {"optics": {"n0": math.inf, "mu": 9.2740100657e-24,
+                              "omega_probe": 2.37e9}}),
+    ("sweep.min", {"sweep": {"min": -math.inf, "max": 30.0, "points": 5}}),
+    ("sweep.max", {"sweep": {"min": -30.0, "max": math.nan, "points": 5}}),
+    ("sweep.max", {"sweep": {"min": -1e308, "max": 1e308, "points": 5}}),
+])
+def test_non_finite_config_rejected(tmp_path, capsys, backend, field, overrides):
+    # json.dumps writes NaN/Infinity literals, which the config parser accepts
+    cfg = write_config(tmp_path, backend=backend, **overrides)
+    assert main(["sweep", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["steady", "lambda", "--delta", "nan"],
+    ["evolve", "lambda", "--delta", "inf", "--t-end", "1"],
+    ["evolve", "lambda", "--t-end", "nan"],
+])
+def test_non_finite_options_rejected(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, pump_power=3.0)
     assert main(["sweep", str(cfg)]) == EXIT_CONFIG

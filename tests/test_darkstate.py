@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eit3.analytic import PumpDetuningUnsupportedError
 from eit3.darkstate import (
     UndefinedAngleError,
     UnsupportedConfigurationError,
@@ -13,6 +14,7 @@ from eit3.darkstate import (
 )
 from eit3.model import Configuration, SystemParams
 from eit3.presets import reference_params
+from eit3.steady import DegenerateNullSpaceError
 
 
 def resonance_populations(tag, backend="analytic"):
@@ -56,8 +58,18 @@ def test_lambda_population_curves_even_in_detuning():
 
 def test_population_sweep_propagates_solver_errors():
     p = SystemParams(Configuration.LAMBDA, 0.0, 0.0, gamma_a=0.1, gamma_b=6.0)
-    with pytest.raises(Exception):
+    with pytest.raises(DegenerateNullSpaceError):
         population_sweep(p, -1.0, 1.0, 3, backend="numeric")
+    with pytest.raises(PumpDetuningUnsupportedError):
+        population_sweep(reference_params("lambda", delta_pump=1.0), -1.0, 1.0, 3)
+
+
+def test_population_sweep_raises_first_failing_point():
+    # decays of 1e-8: solvable at resonance, degenerate far from it
+    p = SystemParams(Configuration.CASCADE, 1.0, 1.0, gamma_a=1e-8, gamma_b=1e-8)
+    assert len(population_sweep(p, -1e-3, 1e-3, 3, backend="numeric")) == 3
+    with pytest.raises(DegenerateNullSpaceError):
+        population_sweep(p, 0.0, 1e3, 3, backend="numeric")
 
 
 def test_mixing_angle_round_trip():

@@ -1,5 +1,8 @@
 """Liouvillian assembly against the hand-transcribed Bloch equations."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from eit3.model import (
     build_dissipator,
     build_hamiltonian_rwa,
     build_liouvillian,
+    build_liouvillian_stack,
     obe_rhs,
     unvectorize,
     vectorize,
@@ -163,3 +167,32 @@ def test_negative_parameters_rejected():
         SystemParams(Configuration.LAMBDA, 0.5, 105.0, -0.1, 6.0)
     with pytest.raises(ValueError, match="g_probe"):
         SystemParams(Configuration.LAMBDA, -0.5, 105.0, 0.1, 6.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["g_probe", "g_pump", "gamma_a", "gamma_b",
+                                  "delta_probe", "delta_pump"])
+def test_non_finite_parameters_rejected(name, bad):
+    p = reference_params("lambda")
+    with pytest.raises(ValueError, match=name):
+        replace(p, **{name: bad})
+
+
+@pytest.mark.parametrize("delta_pump", [0.0, 1.7])
+def test_liouvillian_stack_matches_kron_formula(config, delta_pump):
+    # the stack's commutator, slice by slice, against np.kron on each
+    # single-detuning Hamiltonian: same products, so equal bit for bit.  An
+    # affine split L0 + Delta L1 fails here: with delta_pump = 1.7,
+    # (1 + 1.7) - 1.7 != 1 in floating point
+    p = reference_params(config, delta_pump=delta_pump)
+    deltas = np.linspace(-40.0, 40.0, 61)
+    stack = build_liouvillian_stack(p, deltas)
+    assert stack.shape == (61, 9, 9)
+    eye = np.eye(3, dtype=complex)
+    for d, L in zip(deltas, stack):
+        q = replace(p, delta_probe=float(d))
+        H = build_hamiltonian_rwa(q)
+        expected = 1j * (np.kron(H.T, eye) - np.kron(eye, H))
+        expected += build_dissipator(q).matrix
+        assert np.array_equal(L, expected)
+        assert np.array_equal(L, build_liouvillian(q).matrix)

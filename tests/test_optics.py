@@ -165,12 +165,11 @@ def test_backends_agree_pointwise():
             assert abs(qa.alpha - qb.alpha) / pref <= 1e-8
 
 
-def test_sweep_workers_deterministic():
-    p = reference_params("cascade")
+def test_sweep_repeat_calls_identical():
+    p = reference_params("cascade", delta_pump=1.7)
     k = optics_for("cascade")
-    serial = sweep(p, k, -10.0, 10.0, 21, backend="numeric")
-    threaded = sweep(p, k, -10.0, 10.0, 21, backend="numeric", workers=4)
-    assert serial == threaded
+    first = sweep(p, k, -10.0, 10.0, 301, backend="numeric")
+    assert first == sweep(p, k, -10.0, 10.0, 301, backend="numeric")
 
 
 def test_sweep_surfaces_per_point_failures():
@@ -184,6 +183,18 @@ def test_sweep_surfaces_per_point_failures():
     assert all(isinstance(e, DegenerateNullSpaceError) for _, e in failures)
     assert err.value.points == []
     assert "delta=" in str(err.value)
+
+
+def test_degenerate_sweep_fails_every_point_in_delta_order():
+    # 300 points: two chunks of the batched solve
+    p = SystemParams(Configuration.LAMBDA, g_probe=0.0, g_pump=0.0,
+                     gamma_a=0.1, gamma_b=6.0)
+    with pytest.raises(SweepError) as err:
+        sweep(p, optics_for("lambda"), -1.0, 1.0, 300, backend="numeric")
+    failures = err.value.failures
+    assert [d for d, _ in failures] == np.linspace(-1.0, 1.0, 300).tolist()
+    assert all(isinstance(e, DegenerateNullSpaceError) for _, e in failures)
+    assert err.value.points == []
 
 
 def test_sweep_argument_validation():
@@ -226,3 +237,12 @@ def test_optical_constants_validation():
         OpticalConstants(omega_probe=1.0, n0=0.0)
     with pytest.raises(ValueError):
         OpticalConstants(omega_probe=1.0, angular_convention="mhz")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["omega_probe", "n0", "mu", "epsilon0",
+                                  "hbar", "c"])
+def test_optical_constants_reject_non_finite(name, bad):
+    fields = {"omega_probe": 1.0, name: bad}
+    with pytest.raises(ValueError, match=name):
+        OpticalConstants(**fields)

@@ -1,21 +1,55 @@
 """Null-space steady states and RK4 time evolution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_params, random_state
 
-from eit3.model import Configuration, Liouvillian, SystemParams, build_liouvillian, vectorize
+from eit3.model import (
+    DIAGONAL_VEC_INDICES,
+    Configuration,
+    Liouvillian,
+    SystemParams,
+    build_liouvillian,
+    unvectorize,
+    vectorize,
+)
 from eit3.presets import reference_params
 from eit3.steady import (
+    COND_LIMIT,
+    NULL_TOL,
     DegenerateNullSpaceError,
     SingularSolveError,
     StepTooLargeError,
     evolve,
     is_density_matrix,
     null_space_dimension,
+    solve_grid,
     steady_state,
+    steady_states,
 )
+
+
+def one_matrix_solve(M):
+    """The trace-row solve written out for a single matrix, as the reference
+    for the batched one: same checks, same LAPACK calls, so equal bit for
+    bit."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    if np.sum(sv <= NULL_TOL * sv.max()) > 1:
+        raise DegenerateNullSpaceError("reference")
+    trace_row = DIAGONAL_VEC_INDICES[-1]
+    B = M.copy()
+    B[trace_row, :] = 0.0
+    B[trace_row, list(DIAGONAL_VEC_INDICES)] = 1.0
+    cond = np.linalg.cond(B)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularSolveError("reference")
+    b = np.zeros(9, dtype=complex)
+    b[trace_row] = 1.0
+    rho = unvectorize(np.linalg.solve(B, b))
+    return 0.5 * (rho + rho.conj().T)
 
 
 def test_lambda_resonance_traps_population_in_ground():
@@ -134,3 +168,53 @@ def test_is_density_matrix_checks():
     skew = np.eye(3, dtype=complex) / 3
     skew[0, 1] = 0.1
     assert not is_density_matrix(skew)                           # non-Hermitian
+
+
+@pytest.mark.parametrize("delta_pump", [0.0, 1.7])
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_grid_solve_matches_single_solves_bitwise(tag, delta_pump):
+    # 601 detunings span three chunks of the batched solve, the last partial
+    p = reference_params(tag, delta_pump=delta_pump)
+    deltas = np.linspace(-40.0, 40.0, 601)
+    states = solve_grid(p, deltas, "numeric")
+    assert len(states) == len(deltas)
+    for d, rho in zip(deltas, states):
+        L = build_liouvillian(replace(p, delta_probe=float(d)))
+        assert np.array_equal(rho, steady_state(L))
+        assert np.array_equal(rho, one_matrix_solve(L.matrix))
+
+
+def test_steady_states_attributes_each_failure_to_its_matrix():
+    p = reference_params("vee", delta_probe=2.0)
+    good = build_liouvillian(p).matrix
+    undriven = build_liouvillian(SystemParams(Configuration.LAMBDA, 0.0, 0.0,
+                                              gamma_a=0.1, gamma_b=6.0)).matrix
+    x = vectorize(np.diag([1.0, -1.0, 0.0]).astype(complex)) / np.sqrt(2.0)
+    rank8 = np.eye(9, dtype=complex) - np.outer(x, x.conj())
+    broken = good.copy()
+    broken[3, 5] = np.nan
+    out = steady_states(np.stack([good, undriven, rank8, broken, good]))
+    assert np.array_equal(out[0], steady_state(Liouvillian(good)))
+    assert np.array_equal(out[4], out[0])
+    assert isinstance(out[1], DegenerateNullSpaceError)
+    assert isinstance(out[2], SingularSolveError)
+    assert isinstance(out[3], SingularSolveError)
+    assert "non-finite" in str(out[3])
+    # each error is the one the one-matrix call raises
+    for M, err in zip((undriven, rank8, broken), out[1:4]):
+        with pytest.raises(type(err)) as single:
+            steady_state(Liouvillian(M))
+        assert str(single.value) == str(err)
+
+
+def test_grid_solve_mixes_solved_and_failed_points_in_one_chunk():
+    # with decays of 1e-8 the null-space probe resolves the steady state
+    # only near resonance; far detunings read as degenerate
+    p = SystemParams(Configuration.CASCADE, 1.0, 1.0, gamma_a=1e-8, gamma_b=1e-8)
+    deltas = np.linspace(-1e3, 1e3, 11)
+    states = solve_grid(p, deltas, "numeric")
+    solved = [not isinstance(r, Exception) for r in states]
+    assert solved == [i == 5 for i in range(11)]
+    assert all(isinstance(r, DegenerateNullSpaceError)
+               for r in states if isinstance(r, Exception))
+    assert np.array_equal(states[5], steady_state(build_liouvillian(p)))
