@@ -15,6 +15,7 @@ the general case.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .model import Configuration, SystemParams
 __all__ = [
     "PumpDetuningUnsupportedError",
     "DegenerateDenominatorError",
+    "ClosedFormOverflowError",
     "AnalyticSteadyState",
     "steady_state_terms",
     "analytic_steady_state",
@@ -42,6 +44,11 @@ class PumpDetuningUnsupportedError(ValueError):
 
 class DegenerateDenominatorError(ZeroDivisionError):
     """Common denominator underflows (no unique stationary state)."""
+
+
+class ClosedFormOverflowError(ValueError):
+    """A closed-form term overflows double precision (couplings, decays or
+    detuning too large for the polynomials)."""
 
 
 @dataclass(frozen=True)
@@ -191,18 +198,30 @@ def steady_state_terms(params: SystemParams) -> AnalyticSteadyState:
     """Evaluate the closed-form numerators and denominator.
 
     Requires ``delta_pump == 0``; raises
-    :class:`PumpDetuningUnsupportedError` otherwise and
+    :class:`PumpDetuningUnsupportedError` otherwise,
+    :class:`ClosedFormOverflowError` when a term overflows double precision
+    (from couplings of about 1e51 upwards) and
     :class:`DegenerateDenominatorError` when |D| underflows (for example
-    with both couplings zero).
+    with both couplings zero).  The terms are evaluated in Python floats,
+    whatever the parameters' float type.
     """
     if params.delta_pump != 0.0:
         raise PumpDetuningUnsupportedError(
             "PumpDetuningUnsupported: closed-form steady states require "
             f"delta_pump = 0, got {params.delta_pump}")
     fn = _TERMS[params.config]
-    D, n11, n22, n33, n12, n13, n23 = fn(
-        params.g_probe, params.g_pump, params.gamma_a, params.gamma_b,
-        params.delta_probe)
+    try:
+        terms = fn(float(params.g_probe), float(params.g_pump),
+                   float(params.gamma_a), float(params.gamma_b),
+                   float(params.delta_probe))
+        finite = all(map(cmath.isfinite, terms))
+    except OverflowError:  # a float power raises; a float product gives inf
+        finite = False
+    if not finite:
+        raise ClosedFormOverflowError(
+            "ClosedFormOverflow: closed-form terms overflow double precision "
+            f"(rate scale {params.rate_scale:.3e} MHz)")
+    D, n11, n22, n33, n12, n13, n23 = terms
     if abs(D) < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(
             f"DegenerateDenominator: |D| = {abs(D):.3e} underflows")

@@ -415,6 +415,8 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
     except StepTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ValueError as exc:  # non-positive t_end or dt, or too many steps
+        raise ConfigError(str(exc)) from exc
 
     default = Path(run.output_path).with_suffix(".evolve.csv").name
     path = _resolve_output(out_override or default)
@@ -436,7 +438,7 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
     print(f"wrote {path}")
 
     residual = float(np.abs(traj.final - target).max())
-    if residual > 1e-6:
+    if not residual <= 1e-6:  # a NaN residual fails too
         print(f"warning: final state is {residual:.3e} from the steady state "
               f"(t_end may be too short)", file=sys.stderr)
         return EXIT_NOT_CONVERGED

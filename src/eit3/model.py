@@ -87,6 +87,20 @@ _LOWERING = {
 }
 
 
+def _unit_dissipator(A: np.ndarray) -> np.ndarray:
+    """Superoperator of 2 A rho A+ - A+A rho - rho A+A (unit rate)."""
+    AdA = A.conj().T @ A
+    return (2.0 * np.kron(A.conj(), A)
+            - np.kron(_I3, AdA)
+            - np.kron(AdA.T, _I3))
+
+
+# unit-rate dissipator of each decay channel; detuning- and rate-independent,
+# so built once here instead of on every Liouvillian
+_DISSIPATORS = {channel: _unit_dissipator(A)
+                for channel, A in _LOWERING.items()}
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Couplings, decays and detunings of one driven three-level system.
@@ -215,11 +229,7 @@ def build_dissipator(params: SystemParams) -> Liouvillian:
     for channel, gamma in params.gammas.items():
         if gamma == 0.0:
             continue
-        A = _LOWERING[channel]
-        AdA = A.conj().T @ A
-        L += gamma * (2.0 * np.kron(A.conj(), A)
-                      - np.kron(_I3, AdA)
-                      - np.kron(AdA.T, _I3))
+        L += gamma * _DISSIPATORS[channel]
     return Liouvillian(matrix=L, rate_scale=params.rate_scale)
 
 

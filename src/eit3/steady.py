@@ -211,10 +211,18 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float, dt_max: float,
 
     The step is t_end/n with n chosen so the step is <= dt_max; dt_max must
     itself respect the stability bound 0.1 / max(g, Gamma, |Delta|), else
-    :class:`StepTooLargeError` is raised.  For this autonomous linear system
-    the four RK4 stages collapse to the quartic Taylor polynomial of exp(hL),
-    which is precomputed once and applied per step.  At most ``max_samples``
-    states are recorded (uniformly strided, always including t=0 and t_end).
+    :class:`StepTooLargeError` is raised, and must give a finite n, else
+    ``ValueError``.  For this autonomous linear system the four RK4 stages
+    collapse to the quartic Taylor polynomial phi of exp(hL).  At most
+    ``max_samples`` states are recorded (uniformly strided, always including
+    t=0 and t_end); the state jumps from one record to the next by
+    phi**stride, formed once by repeated squaring, so a sample costs one
+    matrix-vector product whatever the step count.  The scheme is the same
+    RK4, but rounding in phi**stride grows about like stride times machine
+    epsilon, so finer steps lose accuracy: on the reference systems the
+    trace error is ~1e-11 at the default step 0.1 / rate_scale, ~3e-10 at a
+    10x finer step (applying phi once per step gave 2e-13 to 6e-11) and
+    ~3e-8 at a 1000x finer step.
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -225,7 +233,11 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float, dt_max: float,
         raise StepTooLargeError(
             f"StepTooLarge: dt_max={dt_max:g} us exceeds the stability bound "
             f"{bound:g} us")
-    n_steps = max(1, int(np.ceil(t_end / dt_max)))
+    steps = np.ceil(t_end / dt_max)
+    if not np.isfinite(steps):
+        raise ValueError(f"dt_max={dt_max:g} us gives a non-finite step count "
+                         f"over t_end={t_end:g} us")
+    n_steps = max(1, int(steps))
     h = t_end / n_steps
 
     A = h * L.matrix
@@ -234,12 +246,16 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float, dt_max: float,
     phi = eye + A @ (eye + (A / 2) @ (eye + (A / 3) @ (eye + A / 4)))
 
     stride = max(1, -(-n_steps // (max_samples - 1))) if max_samples > 1 else n_steps
+    P = np.linalg.matrix_power(phi, stride)
     x = vectorize(rho0)
     times = [0.0]
     states = [unvectorize(x)]
-    for k in range(1, n_steps + 1):
-        x = phi @ x
-        if k % stride == 0 or k == n_steps:
-            times.append(t_end if k == n_steps else k * h)
-            states.append(unvectorize(x))
+    for k in range(stride, n_steps + 1, stride):
+        x = P @ x
+        times.append(t_end if k == n_steps else k * h)
+        states.append(unvectorize(x))
+    if n_steps % stride:
+        x = np.linalg.matrix_power(phi, n_steps % stride) @ x
+        times.append(t_end)
+        states.append(unvectorize(x))
     return Trajectory(times=np.array(times), states=np.array(states))

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_params
 
 from eit3.analytic import (
+    ClosedFormOverflowError,
     DegenerateDenominatorError,
     PumpDetuningUnsupportedError,
     analytic_element,
@@ -114,6 +115,25 @@ def test_degenerate_denominator():
                      gamma_a=0.1, gamma_b=6.0)
     with pytest.raises(DegenerateDenominatorError):
         analytic_steady_state(p)
+
+
+@pytest.mark.parametrize("as_type", [float, np.float64])
+def test_overflowing_terms_raise_named_error(config, as_type):
+    # g**6 leaves the double range near g = 1e51: Python floats raise
+    # OverflowError in a power, np.float64 gave inf and an all-NaN state
+    p = SystemParams(config, g_probe=as_type(1e60), g_pump=as_type(1e60),
+                     gamma_a=1.0, gamma_b=1.0)
+    with pytest.raises(ClosedFormOverflowError,
+                       match=r"^ClosedFormOverflow:"):
+        analytic_steady_state(p)
+
+
+def test_overflowing_product_raises_named_error():
+    # every power stays finite but a product of them overflows to inf
+    p = SystemParams(Configuration.LAMBDA, g_probe=1e50, g_pump=1e60,
+                     gamma_a=1.0, gamma_b=1.0)
+    with pytest.raises(ClosedFormOverflowError):
+        steady_state_terms(p)
 
 
 def test_element_name_validation():

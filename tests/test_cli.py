@@ -189,12 +189,45 @@ def test_evolve_short_run_warns(tmp_path, capsys):
     assert "steady state" in capsys.readouterr().err
 
 
+def test_evolve_non_finite_trajectory_warns(tmp_path, capsys):
+    # 1e200 us at the default step: phi**stride overflows to a NaN state,
+    # which must not pass as converged
+    out = tmp_path / "nan.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["evolve", "lambda", "--t-end", "1e200", "--out", str(out)])
+    assert code == EXIT_NOT_CONVERGED
+    assert "nan" in capsys.readouterr().err
+
+
 def test_evolve_step_too_large(tmp_path, capsys):
     code = main(["evolve", "lambda", "--delta", "0", "--t-end", "1",
                  "--dt", "0.5", "--rho0", "ground",
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
     assert "StepTooLarge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--t-end", "1", "--dt", "1e-320"],     # step count overflows
+    ["--t-end", "-1"],
+    ["--t-end", "1", "--dt", "0"],
+])
+def test_evolve_bad_step_is_config_error(tmp_path, capsys, argv):
+    code = main(["evolve", "lambda", *argv, "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_analytic_sweep_names_overflow(tmp_path, capsys):
+    cfg = write_config(tmp_path, g_probe=1e60, g_pump=1e60, backend="analytic",
+                       sweep={"min": -1.0, "max": 1.0, "points": 3},
+                       output={"path": "huge.csv", "format": "csv"})
+    assert main(["sweep", str(cfg)]) == EXIT_SOLVER
+    assert "ClosedFormOverflow" in capsys.readouterr().err
+    _, _, errors = read_sweep_csv(tmp_path / "huge.csv")
+    assert len(errors) == 3
+    assert all("ClosedFormOverflowError: ClosedFormOverflow:" in e for e in errors)
 
 
 def test_evolve_rho0_from_file(tmp_path):

@@ -21,6 +21,7 @@ from eit3.model import (
     vectorize,
 )
 from eit3.presets import reference_params
+from eit3.su3 import LEVEL_INDEX
 
 
 def test_decoupled_fields_give_diagonal_hamiltonian():
@@ -176,6 +177,28 @@ def test_non_finite_parameters_rejected(name, bad):
     p = reference_params("lambda")
     with pytest.raises(ValueError, match=name):
         replace(p, **{name: bad})
+
+
+@pytest.mark.parametrize("zero_rate", [False, True])
+def test_dissipator_matches_kron_formula_bitwise(config, zero_rate):
+    # the per-channel superoperators are precomputed; the sum must be the
+    # np.kron formula evaluated afresh, bit for bit
+    p = reference_params(config)
+    if zero_rate:
+        p = replace(p, gamma_a=0.0)
+    eye = np.eye(3, dtype=complex)
+    expected = np.zeros((9, 9), dtype=complex)
+    for channel, gamma in p.gammas.items():
+        if gamma == 0.0:
+            continue
+        upper, lower = int(channel[0]), int(channel[1])
+        A = np.zeros((3, 3), dtype=complex)
+        A[LEVEL_INDEX[lower], LEVEL_INDEX[upper]] = 1.0   # |l><k|
+        AdA = A.conj().T @ A
+        expected += gamma * (2.0 * np.kron(A.conj(), A)
+                             - np.kron(eye, AdA)
+                             - np.kron(AdA.T, eye))
+    assert np.array_equal(build_dissipator(p).matrix, expected)
 
 
 @pytest.mark.parametrize("delta_pump", [0.0, 1.7])

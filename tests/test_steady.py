@@ -52,6 +52,27 @@ def one_matrix_solve(M):
     return 0.5 * (rho + rho.conj().T)
 
 
+def step_loop(L, rho0, t_end, dt_max, max_samples=2001):
+    """RK4 applied one step at a time, recording every stride-th state: the
+    longhand reference for the strided propagator of :func:`evolve`.
+    Returns (times, states, n_steps, stride)."""
+    n_steps = max(1, int(np.ceil(t_end / dt_max)))
+    h = t_end / n_steps
+    A = h * L.matrix
+    eye = np.eye(9, dtype=complex)
+    phi = eye + A @ (eye + (A / 2) @ (eye + (A / 3) @ (eye + A / 4)))
+    stride = max(1, -(-n_steps // (max_samples - 1))) if max_samples > 1 else n_steps
+    x = vectorize(rho0)
+    times = [0.0]
+    states = [unvectorize(x)]
+    for k in range(1, n_steps + 1):
+        x = phi @ x
+        if k % stride == 0 or k == n_steps:
+            times.append(t_end if k == n_steps else k * h)
+            states.append(unvectorize(x))
+    return np.array(times), np.array(states), n_steps, stride
+
+
 def test_lambda_resonance_traps_population_in_ground():
     L = build_liouvillian(reference_params("lambda"))
     rho = steady_state(L)
@@ -136,6 +157,37 @@ def test_trace_conserved_along_trajectory():
         assert abs(np.trace(state).real - 1.0) <= 1e-9
         assert abs(np.trace(state).imag) <= 1e-9
         assert is_density_matrix(state)
+
+
+@pytest.mark.parametrize("t_end,step_factor,max_samples,ragged", [
+    (2.5, 1, 7, True),
+    (2.0, 1, 2001, False),
+    (2.0, 1, 2, False),
+    (2.0, 1, 1, False),
+    (3.0, 10, 2001, True),
+    (0.609, 1, 2001, False),  # cascade: n_steps * h != t_end
+])
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_strided_evolve_matches_step_loop(tag, t_end, step_factor,
+                                          max_samples, ragged):
+    # step_factor divides the stability bound; a ragged case must have a
+    # step count that is not a multiple of the stride, so the last sample
+    # takes a shorter power of phi
+    p = reference_params(tag, delta_probe=2.5)
+    L = build_liouvillian(p)
+    rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    dt_max = 0.1 / p.rate_scale / step_factor
+    times, states, n_steps, stride = step_loop(L, rho0, t_end, dt_max,
+                                               max_samples)
+    if ragged:
+        assert n_steps % stride != 0
+    traj = evolve(L, rho0, t_end=t_end, dt_max=dt_max, max_samples=max_samples)
+    assert np.array_equal(traj.times, times)
+    assert traj.times[-1] == t_end
+    assert traj.states.shape == states.shape
+    assert np.abs(traj.states - states).max() <= 1e-9
+    trace = np.trace(traj.states, axis1=1, axis2=2)
+    assert np.abs(trace - 1.0).max() <= 1e-9
 
 
 def test_free_evolution_is_constant():
