@@ -13,6 +13,7 @@ from .model import build_hamiltonian_rwa, build_dissipator, build_liouvillian, o
 from .steady import steady_state, evolve, null_space_dimension, Trajectory  # noqa: F401
 from .analytic import analytic_steady_state, analytic_element, steady_state_terms  # noqa: F401
 from .optics import (  # noqa: F401
+    CALIBRATED_CONVENTION,
     OpticalConstants,
     SpectralPoint,
     refractive_index,
@@ -20,7 +21,6 @@ from .optics import (  # noqa: F401
     sweep,
     group_velocity,
     calibration_table,
-    calibrated_convention,
 )
 from .darkstate import (  # noqa: F401
     MixingAngleReport,

@@ -37,6 +37,7 @@ from . import __version__
 from .darkstate import estimate_mixing_angle, verify_dark_state
 from .model import Configuration, SystemParams, build_liouvillian
 from .optics import (
+    CALIBRATED_CONVENTION,
     OpticalConstants,
     SpectralPoint,
     SweepError,
@@ -161,7 +162,9 @@ def load_config(path) -> RunConfig:
 
     opt = _require(raw, "optics", "")
     _check_keys(opt, {"n0", "mu", "omega_probe", "angular_convention"}, "optics.")
-    convention = opt.get("angular_convention")  # None -> calibrated default
+    convention = opt.get("angular_convention")
+    if convention is None:  # absent or JSON null; "" is rejected below
+        convention = CALIBRATED_CONVENTION
     try:
         optics = OpticalConstants(
             omega_probe=_number(_require(opt, "omega_probe", "optics."), "optics.omega_probe"),
@@ -208,7 +211,7 @@ def _metadata(run: RunConfig, command: str) -> dict:
         "config_sha256": run.sha256,
         "configuration": run.params.config.value,
         "backend": run.backend,
-        "angular_convention": k.convention(),
+        "angular_convention": k.angular_convention,
         "g_probe_mhz": repr(run.params.g_probe),
         "g_pump_mhz": repr(run.params.g_pump),
         "gamma_a_mhz": repr(run.params.gamma_a),
@@ -437,8 +440,12 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
+    if not np.isfinite(traj.final).all():
+        print(f"warning: the trajectory overflowed to nan/inf: --t-end {t_end:g} "
+              f"at --dt {dt:g} takes too many RK4 steps", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     residual = float(np.abs(traj.final - target).max())
-    if not residual <= 1e-6:  # a NaN residual fails too
+    if residual > 1e-6:
         print(f"warning: final state is {residual:.3e} from the steady state "
               f"(t_end may be too short)", file=sys.stderr)
         return EXIT_NOT_CONVERGED

@@ -10,14 +10,19 @@ with the dimensionless prefactor P = N0 mu^2 / (2 eps0 hbar) expressed in
 the working frequency unit.  The group index follows from the dispersion
 slope, n_g = 1 + P * omega * d(Tr[rho lam_r])/dDelta, and v_g = c / n_g.
 
+The SI constants c, eps0, hbar and the Bohr magneton are module literals,
+the CODATA 2022 recommended values, so the prefactor needs no physics
+library; a test pins them and the ``mu_si``/``prefactor`` metadata strings.
+
 Unit convention: all couplings, decays and detunings are quoted in MHz and
 it is ambiguous whether such a number means 1e6 s^-1 or 2 pi * 1e6 rad/s.
 Both readings are implemented behind ``angular_convention``
 ("plain_mhz" / "two_pi_mhz"): the SI prefactor (units s^-1) and the probe
 carrier are converted into the chosen unit while detunings stay in MHz.
-The default is whichever convention lands v_g(0) of the reference lambda
-system closer to its reference value; :func:`calibration_table` reports
-both so the choice is explicit and falsifiable.
+The default, :data:`CALIBRATED_CONVENTION`, is the convention that lands
+v_g(0) of the reference lambda system closer to its reference value;
+:func:`calibration_table` recomputes both, so the choice stays explicit and
+falsifiable.
 
 Absorption is reported on the same dimensionless prefactor scale as n - 1,
 not converted to 1/m.
@@ -26,23 +31,22 @@ not converted to 1/m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as _C_LIGHT
-from scipy.constants import epsilon_0 as _EPS0
-from scipy.constants import hbar as _HBAR
-from scipy.constants import physical_constants as _PHYS
 
-from .analytic import analytic_steady_state
 from .model import Configuration, SystemParams
 from .presets import REFERENCE_OMEGA_MHZ, REFERENCE_VG_NM_PER_S, reference_params
 from .steady import solve_grid
 from .su3 import LEVEL_INDEX, gell_mann
 
 __all__ = [
+    "C_LIGHT",
+    "EPSILON_0",
+    "HBAR",
+    "MU_BOHR",
     "ANGULAR_CONVENTIONS",
+    "CALIBRATED_CONVENTION",
     "GridTooCoarseError",
     "SweepError",
     "OpticalConstants",
@@ -54,12 +58,19 @@ __all__ = [
     "sweep",
     "group_velocity",
     "calibration_table",
-    "calibrated_convention",
 ]
 
-MU_BOHR = _PHYS["Bohr magneton"][0]
+# CODATA 2022 recommended values in SI units
+C_LIGHT = 299792458.0            # m/s, exact
+EPSILON_0 = 8.8541878188e-12     # F/m
+HBAR = 1.0545718176461565e-34    # J s, h / (2 pi) with h exact
+MU_BOHR = 9.2740100657e-24       # J/T
 
-ANGULAR_CONVENTIONS = ("plain_mhz", "two_pi_mhz")
+# working frequency unit of each convention, in s^-1
+_UNIT = {"plain_mhz": 1e6, "two_pi_mhz": 2 * math.pi * 1e6}
+ANGULAR_CONVENTIONS = tuple(_UNIT)
+# calibration_table()["chosen"]; a test recomputes it
+CALIBRATED_CONVENTION = "two_pi_mhz"
 
 # relative v_g mismatch between the 1x and 2x stencils that flags the grid
 RICHARDSON_TOL = 1e-3
@@ -96,31 +107,24 @@ class OpticalConstants:
     ``omega_probe`` is the probe carrier in MHz; ``mu`` is the transition
     dipole moment in SI units (by default the Bohr magneton's numerical
     value, kept for fidelity to the reference data despite the dimensional
-    oddity for an electric dipole).  ``angular_convention`` of None means
-    "use the calibrated default".
+    oddity for an electric dipole).  ``angular_convention`` defaults to
+    :data:`CALIBRATED_CONVENTION`.
     """
 
     omega_probe: float
     n0: float = 1e21
     mu: float = MU_BOHR
-    epsilon0: float = _EPS0
-    hbar: float = _HBAR
-    c: float = _C_LIGHT
-    angular_convention: str | None = None
+    angular_convention: str = CALIBRATED_CONVENTION
 
     def __post_init__(self) -> None:
-        for name in ("omega_probe", "n0", "mu", "epsilon0", "hbar", "c"):
+        for name in ("omega_probe", "n0", "mu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.angular_convention is not None \
-                and self.angular_convention not in ANGULAR_CONVENTIONS:
+        if self.angular_convention not in ANGULAR_CONVENTIONS:
             raise ValueError(
                 f"angular_convention must be one of {ANGULAR_CONVENTIONS}")
-
-    def convention(self) -> str:
-        return self.angular_convention or calibrated_convention()
 
 
 @dataclass(frozen=True)
@@ -145,18 +149,10 @@ class SpectralPoint:
     edge_stencil: bool = False
 
 
-def _unit(convention: str) -> float:
-    if convention == "plain_mhz":
-        return 1e6
-    if convention == "two_pi_mhz":
-        return 2 * math.pi * 1e6
-    raise ValueError(f"angular_convention must be one of {ANGULAR_CONVENTIONS}")
-
-
 def prefactor(k: OpticalConstants) -> float:
     """N0 mu^2 / (2 eps0 hbar), expressed in the working frequency unit."""
-    p_si = k.n0 * k.mu**2 / (2.0 * k.epsilon0 * k.hbar)  # s^-1
-    return p_si / _unit(k.convention())
+    p_si = k.n0 * k.mu**2 / (2.0 * EPSILON_0 * HBAR)  # s^-1
+    return p_si / _UNIT[k.angular_convention]
 
 
 def _probe_lambdas(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +219,7 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
     else:
         slope = np.gradient(tr_re, deltas[1] - deltas[0])  # one-sided at the ends
         n_g = 1.0 + pref * k.omega_probe * slope
-        v_g = k.c / n_g
+        v_g = C_LIGHT / n_g
         edge = [i == 0 or i == points - 1 for i in range(points)]
     # .tolist() hands out Python floats, whose repr the CSV writer relies on
     pts = [SpectralPoint(delta=d, n=n, alpha=a, n_g=ng, v_g=vg, rho11=r11,
@@ -264,26 +260,13 @@ def group_velocity(sweep_points: list[SpectralPoint], k: OpticalConstants,
     tr = np.array([(p.n - 1.0) / pref for p in sweep_points])
     slope_1h = (tr[i + 1] - tr[i - 1]) / (2 * h)
     slope_2h = (tr[i + 2] - tr[i - 2]) / (4 * h)
-    v_1h = k.c / (1.0 + pref * k.omega_probe * slope_1h)
-    v_2h = k.c / (1.0 + pref * k.omega_probe * slope_2h)
+    v_1h = C_LIGHT / (1.0 + pref * k.omega_probe * slope_1h)
+    v_2h = C_LIGHT / (1.0 + pref * k.omega_probe * slope_2h)
     if abs(v_2h - v_1h) > RICHARDSON_TOL * abs(v_1h):
         raise GridTooCoarseError(
             f"GridTooCoarse: v_g stencil mismatch {abs(v_2h - v_1h) / abs(v_1h):.3e} "
             f"at spacing {h:g} MHz exceeds {RICHARDSON_TOL:g}")
     return v_1h
-
-
-def _resonant_vg(config: Configuration, convention: str, h: float = 0.3) -> float:
-    """v_g(0) of a reference system from a 3-point analytic stencil."""
-    k = OpticalConstants(omega_probe=REFERENCE_OMEGA_MHZ[config],
-                         angular_convention=convention)
-    params = reference_params(config)
-    lam_r, _ = _probe_lambdas(config)
-    tr = [float(np.trace(analytic_steady_state(replace(params, delta_probe=d))
-                         @ lam_r).real)
-          for d in (-h, 0.0, h)]
-    slope = (tr[2] - tr[0]) / (2 * h)
-    return k.c / (1.0 + prefactor(k) * k.omega_probe * slope)
 
 
 def calibration_table() -> dict:
@@ -293,7 +276,8 @@ def calibration_table() -> dict:
     "relative_errors": {conv: {tag: rel_err}}, "chosen": conv,
     "within_10pct": bool} where the chosen convention minimizes the lambda
     relative error and ``within_10pct`` records whether it lands within 10%
-    of the lambda reference value.
+    of the lambda reference value.  v_g(0) is the centre of a 3-point
+    analytic sweep over +-0.3 MHz, a central-difference stencil.
     """
     table: dict = {"targets_nm_per_s": {c.value: REFERENCE_VG_NM_PER_S[c]
                                         for c in Configuration},
@@ -302,7 +286,10 @@ def calibration_table() -> dict:
         table["conventions"][conv] = {}
         table["relative_errors"][conv] = {}
         for config in Configuration:
-            vg = _resonant_vg(config, conv)
+            k = OpticalConstants(omega_probe=REFERENCE_OMEGA_MHZ[config],
+                                 angular_convention=conv)
+            vg = sweep(reference_params(config), k, -0.3, 0.3, 3,
+                       backend="analytic")[1].v_g
             target = REFERENCE_VG_NM_PER_S[config] * 1e-9  # m/s
             table["conventions"][conv][config.value] = vg
             table["relative_errors"][conv][config.value] = abs(vg - target) / target
@@ -313,8 +300,3 @@ def calibration_table() -> dict:
     table["within_10pct"] = table["relative_errors"][chosen][lam] <= 0.10
     return table
 
-
-@lru_cache(maxsize=1)
-def calibrated_convention() -> str:
-    """Angular convention minimizing the lambda v_g(0) calibration error."""
-    return calibration_table()["chosen"]

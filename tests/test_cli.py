@@ -196,7 +196,10 @@ def test_evolve_non_finite_trajectory_warns(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["evolve", "lambda", "--t-end", "1e200", "--out", str(out)])
     assert code == EXIT_NOT_CONVERGED
-    assert "nan" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "nan" in err
+    assert "overflowed" in err and "--t-end" in err and "--dt" in err
+    assert "t_end may be too short" not in err
 
 
 def test_evolve_step_too_large(tmp_path, capsys):
@@ -266,6 +269,34 @@ def test_darkstate_vee_reports_small_angle(capsys):
     out = capsys.readouterr().out
     theta = float(out.split("theta =")[1].split()[0])
     assert abs(theta - 0.040014) <= 1e-4
+
+
+def test_bundled_metadata_pins_constants(tmp_path):
+    for tag in ("lambda", "cascade", "vee"):
+        out = tmp_path / f"{tag}.csv"
+        assert main(["sweep", tag, "--out", str(out)]) == EXIT_OK
+        metadata, _, _ = read_sweep_csv(out)
+        assert metadata["mu_si"] == "9.2740100657e-24"
+        assert metadata["prefactor"] == "7329939171110.788"
+        assert metadata["angular_convention"] == "two_pi_mhz"
+
+
+def test_null_angular_convention_means_calibrated(tmp_path):
+    optics = dict(base_config()["optics"], angular_convention=None)
+    cfg = write_config(tmp_path, optics=optics,
+                       sweep={"min": -5.0, "max": 5.0, "points": 21})
+    assert load_config(str(cfg)).optics.angular_convention == "two_pi_mhz"
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "n.csv")]) == EXIT_OK
+    metadata, _, _ = read_sweep_csv(tmp_path / "n.csv")
+    assert metadata["angular_convention"] == "two_pi_mhz"
+
+
+@pytest.mark.parametrize("convention", ["", "bogus", False, 0, []])
+def test_bad_angular_convention_is_config_error(tmp_path, capsys, convention):
+    optics = dict(base_config()["optics"], angular_convention=convention)
+    cfg = write_config(tmp_path, optics=optics)
+    assert main(["sweep", str(cfg)]) == EXIT_CONFIG
+    assert "angular_convention" in capsys.readouterr().err
 
 
 def test_calibrate_reports_targets_and_choice(capsys):

@@ -1,7 +1,11 @@
 """Dispersion, absorption, group velocity and sweep plumbing."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +13,15 @@ import pytest
 from eit3.model import Configuration, SystemParams
 from eit3.optics import (
     ANGULAR_CONVENTIONS,
+    C_LIGHT,
+    CALIBRATED_CONVENTION,
+    EPSILON_0,
+    HBAR,
+    MU_BOHR,
     GridTooCoarseError,
     OpticalConstants,
     SweepError,
     absorption,
-    calibrated_convention,
     calibration_table,
     group_velocity,
     prefactor,
@@ -25,7 +33,7 @@ from eit3.presets import REFERENCE_OMEGA_MHZ, reference_params
 from eit3.steady import DegenerateNullSpaceError
 
 
-def optics_for(config, convention=None):
+def optics_for(config, convention=CALIBRATED_CONVENTION):
     cfg = Configuration(config) if not isinstance(config, Configuration) else config
     return OpticalConstants(omega_probe=REFERENCE_OMEGA_MHZ[cfg],
                             angular_convention=convention)
@@ -125,7 +133,7 @@ def test_group_velocity_index_identity(config):
     k = optics_for(config)
     pts = sweep(p, k, -5.0, 5.0, 11, backend="analytic")
     for q in pts:
-        assert abs(q.v_g * q.n_g - k.c) <= 1e-12 * k.c
+        assert abs(q.v_g * q.n_g - C_LIGHT) <= 1e-12 * C_LIGHT
         assert abs(q.rho11 + q.rho22 + q.rho33 - 1.0) <= 1e-9
     flagged = [q.edge_stencil for q in pts]
     assert flagged[0] and flagged[-1] and not any(flagged[1:-1])
@@ -215,13 +223,30 @@ def test_calibration_table_and_default_convention():
         assert set(table["conventions"][conv]) == {"lambda", "cascade", "vee"}
         for tag, vg in table["conventions"][conv].items():
             assert 0 < vg < 3e-4    # n_g(0) >= 1e12 for every reference system
-    assert table["chosen"] == calibrated_convention()
+    assert table["chosen"] == CALIBRATED_CONVENTION
+    assert OpticalConstants(omega_probe=1.0).angular_convention == CALIBRATED_CONVENTION
     # neither reading of "MHz" reproduces the reference nm/s values; the
     # calibration must say so rather than pretend
     assert table["within_10pct"] is False
     lam_err = table["relative_errors"][table["chosen"]]["lambda"]
     assert all(table["relative_errors"][c]["lambda"] >= lam_err
                for c in ANGULAR_CONVENTIONS)
+
+
+def test_calibration_values_pinned():
+    # v_g(0) from the 3-point analytic stencil over +-0.3 MHz, in m/s
+    expected = {
+        "plain_mhz": {"lambda": 3.0282163042432e-11,
+                      "cascade": 1.1999607483611922e-11,
+                      "vee": 1.6921841837883604e-11},
+        "two_pi_mhz": {"lambda": 1.9026844189782538e-10,
+                       "cascade": 7.539575743295263e-11,
+                       "vee": 1.0632306800620704e-10},
+    }
+    table = calibration_table()
+    for conv, row in expected.items():
+        for tag, vg in row.items():
+            assert table["conventions"][conv][tag] == pytest.approx(vg, rel=1e-12, abs=0)
 
 
 def test_two_conventions_differ_by_two_pi():
@@ -237,12 +262,41 @@ def test_optical_constants_validation():
         OpticalConstants(omega_probe=1.0, n0=0.0)
     with pytest.raises(ValueError):
         OpticalConstants(omega_probe=1.0, angular_convention="mhz")
+    with pytest.raises(ValueError):
+        OpticalConstants(omega_probe=1.0, angular_convention=None)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("name", ["omega_probe", "n0", "mu", "epsilon0",
-                                  "hbar", "c"])
+@pytest.mark.parametrize("name", ["omega_probe", "n0", "mu"])
 def test_optical_constants_reject_non_finite(name, bad):
     fields = {"omega_probe": 1.0, name: bad}
     with pytest.raises(ValueError, match=name):
         OpticalConstants(**fields)
+
+
+def test_si_constants_pinned():
+    # CODATA 2022; the metadata strings mu_si and prefactor depend on them
+    assert C_LIGHT == 299792458.0
+    assert EPSILON_0 == 8.8541878188e-12
+    assert HBAR == 1.0545718176461565e-34
+    assert MU_BOHR == 9.2740100657e-24
+    assert repr(MU_BOHR) == "9.2740100657e-24"
+
+
+def test_si_constants_equal_codata_library():
+    constants = pytest.importorskip("scipy.constants")
+    assert C_LIGHT == constants.c
+    assert EPSILON_0 == constants.epsilon_0
+    assert HBAR == constants.hbar
+    assert MU_BOHR == constants.physical_constants["Bohr magneton"][0]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, eit3.cli; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
