@@ -10,16 +10,13 @@ __version__ = "0.1.0"
 
 from .model import Configuration, SystemParams, Liouvillian  # noqa: F401
 from .model import build_hamiltonian_rwa, build_dissipator, build_liouvillian, obe_rhs  # noqa: F401
-from .steady import steady_state, evolve, null_space_dimension, Trajectory  # noqa: F401
-from .analytic import analytic_steady_state, analytic_element, steady_state_terms  # noqa: F401
+from .steady import steady_state, evolve, Trajectory  # noqa: F401
+from .analytic import analytic_steady_state, steady_state_terms  # noqa: F401
 from .optics import (  # noqa: F401
     CALIBRATED_CONVENTION,
     OpticalConstants,
     SpectralPoint,
-    refractive_index,
-    absorption,
     sweep,
-    group_velocity,
     calibration_table,
 )
 from .darkstate import (  # noqa: F401

@@ -29,13 +29,12 @@ __all__ = [
     "AnalyticSteadyState",
     "steady_state_terms",
     "analytic_steady_state",
-    "analytic_element",
 ]
 
-# |D| below this is treated as a vanishing denominator
+# |D| at or below DENOMINATOR_FLOOR * rate_scale**degree is treated as a
+# vanishing denominator; relative to the rate scale, so that the unit the rates
+# are given in does not decide it
 DENOMINATOR_FLOOR = 1e-30
-
-_ELEMENTS = ("11", "22", "33", "12", "13", "23")
 
 
 class PumpDetuningUnsupportedError(ValueError):
@@ -193,6 +192,9 @@ _TERMS = {
     Configuration.VEE: _vee_terms,
 }
 
+# common degree of D and of every numerator in the rates (g, Gamma, Delta)
+_DEGREE = {Configuration.LAMBDA: 7, Configuration.CASCADE: 8, Configuration.VEE: 8}
+
 
 def steady_state_terms(params: SystemParams) -> AnalyticSteadyState:
     """Evaluate the closed-form numerators and denominator.
@@ -201,9 +203,11 @@ def steady_state_terms(params: SystemParams) -> AnalyticSteadyState:
     :class:`PumpDetuningUnsupportedError` otherwise,
     :class:`ClosedFormOverflowError` when a term overflows double precision
     (from couplings of about 1e51 upwards) and
-    :class:`DegenerateDenominatorError` when |D| underflows (for example
-    with both couplings zero).  The terms are evaluated in Python floats,
-    whatever the parameters' float type.
+    :class:`DegenerateDenominatorError` when |D| is at most
+    ``DENOMINATOR_FLOOR * rate_scale**degree`` (for example with both
+    couplings zero), with degree 7 for lambda and 8 for cascade and vee.
+    The terms are evaluated in Python floats, whatever the parameters' float
+    type.
     """
     if params.delta_pump != 0.0:
         raise PumpDetuningUnsupportedError(
@@ -222,22 +226,17 @@ def steady_state_terms(params: SystemParams) -> AnalyticSteadyState:
             "ClosedFormOverflow: closed-form terms overflow double precision "
             f"(rate scale {params.rate_scale:.3e} MHz)")
     D, n11, n22, n33, n12, n13, n23 = terms
-    if abs(D) < DENOMINATOR_FLOOR:
+    deg = _DEGREE[params.config]
+    # compared as deg-th roots: rate_scale**deg overflows from a rate scale of
+    # about 1e44, where the terms are still finite
+    if abs(D) ** (1 / deg) <= DENOMINATOR_FLOOR ** (1 / deg) * params.rate_scale:
         raise DegenerateDenominatorError(
-            f"DegenerateDenominator: |D| = {abs(D):.3e} underflows")
+            f"DegenerateDenominator: |D| = {abs(D):.3e} underflows "
+            f"{DENOMINATOR_FLOOR:g} * rate_scale**{deg}")
     return AnalyticSteadyState(
         denominator=float(D),
         numerators={"11": complex(n11), "22": complex(n22), "33": complex(n33),
                     "12": complex(n12), "13": complex(n13), "23": complex(n23)})
-
-
-def analytic_element(params: SystemParams, element: str) -> complex:
-    """Single steady-state element rho_kl for element in
-    {"11","22","33","12","13","23"}."""
-    if element not in _ELEMENTS:
-        raise ValueError(f"element must be one of {_ELEMENTS}, got {element!r}")
-    terms = steady_state_terms(params)
-    return terms.numerators[element] / terms.denominator
 
 
 def analytic_steady_state(params: SystemParams) -> np.ndarray:

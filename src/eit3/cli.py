@@ -299,37 +299,27 @@ def cmd_sweep(run: RunConfig, out_override: str | None = None) -> int:
     path = _resolve_output(out_override or run.output_path)
     metadata = _metadata(run, "sweep")
 
-    backend = run.backend
-    if backend == "both":
-        # run both solvers, emit the analytic profile, record the discrepancy
+    backends = ("analytic", "numeric") if run.backend == "both" else (run.backend,)
+    try:
+        # under both, the analytic sweep runs first: its profile is the one
+        # emitted, and its failure the partial file written
+        sweeps = [sweep(run.params, run.optics, run.sweep_min, run.sweep_max,
+                        run.sweep_points, backend=backend) for backend in backends]
+    except SweepError as exc:
+        return _emit_partial(path, metadata, run, exc)
+    disc = 0.0
+    if len(sweeps) == 2:
         # on the dimensionless density-matrix scale (as for `steady`)
-        try:
-            pts_a = sweep(run.params, run.optics, run.sweep_min, run.sweep_max,
-                          run.sweep_points, backend="analytic")
-            pts_n = sweep(run.params, run.optics, run.sweep_min, run.sweep_max,
-                          run.sweep_points, backend="numeric")
-        except SweepError as exc:
-            return _emit_partial(path, metadata, run, exc)
         disc = max(max(abs(a.rho11 - b.rho11), abs(a.rho22 - b.rho22),
                        abs(a.rho33 - b.rho33),
                        abs(a.probe_coherence - b.probe_coherence))
-                   for a, b in zip(pts_a, pts_n))
+                   for a, b in zip(*sweeps))
         metadata["backend_discrepancy"] = repr(disc)
-        points = pts_a
-        _emit(path, metadata, run, points)
-        if disc > BACKEND_AGREEMENT_TOL:
-            print(f"error: numeric vs analytic discrepancy {disc:.3e} exceeds "
-                  f"{BACKEND_AGREEMENT_TOL:g}", file=sys.stderr)
-            return EXIT_DISCREPANCY
-        print(f"wrote {path}")
-        return EXIT_OK
-
-    try:
-        points = sweep(run.params, run.optics, run.sweep_min, run.sweep_max,
-                       run.sweep_points, backend=backend)
-    except SweepError as exc:
-        return _emit_partial(path, metadata, run, exc)
-    _emit(path, metadata, run, points)
+    _emit(path, metadata, run, sweeps[0])
+    if disc > BACKEND_AGREEMENT_TOL:
+        print(f"error: numeric vs analytic discrepancy {disc:.3e} exceeds "
+              f"{BACKEND_AGREEMENT_TOL:g}", file=sys.stderr)
+        return EXIT_DISCREPANCY
     print(f"wrote {path}")
     return EXIT_OK
 

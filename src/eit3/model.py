@@ -27,7 +27,7 @@ The diagonal entries rho_33, rho_22, rho_11 sit at vec indices 0, 4, 8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np

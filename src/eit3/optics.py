@@ -47,16 +47,11 @@ __all__ = [
     "MU_BOHR",
     "ANGULAR_CONVENTIONS",
     "CALIBRATED_CONVENTION",
-    "GridTooCoarseError",
     "SweepError",
     "OpticalConstants",
     "SpectralPoint",
     "prefactor",
-    "susceptibility_traces",
-    "refractive_index",
-    "absorption",
     "sweep",
-    "group_velocity",
     "calibration_table",
 ]
 
@@ -72,14 +67,7 @@ ANGULAR_CONVENTIONS = tuple(_UNIT)
 # calibration_table()["chosen"]; a test recomputes it
 CALIBRATED_CONVENTION = "two_pi_mhz"
 
-# relative v_g mismatch between the 1x and 2x stencils that flags the grid
-RICHARDSON_TOL = 1e-3
-
 _LAM = {4: gell_mann(4), 5: gell_mann(5), 6: gell_mann(6), 7: gell_mann(7)}
-
-
-class GridTooCoarseError(ValueError):
-    """Group-velocity stencil has not converged on this grid."""
 
 
 class SweepError(RuntimeError):
@@ -161,27 +149,6 @@ def _probe_lambdas(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
     return _LAM[6], _LAM[7]
 
 
-def susceptibility_traces(rho: np.ndarray, config: Configuration) -> tuple[float, float]:
-    """(Tr[rho lam_r], Tr[rho lam_i]): twice the real/imaginary parts of the
-    probe coherence."""
-    lam_r, lam_i = _probe_lambdas(config)
-    return (float(np.trace(rho @ lam_r).real), float(np.trace(rho @ lam_i).real))
-
-
-def refractive_index(rho_s: np.ndarray, k: OpticalConstants,
-                     config: Configuration) -> float:
-    """n = 1 + P Tr[rho lam_r]."""
-    tr_re, _ = susceptibility_traces(rho_s, config)
-    return 1.0 + prefactor(k) * tr_re
-
-
-def absorption(rho_s: np.ndarray, k: OpticalConstants,
-               config: Configuration) -> float:
-    """alpha = P Tr[rho lam_i] (same scale as n - 1)."""
-    _, tr_im = susceptibility_traces(rho_s, config)
-    return prefactor(k) * tr_im
-
-
 def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
           delta_max: float, points: int,
           backend: str = "analytic") -> list[SpectralPoint]:
@@ -232,41 +199,6 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
     if failures:
         raise SweepError(pts, failures)
     return pts
-
-
-def group_velocity(sweep_points: list[SpectralPoint], k: OpticalConstants,
-                   at: float) -> float:
-    """Group velocity at a grid point, with a stencil-halving consistency check.
-
-    ``at`` must coincide with an interior grid point at least two samples
-    from each edge.  The dispersion slope is formed with central differences
-    at the grid spacing and at twice the spacing; if the two velocities
-    disagree by more than 0.1% relative, :class:`GridTooCoarseError` is
-    raised.
-    """
-    deltas = np.array([p.delta for p in sweep_points])
-    if len(deltas) < 5:
-        raise ValueError("need at least 5 sweep points for the stencil check")
-    h = deltas[1] - deltas[0]
-    if not np.allclose(np.diff(deltas), h, rtol=1e-9, atol=1e-12):
-        raise ValueError("sweep grid must be uniformly spaced")
-    i = int(np.argmin(np.abs(deltas - at)))
-    if abs(deltas[i] - at) > 1e-9 * max(1.0, abs(at)):
-        raise ValueError(f"at={at} does not coincide with a grid point")
-    if i < 2 or i > len(deltas) - 3:
-        raise ValueError("at must be at least two grid points from each edge")
-
-    pref = prefactor(k)
-    tr = np.array([(p.n - 1.0) / pref for p in sweep_points])
-    slope_1h = (tr[i + 1] - tr[i - 1]) / (2 * h)
-    slope_2h = (tr[i + 2] - tr[i - 2]) / (4 * h)
-    v_1h = C_LIGHT / (1.0 + pref * k.omega_probe * slope_1h)
-    v_2h = C_LIGHT / (1.0 + pref * k.omega_probe * slope_2h)
-    if abs(v_2h - v_1h) > RICHARDSON_TOL * abs(v_1h):
-        raise GridTooCoarseError(
-            f"GridTooCoarse: v_g stencil mismatch {abs(v_2h - v_1h) / abs(v_1h):.3e} "
-            f"at spacing {h:g} MHz exceeds {RICHARDSON_TOL:g}")
-    return v_1h
 
 
 def calibration_table() -> dict:

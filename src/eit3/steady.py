@@ -31,7 +31,6 @@ __all__ = [
     "SingularSolveError",
     "StepTooLargeError",
     "Trajectory",
-    "null_space_dimension",
     "steady_state",
     "steady_states",
     "solve_grid",
@@ -93,16 +92,6 @@ def is_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
     return bool(eig.min() >= -eig_tol)
 
 
-def null_space_dimension(L: Liouvillian, tol: float = NULL_TOL) -> int:
-    """Number of singular values of L at or below tol * sigma_max."""
-    return int(_null_space_dimensions(L.matrix[np.newaxis], tol)[0])
-
-
-def _null_space_dimensions(stack: np.ndarray, tol: float) -> np.ndarray:
-    sv = np.linalg.svd(stack, compute_uv=False)  # descending: sigma_max first
-    return (sv <= tol * sv[:, :1]).sum(axis=1)
-
-
 def steady_state(L: Liouvillian) -> np.ndarray:
     """Unique stationary density matrix of the Liouvillian.
 
@@ -136,7 +125,8 @@ def steady_states(matrices: np.ndarray) -> list[np.ndarray | ValueError]:
     # a zero stand-in for non-finite matrices: LAPACK's SVD would otherwise
     # fail the whole stack
     bordered[~finite] = 0.0
-    nulls = _null_space_dimensions(bordered, NULL_TOL)
+    sv = np.linalg.svd(bordered, compute_uv=False)  # descending: sigma_max first
+    nulls = (sv <= NULL_TOL * sv[:, :1]).sum(axis=1)
     trace_row = DIAGONAL_VEC_INDICES[-1]  # d(rho_11)/dt row
     bordered[:, trace_row, :] = 0.0
     bordered[:, trace_row, list(DIAGONAL_VEC_INDICES)] = 1.0

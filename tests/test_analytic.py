@@ -11,13 +11,13 @@ from eit3.analytic import (
     ClosedFormOverflowError,
     DegenerateDenominatorError,
     PumpDetuningUnsupportedError,
-    analytic_element,
     analytic_steady_state,
     steady_state_terms,
 )
 from eit3.model import Configuration, SystemParams, build_liouvillian
 from eit3.presets import reference_params
 from eit3.steady import is_density_matrix, steady_state
+from eit3.su3 import LEVEL_INDEX
 
 
 def test_normalization_identity_randomized(rng, config):
@@ -55,16 +55,18 @@ def test_lambda_resonant_ground_population_closed_form():
     d0 = (G32 * g13**6 + g23**2 * (G31 + 2 * G32) * g13**4
           + (2 * G31 + G32) * g23**4 * g13**2 + g23**6 * G31)
     expected = g23**2 * (g13**2 + g23**2) * (G32 * g13**2 + g23**2 * G31) / d0
-    got = analytic_element(reference_params("lambda"), "11")
+    rho = analytic_steady_state(reference_params("lambda"))
+    got = rho[LEVEL_INDEX[1], LEVEL_INDEX[1]]
     assert abs(got - expected) <= 1e-12
     assert expected > 0.99
 
 
 def test_lambda_upper_population_even_in_detuning():
     p = reference_params("lambda")
+    rho33 = LEVEL_INDEX[3], LEVEL_INDEX[3]
     for d in (3.0, 11.5, 27.0):
-        plus = analytic_element(replace(p, delta_probe=d), "33")
-        minus = analytic_element(replace(p, delta_probe=-d), "33")
+        plus = analytic_steady_state(replace(p, delta_probe=d))[rho33]
+        minus = analytic_steady_state(replace(p, delta_probe=-d))[rho33]
         assert plus == minus           # bit-exact: even powers only
         assert plus.real > 0.0
 
@@ -93,15 +95,6 @@ def test_hermitian_assembly(rng, config):
         assert is_density_matrix(rho)
 
 
-def test_analytic_element_consistent_with_matrix(rng, config):
-    p = replace(random_params(rng, config), delta_pump=0.0)
-    rho = analytic_steady_state(p)
-    at = {"11": (2, 2), "22": (1, 1), "33": (0, 0),
-          "12": (2, 1), "13": (2, 0), "23": (1, 0)}
-    for element, (i, j) in at.items():
-        assert analytic_element(p, element) == rho[i, j]
-
-
 def test_pump_detuning_rejected():
     p = reference_params("lambda", delta_pump=1.0)
     with pytest.raises(PumpDetuningUnsupportedError):
@@ -115,6 +108,44 @@ def test_degenerate_denominator():
                      gamma_a=0.1, gamma_b=6.0)
     with pytest.raises(DegenerateDenominatorError):
         analytic_steady_state(p)
+    # all rates zero: D = 0 at a zero rate scale
+    with pytest.raises(DegenerateDenominatorError):
+        analytic_steady_state(SystemParams(Configuration.LAMBDA, 0.0, 0.0, 0.0, 0.0))
+
+
+# degree of D, and of every numerator, in the rates (g, Gamma, Delta)
+DEGREE = {"lambda": 7, "cascade": 8, "vee": 8}
+
+
+def test_denominator_degree(config):
+    p = reference_params(config.value, delta_probe=2.0)
+    doubled = replace(p, g_probe=2 * p.g_probe, g_pump=2 * p.g_pump,
+                      gamma_a=2 * p.gamma_a, gamma_b=2 * p.gamma_b,
+                      delta_probe=2 * p.delta_probe)
+    assert (steady_state_terms(doubled).denominator
+            == 2.0**DEGREE[config.value] * steady_state_terms(p).denominator)
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e3])
+def test_rate_units_do_not_change_the_state(config, factor):
+    # D and every numerator share one degree in (g, Gamma, Delta), so the
+    # state is unchanged when all rates are given in another unit (x 1e-6:
+    # MHz to THz); the denominator floor is relative to rate_scale**degree
+    p = reference_params(config.value, delta_probe=2.0)
+    scaled = replace(p, g_probe=p.g_probe * factor, g_pump=p.g_pump * factor,
+                     gamma_a=p.gamma_a * factor, gamma_b=p.gamma_b * factor,
+                     delta_probe=p.delta_probe * factor)
+    diff = np.abs(analytic_steady_state(scaled) - analytic_steady_state(p)).max()
+    assert diff <= 1e-14
+
+
+def test_huge_coupling_is_a_degenerate_denominator(config):
+    # rate_scale**degree overflows from about 1e44 while the terms stay
+    # finite; |D| / rate_scale**degree is ~1e-44 here, below the floor
+    p = replace(reference_params(config.value), g_probe=1e45)
+    with pytest.raises(DegenerateDenominatorError,
+                       match=rf"rate_scale\*\*{DEGREE[config.value]}$"):
+        steady_state_terms(p)
 
 
 @pytest.mark.parametrize("as_type", [float, np.float64])
@@ -134,8 +165,3 @@ def test_overflowing_product_raises_named_error():
                      gamma_a=1.0, gamma_b=1.0)
     with pytest.raises(ClosedFormOverflowError):
         steady_state_terms(p)
-
-
-def test_element_name_validation():
-    with pytest.raises(ValueError):
-        analytic_element(reference_params("lambda"), "31")

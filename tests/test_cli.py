@@ -2,13 +2,17 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eit3.cli
+import eit3.optics
 from eit3.cli import (
     EXIT_CONFIG,
+    EXIT_DISCREPANCY,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_SOLVER,
@@ -363,3 +367,114 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+PUMP_DETUNED = ("PumpDetuningUnsupportedError: PumpDetuningUnsupported: closed-form "
+                "steady states require delta_pump = 0, got 1.7")
+
+
+def shift_numeric_sweep(monkeypatch):
+    """Make the numeric sweep's rho11 read 1e-5 high, past the 1e-6 agreement
+    tolerance."""
+    original = eit3.cli.sweep
+
+    def shifted(*args, backend, **kwargs):
+        pts = original(*args, backend=backend, **kwargs)
+        if backend == "numeric":
+            pts = [replace(p, rho11=p.rho11 + 1e-5) for p in pts]
+        return pts
+    monkeypatch.setattr(eit3.cli, "sweep", shifted)
+
+
+def shift_numeric_solve(monkeypatch):
+    original = eit3.cli.solve_grid
+
+    def shifted(params, deltas, backend):
+        states = original(params, deltas, backend)
+        return [rho + 1e-5 if backend == "numeric" else rho for rho in states]
+    monkeypatch.setattr(eit3.cli, "solve_grid", shifted)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_backend_discrepancy_exits_3(tmp_path, capsys, monkeypatch, fmt):
+    shift_numeric_sweep(monkeypatch)
+    cfg = write_config(tmp_path, sweep={"min": -5.0, "max": 5.0, "points": 21},
+                       output={"path": f"disc.{fmt}", "format": fmt})
+    assert main(["sweep", str(cfg)]) == EXIT_DISCREPANCY
+    read = read_sweep_csv if fmt == "csv" else read_sweep_json
+    metadata, rows, errors = read(tmp_path / f"disc.{fmt}")
+    disc = float(metadata["backend_discrepancy"])
+    assert 1e-5 <= disc <= 1e-5 + 1e-12
+    assert not errors
+    # the analytic profile is the one written
+    run = load_config(cfg)
+    analytic = eit3.optics.sweep(run.params, run.optics, -5.0, 5.0, 21,
+                                 backend="analytic")
+    assert [r["rho11"] for r in rows] == [p.rho11 for p in analytic]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: numeric vs analytic discrepancy {disc:.3e} "
+                            "exceeds 1e-06\n")
+
+
+def test_steady_backend_discrepancy_exits_3(capsys, monkeypatch):
+    shift_numeric_solve(monkeypatch)
+    assert main(["steady", "lambda", "--delta", "2.5"]) == EXIT_DISCREPANCY
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "max-abs backend discrepancy = 1.000e-05"
+    assert captured.err == "error: discrepancy exceeds 1e-06\n"
+
+
+def test_darkstate_backend_discrepancy_exits_3(capsys, monkeypatch):
+    shift_numeric_solve(monkeypatch)
+    assert main(["darkstate", "lambda"]) == EXIT_DISCREPANCY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: backend discrepancy 1.000e-05\n"
+
+
+def test_steady_both_with_pump_detuning(tmp_path, capsys):
+    # the numeric state is printed before the closed forms refuse delta_pump
+    cfg = write_config(tmp_path, delta_pump=1.7)
+    assert main(["steady", str(cfg), "--delta", "0"]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[:2] == ["steady state (lambda, delta_probe = 0 MHz, "
+                         "delta_pump = 1.7 MHz)", "backend numeric:"]
+    assert lines[2] == "  rho11 = 0.999976605  rho22 = 0.000023033  rho33 = 0.000000362"
+    assert len(lines) == 6 and "analytic" not in captured.out
+    assert captured.err == f"error: {PUMP_DETUNED}\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_both_with_pump_detuning(tmp_path, capsys, fmt):
+    # the analytic sweep runs first; its failure is the partial file written
+    cfg = write_config(tmp_path, delta_pump=1.7,
+                       sweep={"min": -1.0, "max": 1.0, "points": 5},
+                       output={"path": f"detuned.{fmt}", "format": fmt})
+    assert main(["sweep", str(cfg)]) == EXIT_SOLVER
+    read = read_sweep_csv if fmt == "csv" else read_sweep_json
+    metadata, rows, errors = read(tmp_path / f"detuned.{fmt}")
+    assert "backend_discrepancy" not in metadata
+    deltas = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    if fmt == "csv":
+        assert errors == [f"delta={d!r} {PUMP_DETUNED}" for d in deltas]
+        assert [r["delta_mhz"] for r in rows] == deltas
+        assert all(math.isnan(r["n"]) for r in rows)
+    else:
+        assert errors == [{"delta_mhz": d, "error": PUMP_DETUNED} for d in deltas]
+        assert rows == []
+    err = capsys.readouterr().err.splitlines()
+    assert err[:5] == [f"error: delta={d:g} MHz: {PUMP_DETUNED}" for d in deltas]
+    assert err[5:] == [f"partial output retained in {tmp_path / f'detuned.{fmt}'}"]
+
+
+def test_sweep_both_writes_the_analytic_failure(tmp_path, capsys):
+    # both backends fail here; the analytic sweep runs first, so its errors
+    # make the partial file
+    cfg = write_config(tmp_path, g_probe=0.0, g_pump=0.0,
+                       sweep={"min": -1.0, "max": 1.0, "points": 3})
+    assert main(["sweep", str(cfg)]) == EXIT_SOLVER
+    _, _, errors = read_sweep_csv(tmp_path / "out.csv")
+    assert len(errors) == 3
+    assert all("DegenerateDenominatorError" in e for e in errors)

@@ -25,7 +25,6 @@ from eit3.steady import (
     StepTooLargeError,
     evolve,
     is_density_matrix,
-    null_space_dimension,
     solve_grid,
     steady_state,
     steady_states,
@@ -99,10 +98,12 @@ def test_residual_and_validity_across_params(rng, config):
 
 
 def test_null_space_dimensions():
-    assert null_space_dimension(build_liouvillian(reference_params("lambda"))) == 1
-    assert null_space_dimension(build_liouvillian(reference_params("vee"))) == 1
+    # one null direction: a unique state; nine (L = 0): no unique state
+    for tag in ("lambda", "vee"):
+        assert is_density_matrix(steady_state(build_liouvillian(reference_params(tag))))
     zero = Liouvillian(matrix=np.zeros((9, 9), dtype=complex), rate_scale=0.0)
-    assert null_space_dimension(zero) == 9
+    with pytest.raises(DegenerateNullSpaceError):
+        steady_state(zero)
 
 
 def test_singular_solve_guard():
