@@ -21,7 +21,6 @@ from .optics import (  # noqa: F401
 )
 from .darkstate import (  # noqa: F401
     MixingAngleReport,
-    population_sweep,
     estimate_mixing_angle,
     dark_state_vector,
     verify_dark_state,

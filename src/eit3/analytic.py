@@ -16,7 +16,6 @@ the general case.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "PumpDetuningUnsupportedError",
     "DegenerateDenominatorError",
     "ClosedFormOverflowError",
-    "AnalyticSteadyState",
     "steady_state_terms",
     "analytic_steady_state",
 ]
@@ -48,19 +46,6 @@ class DegenerateDenominatorError(ZeroDivisionError):
 class ClosedFormOverflowError(ValueError):
     """A closed-form term overflows double precision (couplings, decays or
     detuning too large for the polynomials)."""
-
-
-@dataclass(frozen=True)
-class AnalyticSteadyState:
-    """Raw numerators and denominator of the closed-form steady state.
-
-    ``denominator`` is real and positive for physical parameters;
-    ``numerators`` maps "11", "22", "33", "12", "13", "23" to the complex
-    numerator of that density-matrix element.
-    """
-
-    denominator: float
-    numerators: dict[str, complex]
 
 
 def _lambda_terms(g13, g23, G31, G32, d):
@@ -196,8 +181,12 @@ _TERMS = {
 _DEGREE = {Configuration.LAMBDA: 7, Configuration.CASCADE: 8, Configuration.VEE: 8}
 
 
-def steady_state_terms(params: SystemParams) -> AnalyticSteadyState:
-    """Evaluate the closed-form numerators and denominator.
+def steady_state_terms(params: SystemParams) -> tuple:
+    """Evaluate the closed-form denominator and numerators.
+
+    Returns ``(D, n11, n22, n33, n12, n13, n23)``: the common denominator D,
+    real and positive for physical parameters, and the numerator of each
+    density-matrix element rho_kl = n_kl / D.
 
     Requires ``delta_pump == 0``; raises
     :class:`PumpDetuningUnsupportedError` otherwise,
@@ -225,7 +214,7 @@ def steady_state_terms(params: SystemParams) -> AnalyticSteadyState:
         raise ClosedFormOverflowError(
             "ClosedFormOverflow: closed-form terms overflow double precision "
             f"(rate scale {params.rate_scale:.3e} MHz)")
-    D, n11, n22, n33, n12, n13, n23 = terms
+    D = terms[0]
     deg = _DEGREE[params.config]
     # compared as deg-th roots: rate_scale**deg overflows from a rate scale of
     # about 1e44, where the terms are still finite
@@ -233,25 +222,17 @@ def steady_state_terms(params: SystemParams) -> AnalyticSteadyState:
         raise DegenerateDenominatorError(
             f"DegenerateDenominator: |D| = {abs(D):.3e} underflows "
             f"{DENOMINATOR_FLOOR:g} * rate_scale**{deg}")
-    return AnalyticSteadyState(
-        denominator=float(D),
-        numerators={"11": complex(n11), "22": complex(n22), "33": complex(n33),
-                    "12": complex(n12), "13": complex(n13), "23": complex(n23)})
+    return terms
 
 
 def analytic_steady_state(params: SystemParams) -> np.ndarray:
-    """Full closed-form steady state assembled with rho_lk = conj(rho_kl)."""
-    terms = steady_state_terms(params)
-    D = terms.denominator
-    n = terms.numerators
-    rho = np.empty((3, 3), dtype=complex)
-    rho[2, 2] = n["11"] / D
-    rho[1, 1] = n["22"] / D
-    rho[0, 0] = n["33"] / D
-    rho[2, 1] = n["12"] / D
-    rho[2, 0] = n["13"] / D
-    rho[1, 0] = n["23"] / D
-    rho[1, 2] = np.conj(rho[2, 1])
-    rho[0, 2] = np.conj(rho[2, 0])
-    rho[0, 1] = np.conj(rho[1, 0])
-    return rho
+    """Full closed-form steady state assembled with rho_lk = conj(rho_kl).
+
+    Every entry is the Python division complex(n_kl) / D: numpy's complex
+    division multiplies by a reciprocal and rounds differently.
+    """
+    D, *numerators = steady_state_terms(params)
+    r11, r22, r33, r12, r13, r23 = (complex(n) / D for n in numerators)
+    return np.array([[r33, r23.conjugate(), r13.conjugate()],
+                     [r23, r22, r12.conjugate()],
+                     [r13, r12, r11]])

@@ -384,8 +384,14 @@ def _initial_state(spec: str) -> np.ndarray:
         return rho
     if spec == "mixed":
         return np.eye(3, dtype=complex) / 3.0
-    doc = json.loads(Path(spec).read_text(encoding="utf-8"))
-    rho = np.array(doc["rho_real"], dtype=float) + 1j * np.array(doc["rho_imag"], dtype=float)
+    try:
+        doc = json.loads(Path(spec).read_text(encoding="utf-8"))
+        rho = (np.array(doc["rho_real"], dtype=float)
+               + 1j * np.array(doc["rho_imag"], dtype=float))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # unreadable or missing file, bad JSON, a missing key, ragged rows
+        raise ConfigError(f"cannot read an initial state from {spec}: "
+                          f"{type(exc).__name__}: {exc}") from exc
     if rho.shape != (3, 3) or not is_density_matrix(rho, herm_tol=1e-9):
         raise ConfigError(f"initial state in {spec} is not a valid density matrix")
     return rho
@@ -430,9 +436,9 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
-    if not np.isfinite(traj.final).all():
-        print(f"warning: the trajectory overflowed to nan/inf: --t-end {t_end:g} "
-              f"at --dt {dt:g} takes too many RK4 steps", file=sys.stderr)
+    if not np.isfinite(traj.final).all():  # NaN would pass the check below
+        print(f"warning: the trajectory overflowed to nan/inf at --t-end "
+              f"{t_end:g}, --dt {dt:g}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     residual = float(np.abs(traj.final - target).max())
     if residual > 1e-6:

@@ -1,4 +1,4 @@
-"""Population analysis, mixing angles and dark-state construction.
+"""Mixing angles and dark-state construction.
 
 Each topology owns a two-state superposition decoupled from the driving,
 
@@ -8,7 +8,9 @@ Each topology owns a two-state superposition decoupled from the driving,
 
 The mixing angle is estimated from steady-state populations of the two
 bare states spanning the superposition, theta = atan2(sqrt(rho_qq),
-sqrt(rho_pp)), discarding any residual third-level population.
+sqrt(rho_pp)), discarding any residual third-level population.  The
+populations themselves come from :func:`eit3.steady.solve_grid` (or, on a
+sweep grid, :func:`eit3.optics.sweep`).
 
 At zero detunings each superposition is annihilated by its interaction
 Hamiltonian at a coupling-ratio angle: theta* = atan(g_probe / g_pump) for
@@ -26,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Configuration, SystemParams
-from .steady import solve_grid
 from .su3 import LEVEL_INDEX, shift_operator
 
 __all__ = [
     "UndefinedAngleError",
     "UnsupportedConfigurationError",
     "MixingAngleReport",
-    "population_sweep",
     "estimate_mixing_angle",
     "dark_state_vector",
     "verify_dark_state",
@@ -57,31 +57,11 @@ class UnsupportedConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class MixingAngleReport:
-    """Mixing angle (radians, in [0, pi/2]) with its inputs and the
-    resulting dark-state vector over the (|3>, |2>, |1>) amplitude order."""
+    """Mixing angle (radians, in [0, pi/2]) and the resulting dark-state
+    vector over the (|3>, |2>, |1>) amplitude order."""
 
     theta: float
-    populations: tuple[float, float, float]
-    config: Configuration
     dark_state: np.ndarray
-
-
-def population_sweep(params: SystemParams, delta_min: float, delta_max: float,
-                     points: int, backend: str = "analytic",
-                     ) -> list[tuple[float, float, float, float]]:
-    """Steady-state populations (delta, rho11, rho22, rho33) on a uniform
-    probe-detuning grid.  The first failing point's solver error propagates
-    to the caller."""
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
-    deltas = np.linspace(delta_min, delta_max, points)
-    out = []
-    for d, rho in zip(deltas, solve_grid(params, deltas, backend)):
-        if isinstance(rho, Exception):
-            raise rho
-        out.append((float(d), float(rho[2, 2].real), float(rho[1, 1].real),
-                    float(rho[0, 0].real)))
-    return out
 
 
 def estimate_mixing_angle(populations: tuple[float, float, float],
@@ -104,8 +84,7 @@ def estimate_mixing_angle(populations: tuple[float, float, float],
             f"UndefinedAngle: dark pair |{p}>,|{q}> holds "
             f"{by_level[p] + by_level[q]:.2e} population")
     theta = float(np.arctan2(np.sqrt(by_level[q]), np.sqrt(by_level[p])))
-    return MixingAngleReport(theta=theta, populations=(r11, r22, r33),
-                             config=config,
+    return MixingAngleReport(theta=theta,
                              dark_state=dark_state_vector(theta, config))
 
 

@@ -155,7 +155,7 @@ class Liouvillian:
     """
 
     matrix: np.ndarray
-    rate_scale: float | None = None
+    rate_scale: float
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Return drho/dt for a 3x3 state."""

@@ -150,18 +150,17 @@ def _probe_lambdas(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
-          delta_max: float, points: int,
-          backend: str = "analytic") -> list[SpectralPoint]:
+          delta_max: float, points: int, backend: str) -> list[SpectralPoint]:
     """Uniform probe-detuning sweep with group quantities attached.
 
     Group index and velocity use central differences of Tr[rho lam_r] on
     the grid (one-sided at the two endpoints, flagged via ``edge_stencil``).
-    The states come from :func:`eit3.steady.solve_grid`: the numeric
-    backend solves the grid as batched stacks of Liouvillians, 256
-    detunings at a time, and the analytic backend evaluates the closed
-    forms point by point; either way the output is Delta-ordered and
-    deterministic.  If any point's solve fails, a :class:`SweepError` is
-    raised carrying the partial result and the ordered (delta, error) list.
+    The states come from :func:`eit3.steady.solve_grid`: ``backend``
+    "numeric" solves the grid as batched stacks of Liouvillians, 256
+    detunings at a time, and "analytic" evaluates the closed forms point
+    by point; either way the output is Delta-ordered and deterministic.
+    If any point's solve fails, a :class:`SweepError` is raised carrying
+    the partial result and the ordered (delta, error) list.
     """
     if points < 3:
         raise ValueError(f"points must be >= 3, got {points}")
@@ -204,16 +203,15 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
 def calibration_table() -> dict:
     """Resonant group velocities of the reference systems, both conventions.
 
-    Returns {"targets_nm_per_s": {...}, "conventions": {conv: {tag: vg_m_per_s}},
+    Returns {"conventions": {conv: {tag: vg_m_per_s}},
     "relative_errors": {conv: {tag: rel_err}}, "chosen": conv,
-    "within_10pct": bool} where the chosen convention minimizes the lambda
-    relative error and ``within_10pct`` records whether it lands within 10%
-    of the lambda reference value.  v_g(0) is the centre of a 3-point
-    analytic sweep over +-0.3 MHz, a central-difference stencil.
+    "within_10pct": bool} where the relative errors are taken against
+    :data:`eit3.presets.REFERENCE_VG_NM_PER_S`, the chosen convention
+    minimizes the lambda relative error and ``within_10pct`` records whether
+    it lands within 10% of the lambda reference value.  v_g(0) is the centre
+    of a 3-point analytic sweep over +-0.3 MHz, a central-difference stencil.
     """
-    table: dict = {"targets_nm_per_s": {c.value: REFERENCE_VG_NM_PER_S[c]
-                                        for c in Configuration},
-                   "conventions": {}, "relative_errors": {}}
+    table: dict = {"conventions": {}, "relative_errors": {}}
     for conv in ANGULAR_CONVENTIONS:
         table["conventions"][conv] = {}
         table["relative_errors"][conv] = {}

@@ -44,6 +44,11 @@ NULL_TOL = 1e-10
 COND_LIMIT = 1e14
 # integrator step must satisfy h <= STEP_SAFETY / rate_scale
 STEP_SAFETY = 0.1
+# states evolve records at most, t = 0 and t_end included
+MAX_SAMPLES = 2001
+# RK4 steps between two recorded states (the stride) at most: rounding in
+# phi**stride drifts the trace of a trajectory by ~1e-13 per step of stride
+MAX_STRIDE = 10**6
 # detunings per batched solve in solve_grid: bounds a sweep's working set
 # (building all 2001 points of a sweep at once costs ~8 MB of peak memory)
 _CHUNK = 256
@@ -79,17 +84,18 @@ class Trajectory:
         return self.states[-1]
 
 
-def is_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
-                      trace_tol: float = 1e-10, eig_tol: float = 1e-9) -> bool:
-    """Hermitian within herm_tol, unit trace within trace_tol, eigenvalues
-    above -eig_tol."""
+def is_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10) -> bool:
+    """Finite, Hermitian within herm_tol, unit trace within 1e-10 and
+    eigenvalues above -1e-9."""
     rho = np.asarray(rho)
+    if not np.isfinite(rho).all():  # NaN would fail no comparison below
+        return False
     if np.abs(rho - rho.conj().T).max() > herm_tol:
         return False
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
         return False
     eig = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    return bool(eig.min() >= -eig_tol)
+    return bool(eig.min() >= -1e-9)
 
 
 def steady_state(L: Liouvillian) -> np.ndarray:
@@ -159,14 +165,14 @@ def _failure(finite: bool, null_dim: int, cond: float) -> ValueError:
 
 
 def solve_grid(params: SystemParams, deltas,
-               backend: str = "numeric") -> list[np.ndarray | Exception]:
+               backend: str) -> list[np.ndarray | Exception]:
     """Steady state of ``params`` at each probe detuning in ``deltas``, or
     the error that point fails with, in grid order.
 
-    The numeric backend builds and solves the Liouvillian stack in chunks
+    ``backend`` "numeric" builds and solves the Liouvillian stack in chunks
     of 256 detunings (:func:`steady_states`), each state equal bit for bit
     to ``steady_state(build_liouvillian(replace(params, delta_probe=d)))``;
-    the analytic backend evaluates the closed forms point by point.
+    "analytic" evaluates the closed forms point by point.
     """
     if backend == "numeric":
         deltas = np.asarray(deltas, dtype=float)
@@ -186,17 +192,8 @@ def solve_grid(params: SystemParams, deltas,
     raise ValueError(f"backend must be 'numeric' or 'analytic', got {backend!r}")
 
 
-def _step_bound(L: Liouvillian) -> float:
-    scale = L.rate_scale
-    if scale is None:
-        scale = float(np.abs(L.matrix).max())
-    if scale == 0.0:
-        return np.inf
-    return STEP_SAFETY / scale
-
-
-def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float, dt_max: float,
-           max_samples: int = 2001) -> Trajectory:
+def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float,
+           dt_max: float) -> Trajectory:
     """Integrate drho/dt = L rho with classical fixed-step RK4.
 
     The step is t_end/n with n chosen so the step is <= dt_max; dt_max must
@@ -204,21 +201,21 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float, dt_max: float,
     :class:`StepTooLargeError` is raised, and must give a finite n, else
     ``ValueError``.  For this autonomous linear system the four RK4 stages
     collapse to the quartic Taylor polynomial phi of exp(hL).  At most
-    ``max_samples`` states are recorded (uniformly strided, always including
-    t=0 and t_end); the state jumps from one record to the next by
+    MAX_SAMPLES = 2001 states are recorded (uniformly strided, always
+    including t=0 and t_end); the state jumps from one record to the next by
     phi**stride, formed once by repeated squaring, so a sample costs one
     matrix-vector product whatever the step count.  The scheme is the same
-    RK4, but rounding in phi**stride grows about like stride times machine
-    epsilon, so finer steps lose accuracy: on the reference systems the
-    trace error is ~1e-11 at the default step 0.1 / rate_scale, ~3e-10 at a
-    10x finer step (applying phi once per step gave 2e-13 to 6e-11) and
-    ~3e-8 at a 1000x finer step.
+    RK4, but rounding in phi**stride drifts the trace of a trajectory by
+    4.7e-14 to 1.03e-13 per step of stride on the reference systems (the
+    trace error is ~1e-11 at the default step 0.1 / rate_scale and ~3e-8 at
+    a 1000x finer step), so a stride above MAX_STRIDE = 1e6, where the drift
+    would pass 1e-7, raises ``ValueError``.
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     if dt_max <= 0:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
-    bound = _step_bound(L)
+    bound = STEP_SAFETY / L.rate_scale if L.rate_scale else np.inf
     if dt_max > bound:
         raise StepTooLargeError(
             f"StepTooLarge: dt_max={dt_max:g} us exceeds the stability bound "
@@ -228,6 +225,11 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float, dt_max: float,
         raise ValueError(f"dt_max={dt_max:g} us gives a non-finite step count "
                          f"over t_end={t_end:g} us")
     n_steps = max(1, int(steps))
+    stride = max(1, -(-n_steps // (MAX_SAMPLES - 1)))
+    if stride > MAX_STRIDE:
+        raise ValueError(
+            f"t_end={t_end:g} us at dt_max={dt_max:g} us takes {stride:.3g} RK4 "
+            f"steps per recorded sample, above the cap of {MAX_STRIDE:.0e}")
     h = t_end / n_steps
 
     A = h * L.matrix
@@ -235,7 +237,6 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float, dt_max: float,
     # RK4 one-step propagator: I + A + A^2/2 + A^3/6 + A^4/24 (Horner form)
     phi = eye + A @ (eye + (A / 2) @ (eye + (A / 3) @ (eye + A / 4)))
 
-    stride = max(1, -(-n_steps // (max_samples - 1))) if max_samples > 1 else n_steps
     P = np.linalg.matrix_power(phi, stride)
     x = vectorize(rho0)
     times = [0.0]

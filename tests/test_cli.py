@@ -10,6 +10,7 @@ import pytest
 
 import eit3.cli
 import eit3.optics
+import eit3.steady
 from eit3.cli import (
     EXIT_CONFIG,
     EXIT_DISCREPANCY,
@@ -193,17 +194,38 @@ def test_evolve_short_run_warns(tmp_path, capsys):
     assert "steady state" in capsys.readouterr().err
 
 
-def test_evolve_non_finite_trajectory_warns(tmp_path, capsys):
-    # 1e200 us at the default step: phi**stride overflows to a NaN state,
-    # which must not pass as converged
+def test_evolve_non_finite_trajectory_warns(tmp_path, capsys, monkeypatch):
+    # a NaN state fails every comparison, so it must not pass as converged
+    def nan_evolve(L, rho0, t_end, dt_max):
+        traj = eit3.steady.evolve(L, rho0, t_end, dt_max)
+        return replace(traj, states=np.full_like(traj.states, np.nan))
+    monkeypatch.setattr(eit3.cli, "evolve", nan_evolve)
     out = tmp_path / "nan.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["evolve", "lambda", "--t-end", "1e200", "--out", str(out)])
+    code = main(["evolve", "lambda", "--t-end", "5", "--out", str(out)])
     assert code == EXIT_NOT_CONVERGED
     err = capsys.readouterr().err
-    assert "nan" in err
-    assert "overflowed" in err and "--t-end" in err and "--dt" in err
+    assert "overflowed to nan/inf" in err and "--t-end" in err and "--dt" in err
     assert "t_end may be too short" not in err
+
+
+@pytest.mark.parametrize("t_end", ["1e8", "1e200"])
+def test_evolve_too_many_steps_per_sample_is_config_error(tmp_path, capsys, t_end):
+    # 1e8 us at the default step is 5.25e7 RK4 steps per recorded sample
+    out = tmp_path / "long.csv"
+    code = main(["evolve", "lambda", "--t-end", t_end, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "RK4 steps per recorded sample" in err
+    assert not out.exists()
+
+
+def test_evolve_fine_step_within_the_cap_converges(tmp_path):
+    # 1000x finer than the default step: 2.6e5 RK4 steps per recorded sample
+    out = tmp_path / "fine.csv"
+    code = main(["evolve", "lambda", "--t-end", "500",
+                 "--dt", repr(0.1 / 105.0 / 1000), "--out", str(out)])
+    assert code == EXIT_OK
 
 
 def test_evolve_step_too_large(tmp_path, capsys):
@@ -247,6 +269,33 @@ def test_evolve_rho0_from_file(tmp_path):
     code = main(["evolve", "lambda", "--delta", "0", "--t-end", "500",
                  "--rho0", str(state), "--out", str(out)])
     assert code == EXIT_OK
+
+
+NAN_STATE = ('{"rho_real": [[NaN, 0, 0], [0, 0.5, 0], [0, 0, 0.5]], '
+             '"rho_imag": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}')
+
+
+@pytest.mark.parametrize("content,detail", [
+    (None, "FileNotFoundError"),
+    ("not json", "JSONDecodeError"),
+    ('{"rho_imag": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}', "KeyError: 'rho_real'"),
+    ('{"rho_real": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}', "KeyError: 'rho_imag'"),
+    ('{"rho_real": [[1, 0, 0], [0, 0], [0, 0, 0]], '
+     '"rho_imag": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}', "ValueError"),
+    ("[1, 2]", "TypeError"),
+    (NAN_STATE, "not a valid density matrix"),
+])
+def test_evolve_bad_rho0_file_is_config_error(tmp_path, capsys, content, detail):
+    state = tmp_path / "rho0.json"
+    if content is not None:
+        state.write_text(content, encoding="utf-8")
+    code = main(["evolve", "lambda", "--t-end", "5", "--rho0", str(state),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(state) in err
+    assert detail in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_darkstate_lambda(capsys):

@@ -1,27 +1,30 @@
-"""Population sweeps, mixing angles, dark-state construction and kernel check."""
+"""Resonance populations, mixing angles, dark-state construction and
+kernel check."""
 
 import numpy as np
 import pytest
 
-from eit3.analytic import PumpDetuningUnsupportedError
 from eit3.darkstate import (
     UndefinedAngleError,
     UnsupportedConfigurationError,
     dark_state_vector,
     estimate_mixing_angle,
-    population_sweep,
     verify_dark_state,
 )
 from eit3.model import Configuration, SystemParams
 from eit3.presets import reference_params
-from eit3.steady import DegenerateNullSpaceError
+from eit3.steady import solve_grid
+
+
+def populations(params, deltas, backend="analytic"):
+    """(rho11, rho22, rho33) at each probe detuning, from solve_grid."""
+    return [(float(rho[2, 2].real), float(rho[1, 1].real), float(rho[0, 0].real))
+            for rho in solve_grid(params, deltas, backend)]
 
 
 def resonance_populations(tag, backend="analytic"):
-    rows = population_sweep(reference_params(tag), -1.0, 1.0, 3, backend=backend)
-    delta, r11, r22, r33 = rows[1]
-    assert delta == 0.0
-    return (r11, r22, r33)
+    [pops] = populations(reference_params(tag), [0.0], backend)
+    return pops
 
 
 def test_lambda_resonance_population_trapping():
@@ -49,27 +52,12 @@ def test_vee_resonance_pump_saturation():
 
 
 def test_lambda_population_curves_even_in_detuning():
-    rows = population_sweep(reference_params("lambda"), -25.0, 25.0, 51)
+    deltas = np.linspace(-25.0, 25.0, 51)
+    assert np.array_equal(deltas, -deltas[::-1])
+    rows = populations(reference_params("lambda"), deltas)
     for row_a, row_b in zip(rows, reversed(rows)):
-        assert row_a[0] == -row_b[0]
-        for a, b in zip(row_a[1:], row_b[1:]):
+        for a, b in zip(row_a, row_b):
             assert abs(a - b) <= 1e-12
-
-
-def test_population_sweep_propagates_solver_errors():
-    p = SystemParams(Configuration.LAMBDA, 0.0, 0.0, gamma_a=0.1, gamma_b=6.0)
-    with pytest.raises(DegenerateNullSpaceError):
-        population_sweep(p, -1.0, 1.0, 3, backend="numeric")
-    with pytest.raises(PumpDetuningUnsupportedError):
-        population_sweep(reference_params("lambda", delta_pump=1.0), -1.0, 1.0, 3)
-
-
-def test_population_sweep_raises_first_failing_point():
-    # decays of 1e-8: solvable at resonance, degenerate far from it
-    p = SystemParams(Configuration.CASCADE, 1.0, 1.0, gamma_a=1e-8, gamma_b=1e-8)
-    assert len(population_sweep(p, -1e-3, 1e-3, 3, backend="numeric")) == 3
-    with pytest.raises(DegenerateNullSpaceError):
-        population_sweep(p, 0.0, 1e3, 3, backend="numeric")
 
 
 def test_mixing_angle_round_trip():
@@ -112,8 +100,8 @@ def test_coupling_ratio_law():
     for g_probe in np.linspace(0.1, 5.0, 25):
         p = SystemParams(Configuration.LAMBDA, float(g_probe), base.g_pump,
                          base.gamma_a, base.gamma_b)
-        rows = population_sweep(p, -1.0, 1.0, 3)
-        report = estimate_mixing_angle(rows[1][1:], Configuration.LAMBDA)
+        [pops] = populations(p, [0.0])
+        report = estimate_mixing_angle(pops, Configuration.LAMBDA)
         assert abs(report.theta - np.arctan(g_probe / base.g_pump)) <= 0.02
 
 

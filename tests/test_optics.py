@@ -205,9 +205,9 @@ def test_sweep_argument_validation():
     p = reference_params("lambda")
     k = optics_for("lambda")
     with pytest.raises(ValueError):
-        sweep(p, k, -1.0, 1.0, 2)
+        sweep(p, k, -1.0, 1.0, 2, backend="analytic")
     with pytest.raises(ValueError):
-        sweep(p, k, 1.0, -1.0, 5)
+        sweep(p, k, 1.0, -1.0, 5, backend="analytic")
     with pytest.raises(ValueError):
         sweep(p, k, -1.0, 1.0, 5, backend="exact")
 

@@ -19,6 +19,8 @@ from eit3.model import (
 from eit3.presets import reference_params
 from eit3.steady import (
     COND_LIMIT,
+    MAX_SAMPLES,
+    MAX_STRIDE,
     NULL_TOL,
     DegenerateNullSpaceError,
     SingularSolveError,
@@ -51,16 +53,17 @@ def one_matrix_solve(M):
     return 0.5 * (rho + rho.conj().T)
 
 
-def step_loop(L, rho0, t_end, dt_max, max_samples=2001):
-    """RK4 applied one step at a time, recording every stride-th state: the
-    longhand reference for the strided propagator of :func:`evolve`.
+def step_loop(L, rho0, t_end, dt_max, max_samples):
+    """RK4 applied one step at a time, recording every stride-th state so
+    that at most ``max_samples`` states are kept: the longhand reference for
+    the strided propagator of :func:`evolve`.
     Returns (times, states, n_steps, stride)."""
     n_steps = max(1, int(np.ceil(t_end / dt_max)))
     h = t_end / n_steps
     A = h * L.matrix
     eye = np.eye(9, dtype=complex)
     phi = eye + A @ (eye + (A / 2) @ (eye + (A / 3) @ (eye + A / 4)))
-    stride = max(1, -(-n_steps // (max_samples - 1))) if max_samples > 1 else n_steps
+    stride = max(1, -(-n_steps // (max_samples - 1)))
     x = vectorize(rho0)
     times = [0.0]
     states = [unvectorize(x)]
@@ -161,11 +164,9 @@ def test_trace_conserved_along_trajectory():
 
 
 @pytest.mark.parametrize("t_end,step_factor,max_samples,ragged", [
-    (2.5, 1, 7, True),
     (2.0, 1, 2001, False),
-    (2.0, 1, 2, False),
-    (2.0, 1, 1, False),
     (3.0, 10, 2001, True),
+    (30.0, 1, 2001, True),    # strides of 14 to 38
     (0.609, 1, 2001, False),  # cascade: n_steps * h != t_end
 ])
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
@@ -173,7 +174,8 @@ def test_strided_evolve_matches_step_loop(tag, t_end, step_factor,
                                           max_samples, ragged):
     # step_factor divides the stability bound; a ragged case must have a
     # step count that is not a multiple of the stride, so the last sample
-    # takes a shorter power of phi
+    # takes a shorter power of phi; max_samples is evolve's fixed cap
+    assert max_samples == MAX_SAMPLES
     p = reference_params(tag, delta_probe=2.5)
     L = build_liouvillian(p)
     rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
@@ -182,13 +184,28 @@ def test_strided_evolve_matches_step_loop(tag, t_end, step_factor,
                                                max_samples)
     if ragged:
         assert n_steps % stride != 0
-    traj = evolve(L, rho0, t_end=t_end, dt_max=dt_max, max_samples=max_samples)
+    traj = evolve(L, rho0, t_end=t_end, dt_max=dt_max)
     assert np.array_equal(traj.times, times)
     assert traj.times[-1] == t_end
     assert traj.states.shape == states.shape
     assert np.abs(traj.states - states).max() <= 1e-9
     trace = np.trace(traj.states, axis1=1, axis2=2)
     assert np.abs(trace - 1.0).max() <= 1e-9
+
+
+def test_evolve_caps_the_steps_per_sample():
+    # a stride of 1e6 steps is allowed, one more step per sample is not
+    p = reference_params("lambda")
+    L = build_liouvillian(p)
+    rho0 = np.eye(3, dtype=complex) / 3
+    dt_max = 2.0**-20  # a power of two: t_end / dt_max is exact
+    traj = evolve(L, rho0, t_end=(MAX_SAMPLES - 1) * MAX_STRIDE * dt_max,
+                  dt_max=dt_max)
+    assert traj.times.size == MAX_SAMPLES
+    assert abs(np.trace(traj.final) - 1.0) <= 1e-7
+    with pytest.raises(ValueError, match="RK4 steps per recorded sample"):
+        evolve(L, rho0, t_end=(MAX_SAMPLES - 1) * (MAX_STRIDE + 1) * dt_max,
+               dt_max=dt_max)
 
 
 def test_free_evolution_is_constant():
@@ -221,6 +238,11 @@ def test_is_density_matrix_checks():
     skew = np.eye(3, dtype=complex) / 3
     skew[0, 1] = 0.1
     assert not is_density_matrix(skew)                           # non-Hermitian
+    # non-finite entries: NaN fails every comparison, and LAPACK rejects an
+    # all-NaN matrix
+    assert not is_density_matrix(np.diag([np.nan, 0.5, 0.5]))
+    assert not is_density_matrix(np.full((3, 3), np.nan))
+    assert not is_density_matrix(np.diag([np.inf, 0.5, 0.5]))
 
 
 @pytest.mark.parametrize("delta_pump", [0.0, 1.7])
@@ -247,7 +269,7 @@ def test_steady_states_attributes_each_failure_to_its_matrix():
     broken = good.copy()
     broken[3, 5] = np.nan
     out = steady_states(np.stack([good, undriven, rank8, broken, good]))
-    assert np.array_equal(out[0], steady_state(Liouvillian(good)))
+    assert np.array_equal(out[0], steady_state(build_liouvillian(p)))
     assert np.array_equal(out[4], out[0])
     assert isinstance(out[1], DegenerateNullSpaceError)
     assert isinstance(out[2], SingularSolveError)
@@ -256,7 +278,7 @@ def test_steady_states_attributes_each_failure_to_its_matrix():
     # each error is the one the one-matrix call raises
     for M, err in zip((undriven, rank8, broken), out[1:4]):
         with pytest.raises(type(err)) as single:
-            steady_state(Liouvillian(M))
+            steady_state(Liouvillian(M, rate_scale=1.0))
         assert str(single.value) == str(err)
 
 
