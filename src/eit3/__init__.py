@@ -20,7 +20,6 @@ from .optics import (  # noqa: F401
     calibration_table,
 )
 from .darkstate import (  # noqa: F401
-    MixingAngleReport,
     estimate_mixing_angle,
     dark_state_vector,
     verify_dark_state,

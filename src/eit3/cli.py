@@ -28,13 +28,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .darkstate import estimate_mixing_angle, verify_dark_state
+from .darkstate import dark_state_vector, estimate_mixing_angle, verify_dark_state
 from .model import Configuration, SystemParams, build_liouvillian
 from .optics import (
     CALIBRATED_CONVENTION,
@@ -46,19 +45,19 @@ from .optics import (
     sweep,
 )
 from .steady import (
+    STEP_SAFETY,
     StepTooLargeError,
     evolve,
     is_density_matrix,
     solve_grid,
     steady_state,
 )
-from .presets import REFERENCE_VG_NM_PER_S
+from .presets import REFERENCE_VG_NM_PER_S, bundled_config_path
 
 __all__ = [
     "ConfigError",
     "RunConfig",
     "load_config",
-    "bundled_config_path",
     "write_sweep_csv",
     "read_sweep_csv",
     "write_sweep_json",
@@ -95,11 +94,6 @@ class RunConfig:
     sha256: str
 
 
-def bundled_config_path(tag: str):
-    """Path to the packaged reference config for "lambda"/"cascade"/"vee"."""
-    return resources.files("eit3").joinpath(f"configs/{tag}.json")
-
-
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"missing required field {where}{key}")
@@ -107,6 +101,8 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(mapping, dict):  # a section such as "sweep."
+        raise ConfigError(f"field {where[:-1]} must be a JSON object, got {mapping!r}")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown field(s) {where}{{{', '.join(sorted(unknown))}}}")
@@ -126,6 +122,8 @@ def load_config(path) -> RunConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
+        raise ConfigError(f"cannot read config file {path}: {type(exc).__name__}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -181,6 +179,8 @@ def load_config(path) -> RunConfig:
     out = _require(raw, "output", "")
     _check_keys(out, {"path", "format"}, "output.")
     output_path = _require(out, "path", "output.")
+    if not isinstance(output_path, str):
+        raise ConfigError(f"field output.path must be a string, got {output_path!r}")
     output_format = _require(out, "format", "output.")
     if output_format not in ("csv", "json"):
         raise ConfigError(f"field output.format must be csv or json, got {output_format!r}")
@@ -189,7 +189,7 @@ def load_config(path) -> RunConfig:
     sha = hashlib.sha256(canonical.encode()).hexdigest()
     return RunConfig(params=params, optics=optics, sweep_min=sweep_min,
                      sweep_max=sweep_max, sweep_points=points, backend=backend,
-                     output_path=str(output_path), output_format=output_format,
+                     output_path=output_path, output_format=output_format,
                      sha256=sha)
 
 
@@ -408,7 +408,7 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
         return EXIT_SOLVER
     rho0 = _initial_state(rho0_spec)
     if dt is None:
-        dt = 0.1 / params.rate_scale
+        dt = STEP_SAFETY / params.rate_scale
     try:
         traj = evolve(L, rho0, t_end=t_end, dt_max=dt)
     except StepTooLargeError as exc:
@@ -465,15 +465,15 @@ def cmd_darkstate(run: RunConfig) -> int:
     rho = states[backends[-1]]
     pops = (float(rho[2, 2].real), float(rho[1, 1].real), float(rho[0, 0].real))
     try:
-        report = estimate_mixing_angle(pops, run.params.config)
+        theta = estimate_mixing_angle(pops, run.params.config)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     print(f"configuration: {run.params.config.value}")
     print("resonance populations: rho11 = %.6f  rho22 = %.6f  rho33 = %.6f" % pops)
-    print(f"mixing angle theta = {report.theta:.6f} rad "
-          f"= {math.degrees(report.theta):.4f} deg")
-    amp = ", ".join(f"{a.real:+.6f}" for a in report.dark_state)
+    print(f"mixing angle theta = {theta:.6f} rad = {math.degrees(theta):.4f} deg")
+    amp = ", ".join(f"{a.real:+.6f}"
+                    for a in dark_state_vector(theta, run.params.config))
     print(f"dark state amplitudes (|3>, |2>, |1>): [{amp}]")
     if run.params.config is Configuration.LAMBDA:
         residual = verify_dark_state(replace(run.params, delta_probe=0.0,

@@ -23,17 +23,14 @@ therefore restricted to the lambda system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import Configuration, SystemParams
-from .su3 import LEVEL_INDEX, shift_operator
+from .model import Configuration, SystemParams, build_hamiltonian_rwa
+from .su3 import LEVEL_INDEX
 
 __all__ = [
     "UndefinedAngleError",
     "UnsupportedConfigurationError",
-    "MixingAngleReport",
     "estimate_mixing_angle",
     "dark_state_vector",
     "verify_dark_state",
@@ -55,18 +52,9 @@ class UnsupportedConfigurationError(ValueError):
     """Kernel verification only applies to the lambda system."""
 
 
-@dataclass(frozen=True)
-class MixingAngleReport:
-    """Mixing angle (radians, in [0, pi/2]) and the resulting dark-state
-    vector over the (|3>, |2>, |1>) amplitude order."""
-
-    theta: float
-    dark_state: np.ndarray
-
-
 def estimate_mixing_angle(populations: tuple[float, float, float],
-                          config: Configuration) -> MixingAngleReport:
-    """Mixing angle from the populations of the configuration's dark pair.
+                          config: Configuration) -> float:
+    """Mixing angle (radians, in [0, pi/2]) of the configuration's dark pair.
 
     ``populations`` is (rho11, rho22, rho33), normalized; tiny negative
     entries from numerics are clipped to zero.  Raises
@@ -83,13 +71,11 @@ def estimate_mixing_angle(populations: tuple[float, float, float],
         raise UndefinedAngleError(
             f"UndefinedAngle: dark pair |{p}>,|{q}> holds "
             f"{by_level[p] + by_level[q]:.2e} population")
-    theta = float(np.arctan2(np.sqrt(by_level[q]), np.sqrt(by_level[p])))
-    return MixingAngleReport(theta=theta,
-                             dark_state=dark_state_vector(theta, config))
+    return float(np.arctan2(np.sqrt(by_level[q]), np.sqrt(by_level[p])))
 
 
 def dark_state_vector(theta: float, config: Configuration) -> np.ndarray:
-    """cos(theta)|p> - sin(theta)|q> for the configuration's dark pair."""
+    """cos(theta)|p> - sin(theta)|q> for the dark pair, in (|3>, |2>, |1>) order."""
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError(f"theta must be in [0, pi/2], got {theta}")
     p, q = _DARK_PAIR[config]
@@ -102,8 +88,8 @@ def dark_state_vector(theta: float, config: Configuration) -> np.ndarray:
 def verify_dark_state(params: SystemParams) -> float:
     """Norm of H_int acting on the coupling-ratio dark state (lambda only).
 
-    Builds the interaction part of the rotating-frame Hamiltonian (coupling
-    terms only), sets theta* = atan(g_probe / g_pump) and returns
+    At zero detunings :func:`eit3.model.build_hamiltonian_rwa` holds only
+    the couplings, H_int.  Sets theta* = atan(g_probe / g_pump) and returns
     ||H_int |a0(theta*)>||; the two arms cancel exactly, so the residual is
     bounded by 1e-12 max(g).  Requires both detunings zero; raises
     :class:`UnsupportedConfigurationError` for cascade and vee.  Their
@@ -118,8 +104,6 @@ def verify_dark_state(params: SystemParams) -> float:
             f"lambda system only, got {params.config.value}")
     if params.delta_probe != 0.0 or params.delta_pump != 0.0:
         raise ValueError("verify_dark_state requires both detunings zero")
-    h_int = (params.g_probe * (shift_operator("V", "plus") + shift_operator("V", "minus"))
-             + params.g_pump * (shift_operator("T", "plus") + shift_operator("T", "minus")))
     theta_star = float(np.arctan2(params.g_probe, params.g_pump))
     dark = dark_state_vector(theta_star, Configuration.LAMBDA)
-    return float(np.linalg.norm(h_int @ dark))
+    return float(np.linalg.norm(build_hamiltonian_rwa(params) @ dark))

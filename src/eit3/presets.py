@@ -1,28 +1,40 @@
 """Reference parameter sets for the three driving topologies.
 
-These are the coupling/decay/frequency combinations used throughout the
-test suite and shipped as bundled CLI configs: a strongly pumped lambda
-system, a cascade system, and a vee system, each with its probe carrier
-frequency (MHz) and the reference resonant group velocity (nm/s) used to
-calibrate the angular-frequency convention.
+A strongly pumped lambda system, a cascade system and a vee system: their
+couplings, decays and probe carrier frequencies (MHz) are read from the
+bundled CLI configs ``configs/<tag>.json``; the reference resonant group
+velocities (nm/s) calibrate the angular-frequency convention.
 """
 
 from __future__ import annotations
+
+import json
+from importlib import resources
 
 from .model import Configuration, SystemParams
 
 __all__ = [
     "REFERENCE_OMEGA_MHZ",
     "REFERENCE_VG_NM_PER_S",
+    "bundled_config_path",
     "reference_params",
 ]
 
+
+def bundled_config_path(tag: str):
+    """Path to the packaged reference config for "lambda"/"cascade"/"vee"."""
+    return resources.files("eit3").joinpath(f"configs/{tag}.json")
+
+
+_BUNDLED = {cfg: json.loads(bundled_config_path(cfg.value).read_text(encoding="utf-8"))
+            for cfg in Configuration}
+_RATES = {cfg: {name: float(doc[name])
+                for name in ("g_probe", "g_pump", "gamma_a", "gamma_b")}
+          for cfg, doc in _BUNDLED.items()}
+
 # probe carrier frequency per configuration, MHz
-REFERENCE_OMEGA_MHZ = {
-    Configuration.LAMBDA: 2.37e9,
-    Configuration.CASCADE: 2.88e9,
-    Configuration.VEE: 2.42e9,
-}
+REFERENCE_OMEGA_MHZ = {cfg: float(doc["optics"]["omega_probe"])
+                       for cfg, doc in _BUNDLED.items()}
 
 # reference resonant group velocities, nm/s (calibration targets)
 REFERENCE_VG_NM_PER_S = {
@@ -31,16 +43,10 @@ REFERENCE_VG_NM_PER_S = {
     Configuration.VEE: 16558.0,
 }
 
-_REFERENCE = {
-    Configuration.LAMBDA: dict(g_probe=0.5, g_pump=105.0, gamma_a=0.1, gamma_b=6.0),
-    Configuration.CASCADE: dict(g_probe=0.8, g_pump=92.0, gamma_a=0.49, gamma_b=3.49),
-    Configuration.VEE: dict(g_probe=10.0, g_pump=250.0, gamma_a=9.0, gamma_b=6.0),
-}
-
 
 def reference_params(config: Configuration | str, delta_probe: float = 0.0,
                      delta_pump: float = 0.0) -> SystemParams:
     """Reference SystemParams for a configuration (tag or enum)."""
     cfg = Configuration(config) if not isinstance(config, Configuration) else config
     return SystemParams(config=cfg, delta_probe=delta_probe,
-                        delta_pump=delta_pump, **_REFERENCE[cfg])
+                        delta_pump=delta_pump, **_RATES[cfg])

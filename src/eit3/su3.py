@@ -28,19 +28,11 @@ import numpy as np
 
 __all__ = [
     "LEVEL_INDEX",
-    "SHIFT_FAMILIES",
-    "SHIFT_COMPONENTS",
     "shift_operator",
     "gell_mann",
-    "commutator",
-    "dagger",
-    "is_hermitian",
 ]
 
 LEVEL_INDEX = {1: 2, 2: 1, 3: 0}  # level label -> matrix row/column
-
-SHIFT_FAMILIES = ("T", "U", "V")
-SHIFT_COMPONENTS = ("plus", "minus", "three")
 
 # (upper level, lower level) coupled by each family
 _FAMILY_LEVELS = {"T": (3, 2), "U": (2, 1), "V": (3, 1)}
@@ -94,18 +86,3 @@ def gell_mann(index: int) -> np.ndarray:
     if not 1 <= index <= 8:
         raise ValueError(f"Gell-Mann index must be in 1..8, got {index}")
     return _GELL_MANN[index - 1].copy()
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] = ab - ba."""
-    return a @ b - b @ a
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint."""
-    return m.conj().T
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when max-abs entry of m - m^dagger is at most tol."""
-    return float(np.abs(m - m.conj().T).max()) <= tol

@@ -268,7 +268,7 @@ def test_criterion_7_dark_state_kernel():
         rho = analytic_steady_state(p)
         pops = (float(rho[2, 2].real), float(rho[1, 1].real),
                 float(rho[0, 0].real))
-        theta = estimate_mixing_angle(pops, Configuration.LAMBDA).theta
+        theta = estimate_mixing_angle(pops, Configuration.LAMBDA)
         worst = max(worst, abs(theta - np.arctan(g_probe / params.g_pump)))
     ok_law = worst <= 0.02
     report(7, ok_kernel and ok_law,

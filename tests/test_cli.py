@@ -23,6 +23,9 @@ from eit3.cli import (
     read_sweep_csv,
     read_sweep_json,
 )
+from eit3.model import Configuration
+from eit3.optics import OpticalConstants
+from eit3.presets import REFERENCE_OMEGA_MHZ, reference_params
 
 
 def base_config(**overrides):
@@ -56,6 +59,30 @@ def test_bundled_configs_load():
         run = load_config(str(bundled_config_path(tag)))
         assert run.params.config.value == tag
         assert run.sweep_points == 201
+
+
+# the paper's reference systems: (g_probe, g_pump, gamma_a, gamma_b) and the
+# probe carrier, all in MHz
+REFERENCE_SYSTEMS = {
+    "lambda": ((0.5, 105.0, 0.1, 6.0), 2.37e9),
+    "cascade": ((0.8, 92.0, 0.49, 3.49), 2.88e9),
+    "vee": ((10.0, 250.0, 9.0, 6.0), 2.42e9),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(REFERENCE_SYSTEMS))
+def test_reference_systems_are_pinned(tag):
+    # `calibrate` and the tests run reference_params, `sweep TAG` the file
+    run = load_config(bundled_config_path(tag))
+    params = reference_params(tag)
+    assert params == run.params
+    rates, omega = REFERENCE_SYSTEMS[tag]
+    assert (params.g_probe, params.g_pump, params.gamma_a, params.gamma_b) == rates
+    assert REFERENCE_OMEGA_MHZ[Configuration(tag)] == run.optics.omega_probe == omega
+    default = OpticalConstants(omega_probe=omega)
+    assert (default.n0, default.mu) == (run.optics.n0, run.optics.mu)
+    assert run.optics.angular_convention == default.angular_convention
+    assert (run.sweep_min, run.sweep_max, run.sweep_points) == (-30.0, 30.0, 201)
 
 
 def test_sweep_lambda_reference(tmp_path, capsys):
@@ -133,6 +160,35 @@ def test_missing_field_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["sweep", str(cfg)]) == EXIT_CONFIG
     assert "mu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"sweep": [1, 2]}, "field sweep must be a JSON object, got [1, 2]"),
+    ({"optics": "x"}, "field optics must be a JSON object, got 'x'"),
+    ({"output": None}, "field output must be a JSON object, got None"),
+    ({"output": {"path": 5, "format": "csv"}},
+     "field output.path must be a string, got 5"),
+])
+def test_malformed_section_is_config_error(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["sweep", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]  # no file named "5"
+
+
+@pytest.mark.parametrize("content,error", [
+    (None, "IsADirectoryError"),
+    (b'{"config": "lambda\xe9"}', "UnicodeDecodeError"),  # Latin-1, not UTF-8
+])
+def test_unreadable_config_is_config_error(tmp_path, capsys, content, error):
+    cfg = tmp_path / "run.json"
+    if content is None:
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(content)
+    assert main(["sweep", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {cfg}: {error}: ")
 
 
 def test_steady_reports_zero_upper_population(capsys):

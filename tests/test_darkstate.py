@@ -66,32 +66,32 @@ def test_mixing_angle_round_trip():
         for theta in np.linspace(0.0, np.pi / 2, 25):
             vec = dark_state_vector(float(theta), config)
             pops = [abs(vec[2])**2, abs(vec[1])**2, abs(vec[0])**2]
-            report = estimate_mixing_angle(tuple(pops), config)
-            assert abs(report.theta - theta) <= 1e-12
-            assert 0.0 <= report.theta <= np.pi / 2
+            estimate = estimate_mixing_angle(tuple(pops), config)
+            assert abs(estimate - theta) <= 1e-12
+            assert 0.0 <= estimate <= np.pi / 2
 
 
 def test_lambda_resonance_angle_small():
-    report = estimate_mixing_angle(resonance_populations("lambda"),
-                                   Configuration.LAMBDA)
-    assert report.theta <= 0.05
+    theta = estimate_mixing_angle(resonance_populations("lambda"),
+                                  Configuration.LAMBDA)
+    assert theta <= 0.05
 
 
 def test_vee_resonance_angle():
     # with the upper level nearly empty the dark pair (|2>,|3>) angle is
     # small, not maximal (frozen from the closed forms)
-    report = estimate_mixing_angle(resonance_populations("vee"),
-                                   Configuration.VEE)
-    assert abs(report.theta - 0.040014) <= 1e-4
+    theta = estimate_mixing_angle(resonance_populations("vee"),
+                                  Configuration.VEE)
+    assert abs(theta - 0.040014) <= 1e-4
 
 
 def test_symmetric_vee_pair_gives_quarter_pi():
-    report = estimate_mixing_angle((0.0, 0.5, 0.5), Configuration.VEE)
-    assert report.theta == np.pi / 4
+    theta = estimate_mixing_angle((0.0, 0.5, 0.5), Configuration.VEE)
+    assert theta == np.pi / 4
     expected = np.zeros(3, dtype=complex)
     expected[1] = np.cos(np.pi / 4)
     expected[0] = -np.sin(np.pi / 4)
-    assert np.abs(report.dark_state - expected).max() <= 1e-15
+    assert np.abs(dark_state_vector(theta, Configuration.VEE) - expected).max() <= 1e-15
 
 
 def test_coupling_ratio_law():
@@ -101,8 +101,8 @@ def test_coupling_ratio_law():
         p = SystemParams(Configuration.LAMBDA, float(g_probe), base.g_pump,
                          base.gamma_a, base.gamma_b)
         [pops] = populations(p, [0.0])
-        report = estimate_mixing_angle(pops, Configuration.LAMBDA)
-        assert abs(report.theta - np.arctan(g_probe / base.g_pump)) <= 0.02
+        theta = estimate_mixing_angle(pops, Configuration.LAMBDA)
+        assert abs(theta - np.arctan(g_probe / base.g_pump)) <= 0.02
 
 
 def test_dark_state_vectors():
