@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -181,6 +182,8 @@ def load_config(path) -> RunConfig:
     output_path = _require(out, "path", "output.")
     if not isinstance(output_path, str):
         raise ConfigError(f"field output.path must be a string, got {output_path!r}")
+    if not Path(output_path).name:  # "", ".", "/": no file to write
+        raise ConfigError(f"field output.path must name a file, got {output_path!r}")
     output_format = _require(out, "format", "output.")
     if output_format not in ("csv", "json"):
         raise ConfigError(f"field output.format must be csv or json, got {output_format!r}")
@@ -324,14 +327,27 @@ def cmd_sweep(run: RunConfig, out_override: str | None = None) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _writing(path: Path):
+    """Create the directory of an output file about to be written; an
+    OSError in the block (no such directory, a file in the way, no
+    permission) is a config error naming the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+
+
 def _emit(path: Path, metadata: dict, run: RunConfig,
           points: list[SpectralPoint],
           errors: list[tuple[float, str]] | None = None) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if run.output_format == "csv":
-        write_sweep_csv(path, metadata, points, errors)
-    else:
-        write_sweep_json(path, metadata, points, errors)
+    with _writing(path):
+        if run.output_format == "csv":
+            write_sweep_csv(path, metadata, points, errors)
+        else:
+            write_sweep_json(path, metadata, points, errors)
 
 
 def _emit_partial(path: Path, metadata: dict, run: RunConfig,
@@ -419,7 +435,6 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
 
     default = Path(run.output_path).with_suffix(".evolve.csv").name
     path = _resolve_output(out_override or default)
-    path.parent.mkdir(parents=True, exist_ok=True)
     metadata = _metadata(run, "evolve")
     metadata["delta_probe_mhz"] = repr(delta)
     metadata["t_end_us"] = repr(t_end)
@@ -433,7 +448,8 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
                 rho[2, 1].real, rho[2, 1].imag, rho[2, 0].real, rho[2, 0].imag,
                 rho[1, 0].real, rho[1, 0].imag, np.trace(rho).real)
         lines.append(",".join(repr(float(v)) for v in vals))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _writing(path):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
     if not np.isfinite(traj.final).all():  # NaN would pass the check below

@@ -157,10 +157,6 @@ class Liouvillian:
     matrix: np.ndarray
     rate_scale: float
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Return drho/dt for a 3x3 state."""
-        return unvectorize(self.matrix @ vectorize(rho))
-
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Column-major (Fortran-order) vectorization of a 3x3 matrix."""

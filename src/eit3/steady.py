@@ -3,11 +3,12 @@
 The steady state is the unit-trace null vector of the Liouvillian.  For the
 generic (one-dimensional null space) case it is found by replacing the last
 population-derivative row of L -- the row generating d(rho_11)/dt -- with
-the trace constraint and solving the resulting linear system; the SVD is
-used only to diagnose degeneracy and conditioning.  The same solve serves
-one Liouvillian (:func:`steady_state`) and a stack of them
-(:func:`steady_states`); :func:`solve_grid` runs either backend over a
-probe-detuning grid.
+the trace constraint and solving the resulting linear system.  One SVD of
+that bordered matrix gives its condition number and, on nearly every
+matrix, a proof that the null space is one-dimensional; L gets an SVD of
+its own only where the proof fails.  The same solve serves one Liouvillian
+(:func:`steady_state`) and a stack of them (:func:`steady_states`);
+:func:`solve_grid` runs either backend over a probe-detuning grid.
 """
 
 from __future__ import annotations
@@ -124,6 +125,18 @@ def steady_states(matrices: np.ndarray) -> list[np.ndarray | ValueError]:
     trace-bordered matrix above COND_LIMIT, or non-finite entries, give
     :class:`SingularSolveError`.  The matrices that pass are solved in one
     batched call; per matrix, the arithmetic is that of a one-matrix stack.
+
+    One SVD of the bordered matrix B serves both checks.  B is L with one
+    row replaced, so by rank-one interlacing sigma_9(B) <= sigma_8(L): a
+    null space of L of dimension >= 2 would make cond(B) >=
+    sigma_1(B) / (NULL_TOL * ||L||_F).  So a matrix with cond <= COND_LIMIT
+    and 2 * cond * NULL_TOL * ||L||_F < sigma_1(B) has at most one null
+    direction.  The factor 2 is a margin for rounding: within COND_LIMIT,
+    sigma_9(B) >= 45 eps sigma_1(B), above the SVD's absolute error (past
+    the limit, rates near 1e-11 leave a sigma_9(B) of rounding alone).
+    The matrices without this proof -- every finite one that fails a
+    check, and a few that pass -- get the SVD of L that counts null
+    directions.
     """
     M = np.asarray(matrices)
     finite = np.isfinite(M).all(axis=(1, 2))
@@ -131,13 +144,24 @@ def steady_states(matrices: np.ndarray) -> list[np.ndarray | ValueError]:
     # a zero stand-in for non-finite matrices: LAPACK's SVD would otherwise
     # fail the whole stack
     bordered[~finite] = 0.0
-    sv = np.linalg.svd(bordered, compute_uv=False)  # descending: sigma_max first
-    nulls = (sv <= NULL_TOL * sv[:, :1]).sum(axis=1)
     trace_row = DIAGONAL_VEC_INDICES[-1]  # d(rho_11)/dt row
     bordered[:, trace_row, :] = 0.0
     bordered[:, trace_row, list(DIAGONAL_VEC_INDICES)] = 1.0
-    cond = np.linalg.cond(bordered)
-    ok = finite & (nulls <= 1) & (cond <= COND_LIMIT)  # a NaN cond fails too
+    sv = np.linalg.svd(bordered, compute_uv=False)  # descending: sigma_max first
+    with np.errstate(all="ignore"):
+        # np.linalg.cond's value: its NaN (0 / 0) reads as inf
+        cond = sv[:, 0] / sv[:, -1]
+        cond[np.isnan(cond)] = np.inf
+        # NaN or inf where M is not finite or the norm overflows: no proof
+        frobenius = np.linalg.norm(M, axis=(1, 2))
+        at_most_one_null = ((cond <= COND_LIMIT)
+                            & (2.0 * cond * NULL_TOL * frobenius < sv[:, 0]))
+    degenerate = np.zeros(len(M), dtype=bool)
+    probe = finite & ~at_most_one_null
+    if probe.any():
+        sl = np.linalg.svd(M[probe], compute_uv=False)
+        degenerate[probe] = (sl <= NULL_TOL * sl[:, :1]).sum(axis=1) > 1
+    ok = finite & ~degenerate & (cond <= COND_LIMIT)
 
     b = np.zeros(9, dtype=complex)
     b[trace_row] = 1.0
@@ -146,17 +170,17 @@ def steady_states(matrices: np.ndarray) -> list[np.ndarray | ValueError]:
     rho = x.reshape(-1, 3, 3).transpose(0, 2, 1)
     # symmetrize away the solver's rounding-level Hermiticity defect
     solved = iter(0.5 * (rho + rho.conj().transpose(0, 2, 1)))
-    return [next(solved) if passed else _failure(fin, dim, c)
-            for passed, fin, dim, c in zip(ok.tolist(), finite.tolist(),
-                                           nulls.tolist(), cond.tolist())]
+    return [next(solved) if passed else _failure(fin, deg, c)
+            for passed, fin, deg, c in zip(ok.tolist(), finite.tolist(),
+                                           degenerate.tolist(), cond.tolist())]
 
 
-def _failure(finite: bool, null_dim: int, cond: float) -> ValueError:
+def _failure(finite: bool, degenerate: bool, cond: float) -> ValueError:
     """The error of a matrix that failed a check of :func:`steady_states`."""
     if not finite:
         return SingularSolveError(
             "SingularSolve: Liouvillian has non-finite entries")
-    if null_dim > 1:
+    if degenerate:
         return DegenerateNullSpaceError(
             "DegenerateNullSpace: Liouvillian null space has dimension > 1; "
             "the stationary state is not unique")

@@ -168,6 +168,10 @@ def test_missing_field_rejected(tmp_path, capsys):
     ({"output": None}, "field output must be a JSON object, got None"),
     ({"output": {"path": 5, "format": "csv"}},
      "field output.path must be a string, got 5"),
+    ({"output": {"path": "", "format": "csv"}},
+     "field output.path must name a file, got ''"),
+    ({"output": {"path": ".", "format": "json"}},
+     "field output.path must name a file, got '.'"),
 ])
 def test_malformed_section_is_config_error(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
@@ -189,6 +193,36 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, content, error):
     assert main(["sweep", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot read config file {cfg}: {error}: ")
+
+
+def test_evolve_output_path_without_a_file_name_is_config_error(tmp_path, capsys):
+    # evolve derives its default file name from output.path
+    cfg = write_config(tmp_path, output={"path": "", "format": "csv"})
+    assert main(["evolve", str(cfg), "--t-end", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: field output.path must name a file, got ''\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["evolve", "--t-end", "1"]])
+@pytest.mark.parametrize("target,error", [
+    ("blocker/out.csv", "FileExistsError"),         # mkdir: a file in the way
+    ("blocker/sub/out.csv", "NotADirectoryError"),  # mkdir: a file as parent
+    ("adir", "IsADirectoryError"),                  # the write itself
+])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, command,
+                                                target, error):
+    cfg = write_config(tmp_path, backend="numeric")
+    (tmp_path / "blocker").write_text("kept", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    out = tmp_path / target
+    argv = [command[0], str(cfg), *command[1:], "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output file {out}: {error}: ")
+    assert err.count("\n") == 1
+    assert (tmp_path / "blocker").read_text(encoding="utf-8") == "kept"
+    assert list((tmp_path / "adir").iterdir()) == []
 
 
 def test_steady_reports_zero_upper_population(capsys):

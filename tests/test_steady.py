@@ -1,5 +1,6 @@
 """Null-space steady states and RK4 time evolution."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from eit3.model import (
     Liouvillian,
     SystemParams,
     build_liouvillian,
+    build_liouvillian_stack,
     unvectorize,
     vectorize,
 )
@@ -33,24 +35,66 @@ from eit3.steady import (
 )
 
 
+def bordered(M):
+    """L with its d(rho_11)/dt row replaced by the trace constraint."""
+    B = M.copy()
+    B[DIAGONAL_VEC_INDICES[-1], :] = 0.0
+    B[DIAGONAL_VEC_INDICES[-1], list(DIAGONAL_VEC_INDICES)] = 1.0
+    return B
+
+
 def one_matrix_solve(M):
     """The trace-row solve written out for a single matrix, as the reference
-    for the batched one: same checks, same LAPACK calls, so equal bit for
-    bit."""
+    for the batched one: both checks on every matrix, each with its own SVD
+    (the null-space count from L's, the condition number from the bordered
+    matrix's), the same LAPACK calls and the same error messages, so equal
+    bit for bit."""
+    if not np.isfinite(M).all():
+        raise SingularSolveError(
+            "SingularSolve: Liouvillian has non-finite entries")
     sv = np.linalg.svd(M, compute_uv=False)
     if np.sum(sv <= NULL_TOL * sv.max()) > 1:
-        raise DegenerateNullSpaceError("reference")
-    trace_row = DIAGONAL_VEC_INDICES[-1]
-    B = M.copy()
-    B[trace_row, :] = 0.0
-    B[trace_row, list(DIAGONAL_VEC_INDICES)] = 1.0
+        raise DegenerateNullSpaceError(
+            "DegenerateNullSpace: Liouvillian null space has dimension > 1; "
+            "the stationary state is not unique")
+    B = bordered(M)
     cond = np.linalg.cond(B)
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSolveError("reference")
+        raise SingularSolveError(
+            f"SingularSolve: condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
     b = np.zeros(9, dtype=complex)
-    b[trace_row] = 1.0
+    b[DIAGONAL_VEC_INDICES[-1]] = 1.0
     rho = unvectorize(np.linalg.solve(B, b))
     return 0.5 * (rho + rho.conj().T)
+
+
+def stiff_stacks(seed, lo, hi, sets=150, per_set=8):
+    """Liouvillian stacks of random parameter sets: rates log-uniform in
+    [lo, hi], about one in seven set to exactly 0, the pump on resonance in
+    every other set, probe detunings spread over both pump resonances."""
+    rng = np.random.default_rng(seed)
+    for i in range(sets):
+        rates = np.exp(rng.uniform(np.log(lo), np.log(hi), 4))
+        rates[rng.random(4) < 0.15] = 0.0
+        delta_pump = 0.0 if i % 2 else float(rng.uniform(-2, 2) * rates.max())
+        p = SystemParams(list(Configuration)[i % 3], *rates.tolist(),
+                         delta_pump=delta_pump)
+        deltas = rng.uniform(-2, 2, per_set) * max(rates[1], lo)
+        yield build_liouvillian_stack(p, deltas)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shapes np.linalg.svd is called with."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
 
 
 def step_loop(L, rho0, t_end, dt_max, max_samples):
@@ -259,7 +303,7 @@ def test_grid_solve_matches_single_solves_bitwise(tag, delta_pump):
         assert np.array_equal(rho, one_matrix_solve(L.matrix))
 
 
-def test_steady_states_attributes_each_failure_to_its_matrix():
+def test_steady_states_attributes_each_failure_to_its_matrix(svd_calls):
     p = reference_params("vee", delta_probe=2.0)
     good = build_liouvillian(p).matrix
     undriven = build_liouvillian(SystemParams(Configuration.LAMBDA, 0.0, 0.0,
@@ -269,6 +313,9 @@ def test_steady_states_attributes_each_failure_to_its_matrix():
     broken = good.copy()
     broken[3, 5] = np.nan
     out = steady_states(np.stack([good, undriven, rank8, broken, good]))
+    # one SVD of the bordered stack; the two finite failures then get L's
+    # own SVD, in one call
+    assert svd_calls == [(5, 9, 9), (2, 9, 9)]
     assert np.array_equal(out[0], steady_state(build_liouvillian(p)))
     assert np.array_equal(out[4], out[0])
     assert isinstance(out[1], DegenerateNullSpaceError)
@@ -293,3 +340,53 @@ def test_grid_solve_mixes_solved_and_failed_points_in_one_chunk():
     assert all(isinstance(r, DegenerateNullSpaceError)
                for r in states if isinstance(r, Exception))
     assert np.array_equal(states[5], steady_state(build_liouvillian(p)))
+
+
+@pytest.mark.parametrize("lo,hi", [(1e-5, 1e5), (1e-12, 1e-8)])
+def test_stiff_stacks_match_the_two_svd_oracle(lo, hi):
+    # the batched solve decides the null-space count from the bordered
+    # matrix's SVD where it can prove it, the oracle from L's own SVD: states
+    # bit for bit, errors by type and message; tiny rates put the condition
+    # number near COND_LIMIT, where the SVD's rounding is largest
+    outcomes = Counter()
+    for M in stiff_stacks(7, lo, hi):
+        for Mi, out in zip(M, steady_states(M)):
+            try:
+                ref = one_matrix_solve(Mi)
+                assert np.array_equal(out, ref)
+            except ValueError as exc:
+                ref = exc
+                assert type(out) is type(ref)
+                assert str(out) == str(ref)
+            cond = np.linalg.cond(bordered(Mi))
+            near = COND_LIMIT / 100 <= cond <= COND_LIMIT * 100
+            outcomes[type(ref).__name__, near] += 1
+    # both draws reach degenerate points, and the tiny rates solved and
+    # failed points within a factor 100 of the condition limit
+    assert outcomes["ndarray", False] > 0
+    assert outcomes["DegenerateNullSpaceError", False] > 0
+    if lo < 1e-8:
+        assert outcomes["ndarray", True] > 0
+        assert outcomes["SingularSolveError", True] > 0
+
+
+def test_tiny_rates_degenerate_null_space_is_found():
+    # rates near 1e-11 make sigma_9 of the bordered matrix a rounding-level
+    # 4e-19, far above NULL_TOL * ||L||_F: only L's own SVD, not the
+    # condition number, can tell this null space is two-dimensional
+    p = SystemParams(Configuration.CASCADE, 0.0, 1.5105967702649054e-12,
+                     gamma_a=0.0, gamma_b=1.7069283734733226e-11)
+    L = build_liouvillian(p)
+    assert np.linalg.cond(bordered(L.matrix)) > COND_LIMIT
+    with pytest.raises(DegenerateNullSpaceError):
+        one_matrix_solve(L.matrix)
+    with pytest.raises(DegenerateNullSpaceError):
+        steady_state(L)
+
+
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_grid_solve_makes_one_svd_per_chunk(tag, svd_calls):
+    # the bordered matrix's SVD proves a one-dimensional null space on every
+    # point of the reference grids: L's own SVD is never needed
+    solve_grid(reference_params(tag), np.linspace(-40.0, 40.0, 601), "numeric")
+    assert svd_calls == [(256, 9, 9), (256, 9, 9), (89, 9, 9)]
