@@ -273,20 +273,54 @@ def read_sweep_csv(path) -> tuple[dict, list[dict], list[str]]:
     return metadata, rows, errors
 
 
-def _point_record(p: SpectralPoint) -> dict:
-    return {"delta_mhz": p.delta, "n": p.n, "alpha": p.alpha, "n_g": p.n_g,
-            "v_g_m_per_s": p.v_g, "rho11": p.rho11, "rho22": p.rho22,
-            "rho33": p.rho33, "re_coh": p.probe_coherence.real,
-            "im_coh": p.probe_coherence.imag, "edge_stencil": p.edge_stencil}
+# one record as json.dumps(..., indent=1, sort_keys=True) lays it out at
+# depth 2: the keys in sorted order, numbers as floatstr writes them
+_RECORD = """  {
+   "alpha": %s,
+   "delta_mhz": %s,
+   "edge_stencil": %s,
+   "im_coh": %s,
+   "n": %s,
+   "n_g": %s,
+   "re_coh": %s,
+   "rho11": %s,
+   "rho22": %s,
+   "rho33": %s,
+   "v_g_m_per_s": %s
+  }"""
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(x: float) -> str:
+    # float.__repr__, not repr: json's floatstr bypasses a subclass's repr
+    # (np.float64's is "np.float64(...)")
+    text = float.__repr__(x)
+    return _JSON_NON_FINITE.get(text, text)
 
 
 def write_sweep_json(path: Path, metadata: dict, points: list[SpectralPoint],
                      errors: list[tuple[float, str]] | None = None) -> None:
-    doc = {"metadata": metadata,
-           "records": [_point_record(p) for p in points],
-           "errors": [{"delta_mhz": d, "error": msg} for d, msg in (errors or [])]}
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    """Write the bytes of ``json.dumps(doc, indent=1, sort_keys=True) + "\\n"``
+    for ``doc = {"errors": [...], "metadata": ..., "records": [...]}``.
+
+    With ``indent`` set, ``json`` drops its C encoder for the pure-Python
+    one, which took longer than the closed forms of an analytic sweep.  So
+    only the small errors + metadata part goes through ``json.dumps``
+    (string escaping unchanged); each record fills a fixed template whose
+    numbers are formatted as ``json`` formats them.
+    """
+    head = json.dumps({"errors": [{"delta_mhz": d, "error": msg}
+                                  for d, msg in (errors or [])],
+                       "metadata": metadata}, indent=1, sort_keys=True)
+    num = _json_number
+    records = ",\n".join(_RECORD % (
+        num(p.alpha), num(p.delta), "true" if p.edge_stencil else "false",
+        num(p.probe_coherence.imag), num(p.n), num(p.n_g),
+        num(p.probe_coherence.real), num(p.rho11), num(p.rho22), num(p.rho33),
+        num(p.v_g)) for p in points)
+    body = f"[\n{records}\n ]" if points else "[]"
+    # head ends in "\n}": reopen it for the last key, "records"
+    path.write_text(f'{head[:-2]},\n "records": {body}\n}}\n', encoding="utf-8")
 
 
 def read_sweep_json(path) -> tuple[dict, list[dict], list[dict]]:
@@ -301,6 +335,8 @@ def read_sweep_json(path) -> tuple[dict, list[dict], list[dict]]:
 def cmd_sweep(run: RunConfig, out_override: str | None = None) -> int:
     path = _resolve_output(out_override or run.output_path)
     metadata = _metadata(run, "sweep")
+    with _writing(path):  # an unwritable path fails before any point is solved
+        path.open("a", encoding="utf-8").close()  # "a": nothing truncated yet
 
     backends = ("analytic", "numeric") if run.backend == "both" else (run.backend,)
     try:

@@ -225,6 +225,25 @@ def test_unwritable_output_path_is_config_error(tmp_path, capsys, command,
     assert list((tmp_path / "adir").iterdir()) == []
 
 
+def test_unwritable_sweep_output_fails_before_solving(tmp_path, capsys,
+                                                     monkeypatch):
+    # undriven: every point would fail, and be reported, if it were solved
+    cfg = write_config(tmp_path, g_probe=0.0, g_pump=0.0, backend="numeric")
+    (tmp_path / "blocker").write_text("kept", encoding="utf-8")
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep solved before the output path was checked")
+
+    monkeypatch.setattr(eit3.cli, "sweep", no_sweep)
+    out = tmp_path / "blocker" / "out.csv"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: cannot write output file {out}: FileExistsError: ")
+    assert err.count("\n") == 1
+    assert (tmp_path / "blocker").read_text(encoding="utf-8") == "kept"
+
+
 def test_steady_reports_zero_upper_population(capsys):
     assert main(["steady", "lambda", "--delta", "0"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -493,6 +512,81 @@ def test_json_round_trip(tmp_path):
         assert rec["delta_mhz"] == p.delta
         assert rec["v_g_m_per_s"] == p.v_g
         assert rec["edge_stencil"] == p.edge_stencil
+
+
+RECORD_FIELDS = ("delta", "n", "alpha", "n_g", "v_g", "rho11", "rho22", "rho33")
+
+
+def dumps_oracle(metadata, points, errors=None):
+    """The bytes write_sweep_json must produce: json's own indenting encoder."""
+    records = [{"delta_mhz": p.delta, "n": p.n, "alpha": p.alpha, "n_g": p.n_g,
+                "v_g_m_per_s": p.v_g, "rho11": p.rho11, "rho22": p.rho22,
+                "rho33": p.rho33, "re_coh": p.probe_coherence.real,
+                "im_coh": p.probe_coherence.imag, "edge_stencil": p.edge_stencil}
+               for p in points]
+    doc = {"errors": [{"delta_mhz": d, "error": msg} for d, msg in (errors or [])],
+           "metadata": metadata, "records": records}
+    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8")
+
+
+def spectral_point(values, coherence=0j, edge_stencil=False):
+    return eit3.optics.SpectralPoint(
+        **dict(zip(RECORD_FIELDS, values)), probe_coherence=coherence,
+        edge_stencil=edge_stencil)
+
+
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_json_writer_matches_json_dumps_on_reference_sweeps(tmp_path, tag):
+    run = load_config(str(bundled_config_path(tag)))
+    points = eit3.optics.sweep(run.params, run.optics, run.sweep_min,
+                               run.sweep_max, 2001, backend="analytic")
+    metadata = eit3.cli._metadata(run, "sweep")
+    out = tmp_path / "out.json"
+    eit3.cli.write_sweep_json(out, metadata, points)
+    assert out.read_bytes() == dumps_oracle(metadata, points)
+
+
+ODD_NUMBERS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5,
+               np.float64(0.1), -1.5, 0.0, 1e300, -2.2250738585072014e-308]
+# quotes, a backslash, non-ASCII, control characters and a NaN detuning
+ODD_ERRORS = [(math.nan, 'SomeError: "quoted" \\ path'),
+              (-1.0, "caf\u00e9 \u03b4 \U0001f600 \x00\x01\t\n\r\x7f"),
+              (np.float64(2.5), "")]
+
+
+@pytest.mark.parametrize("errors", [None, ODD_ERRORS])
+@pytest.mark.parametrize("points", [
+    [],
+    [spectral_point(ODD_NUMBERS[:8], complex(ODD_NUMBERS[8], ODD_NUMBERS[9]),
+                    edge_stencil=True),
+     spectral_point(ODD_NUMBERS[4:12], complex(math.nan, -math.inf)),
+     spectral_point([np.float64(x) for x in ODD_NUMBERS[2:10]],
+                    np.complex128(complex(1e16, -0.0)), edge_stencil=True)],
+], ids=["no-points", "odd-values"])
+def test_json_writer_matches_json_dumps_on_odd_values(tmp_path, points, errors):
+    metadata = {"tool": "eit3", "z_last": "\u00e9\"\\", "a_first": "x"}
+    out = tmp_path / "out.json"
+    eit3.cli.write_sweep_json(out, metadata, points, errors)
+    assert out.read_bytes() == dumps_oracle(metadata, points, errors)
+
+
+def test_json_writer_matches_json_dumps_property(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    out = tmp_path / "out.json"
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None,
+                         database=None)
+    @hypothesis.given(st.lists(st.tuples(st.lists(st.floats(), min_size=10,
+                                                  max_size=10),
+                                         st.booleans()), max_size=4))
+    def check(rows):
+        points = [spectral_point(values[:8], complex(values[8], values[9]), edge)
+                  for values, edge in rows]
+        eit3.cli.write_sweep_json(out, {"command": "sweep"}, points)
+        assert out.read_bytes() == dumps_oracle({"command": "sweep"}, points)
+
+    check()
 
 
 def test_output_dir_env_used(tmp_path):
