@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Byte-identity guard: run the same eit3 commands from two checkouts and
+# compare their stdout, stderr, exit codes and data files with diff -r.
+#
+#   .github/compare_outputs.sh BASE HEAD
+#
+# BASE and HEAD are checkouts of this repository (for example the base of
+# a pull request as a git worktree, and the working tree).  The commands:
+# 2001-point numeric|analytic|both x csv|json sweeps of each bundled
+# configuration; the same at 11 points with g_probe = g_pump = 0 (failing
+# points, partial files); a delta_pump = 1.7 numeric sweep of each;
+# `sweep lambda|cascade|vee`, `darkstate lambda|cascade|vee` and
+# `calibrate`.  Both checkouts write into one shared output directory, so
+# the paths they print agree.  Exits 1 and prints the diff on a difference.
+set -euo pipefail
+[ $# -eq 2 ] || { echo "usage: $0 BASE HEAD" >&2; exit 2; }
+base=$(cd "$1" && pwd)
+head=$(cd "$2" && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+# the configs are written once, from HEAD's bundled ones, and shared
+python3 - "$head/src/eit3/configs" "$work" <<'EOF'
+import json, sys
+from pathlib import Path
+
+bundled, work = Path(sys.argv[1]), Path(sys.argv[2])
+(work / "configs").mkdir()
+commands = []
+for tag in ("lambda", "cascade", "vee"):
+    doc = json.loads((bundled / f"{tag}.json").read_text(encoding="utf-8"))
+    runs = [(f"{tag}-{backend}-{fmt}", {"backend": backend, "points": 2001,
+                                        "format": fmt})
+            for backend in ("numeric", "analytic", "both")
+            for fmt in ("csv", "json")]
+    runs += [(f"{tag}-undriven-{backend}-{fmt}",
+              {"backend": backend, "points": 11, "format": fmt,
+               "g_probe": 0.0, "g_pump": 0.0})
+             for backend in ("numeric", "analytic", "both")
+             for fmt in ("csv", "json")]
+    runs.append((f"{tag}-pump-detuned", {"backend": "numeric", "points": 2001,
+                                         "format": "csv", "delta_pump": 1.7}))
+    for name, change in runs:
+        cfg = dict(doc, backend=change.pop("backend"),
+                   sweep=dict(doc["sweep"], points=change.pop("points")))
+        fmt = change.pop("format")
+        cfg["output"] = {"path": f"{name}.{fmt}", "format": fmt}
+        cfg.update(change)
+        path = work / "configs" / f"{name}.json"
+        path.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
+        commands.append(f"{name} sweep {path}")
+    commands += [f"sweep-{tag} sweep {tag}", f"darkstate-{tag} darkstate {tag}"]
+commands.append("calibrate calibrate")
+(work / "commands").write_text("\n".join(commands) + "\n", encoding="utf-8")
+EOF
+
+run_all() {  # run_all CHECKOUT NAME: outputs of every command into $work/NAME
+    local out="$work/out"
+    mkdir "$out"
+    while read -r name args; do
+        code=0
+        # shellcheck disable=SC2086  # args is a word list
+        (cd "$out" && PYTHONPATH="$1/src" EIT3_OUTPUT_DIR="$out" \
+            python3 -m eit3.cli $args >"$name.stdout" 2>"$name.stderr") || code=$?
+        echo "$code" >"$out/$name.exit"
+    done <"$work/commands"
+    mv "$out" "$work/$2"
+}
+
+run_all "$base" base
+run_all "$head" head
+if diff -r "$work/base" "$work/head"; then
+    echo "identical: $(wc -l <"$work/commands") commands and their" \
+         "$(find "$work/head" -type f -name '*.csv' -o -name '*.json' | wc -l)" \
+         "data files"
+else
+    exit 1
+fi

@@ -15,7 +15,7 @@ from .analytic import analytic_steady_state, steady_state_terms  # noqa: F401
 from .optics import (  # noqa: F401
     CALIBRATED_CONVENTION,
     OpticalConstants,
-    SpectralPoint,
+    Spectrum,
     sweep,
     calibration_table,
 )

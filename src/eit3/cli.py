@@ -29,6 +29,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,9 @@ from .model import Configuration, SystemParams, build_liouvillian
 from .optics import (
     CALIBRATED_CONVENTION,
     OpticalConstants,
-    SpectralPoint,
+    Spectrum,
     SweepError,
+    _detunings,
     calibration_table,
     prefactor,
     sweep,
@@ -75,7 +77,12 @@ EXIT_NOT_CONVERGED = 4
 OUTPUT_DIR_ENV = "EIT3_OUTPUT_DIR"
 BACKEND_AGREEMENT_TOL = 1e-6
 
-CSV_HEADER = "delta_mhz,n,alpha,n_g,v_g_m_per_s,rho11,rho22,rho33,re_coh,im_coh"
+# the data columns in file order: the name in the file, the Spectrum field
+_COLUMNS = {"delta_mhz": "delta", "n": "n", "alpha": "alpha", "n_g": "n_g",
+            "v_g_m_per_s": "v_g", "rho11": "rho11", "rho22": "rho22",
+            "rho33": "rho33", "re_coh": "probe_coherence.real",
+            "im_coh": "probe_coherence.imag"}
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 class ConfigError(ValueError):
@@ -158,6 +165,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError("field sweep.min must be below sweep.max")
     if not math.isfinite(sweep_max - sweep_min):  # the grid would be NaN/inf
         raise ConfigError("fields sweep.min, sweep.max span more than a float holds")
+    try:
+        _detunings(sweep_min, sweep_max, points)
+    except ValueError as exc:
+        raise ConfigError(f"fields sweep.min, sweep.max, sweep.points: {exc}")
 
     opt = _require(raw, "optics", "")
     _check_keys(opt, {"n0", "mu", "omega_probe", "angular_convention"}, "optics.")
@@ -232,21 +243,24 @@ def _metadata(run: RunConfig, command: str) -> dict:
     }
 
 
-def _point_row(p: SpectralPoint) -> str:
-    return ",".join(repr(v) for v in (
-        p.delta, p.n, p.alpha, p.n_g, p.v_g, p.rho11, p.rho22, p.rho33,
-        p.probe_coherence.real, p.probe_coherence.imag))
+def _columns(points: Spectrum) -> dict[str, list]:
+    """The data columns of both writers, keyed and ordered as ``_COLUMNS``;
+    .tolist() hands out Python floats, whose repr the writers print."""
+    return {name: attrgetter(field)(points).tolist()
+            for name, field in _COLUMNS.items()}
 
 
-def write_sweep_csv(path: Path, metadata: dict, points: list[SpectralPoint],
+def write_sweep_csv(path: Path, metadata: dict, points: Spectrum,
                     errors: list[tuple[float, str]] | None = None) -> None:
     lines = [f"# {key} = {value}" for key, value in metadata.items()]
     lines += [f"# error: delta={d!r} {msg}" for d, msg in (errors or [])]
     lines.append(CSV_HEADER)
     nan = repr(math.nan)
-    rows = {p.delta: _point_row(p) for p in points}
+    # rows keyed by delta merge the error rows in; the grid has no repeats
+    rows = {row[0]: ",".join(map(repr, row))
+            for row in zip(*_columns(points).values())}
     for d, _ in (errors or []):
-        rows[d] = ",".join([repr(d)] + [nan] * 9)
+        rows[d] = ",".join([repr(d)] + [nan] * (len(_COLUMNS) - 1))
     lines += [rows[d] for d in sorted(rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -275,19 +289,8 @@ def read_sweep_csv(path) -> tuple[dict, list[dict], list[str]]:
 
 # one record as json.dumps(..., indent=1, sort_keys=True) lays it out at
 # depth 2: the keys in sorted order, numbers as floatstr writes them
-_RECORD = """  {
-   "alpha": %s,
-   "delta_mhz": %s,
-   "edge_stencil": %s,
-   "im_coh": %s,
-   "n": %s,
-   "n_g": %s,
-   "re_coh": %s,
-   "rho11": %s,
-   "rho22": %s,
-   "rho33": %s,
-   "v_g_m_per_s": %s
-  }"""
+_RECORD_KEYS = sorted([*_COLUMNS, "edge_stencil"])
+_RECORD = "  {\n%s\n  }" % ",\n".join(f'   "{key}": %s' for key in _RECORD_KEYS)
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -298,7 +301,7 @@ def _json_number(x: float) -> str:
     return _JSON_NON_FINITE.get(text, text)
 
 
-def write_sweep_json(path: Path, metadata: dict, points: list[SpectralPoint],
+def write_sweep_json(path: Path, metadata: dict, points: Spectrum,
                      errors: list[tuple[float, str]] | None = None) -> None:
     """Write the bytes of ``json.dumps(doc, indent=1, sort_keys=True) + "\\n"``
     for ``doc = {"errors": [...], "metadata": ..., "records": [...]}``.
@@ -312,13 +315,13 @@ def write_sweep_json(path: Path, metadata: dict, points: list[SpectralPoint],
     head = json.dumps({"errors": [{"delta_mhz": d, "error": msg}
                                   for d, msg in (errors or [])],
                        "metadata": metadata}, indent=1, sort_keys=True)
-    num = _json_number
-    records = ",\n".join(_RECORD % (
-        num(p.alpha), num(p.delta), "true" if p.edge_stencil else "false",
-        num(p.probe_coherence.imag), num(p.n), num(p.n_g),
-        num(p.probe_coherence.real), num(p.rho11), num(p.rho22), num(p.rho33),
-        num(p.v_g)) for p in points)
-    body = f"[\n{records}\n ]" if points else "[]"
+    columns = {name: list(map(_json_number, values))
+               for name, values in _columns(points).items()}
+    columns["edge_stencil"] = ["true" if e else "false"
+                               for e in points.edge_stencil.tolist()]
+    records = ",\n".join(_RECORD % row for row in zip(
+        *(columns[key] for key in _RECORD_KEYS)))
+    body = f"[\n{records}\n ]" if records else "[]"
     # head ends in "\n}": reopen it for the last key, "records"
     path.write_text(f'{head[:-2]},\n "records": {body}\n}}\n', encoding="utf-8")
 
@@ -349,10 +352,10 @@ def cmd_sweep(run: RunConfig, out_override: str | None = None) -> int:
     disc = 0.0
     if len(sweeps) == 2:
         # on the dimensionless density-matrix scale (as for `steady`)
-        disc = max(max(abs(a.rho11 - b.rho11), abs(a.rho22 - b.rho22),
-                       abs(a.rho33 - b.rho33),
-                       abs(a.probe_coherence - b.probe_coherence))
-                   for a, b in zip(*sweeps))
+        a, b = sweeps
+        disc = float(np.max([abs(a.rho11 - b.rho11), abs(a.rho22 - b.rho22),
+                             abs(a.rho33 - b.rho33),
+                             abs(a.probe_coherence - b.probe_coherence)]))
         metadata["backend_discrepancy"] = repr(disc)
     _emit(path, metadata, run, sweeps[0])
     if disc > BACKEND_AGREEMENT_TOL:
@@ -376,8 +379,7 @@ def _writing(path: Path):
                           f"{type(exc).__name__}: {exc}") from exc
 
 
-def _emit(path: Path, metadata: dict, run: RunConfig,
-          points: list[SpectralPoint],
+def _emit(path: Path, metadata: dict, run: RunConfig, points: Spectrum,
           errors: list[tuple[float, str]] | None = None) -> None:
     with _writing(path):
         if run.output_format == "csv":

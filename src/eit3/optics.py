@@ -49,7 +49,7 @@ __all__ = [
     "CALIBRATED_CONVENTION",
     "SweepError",
     "OpticalConstants",
-    "SpectralPoint",
+    "Spectrum",
     "prefactor",
     "sweep",
     "calibration_table",
@@ -73,12 +73,13 @@ _LAM = {4: gell_mann(4), 5: gell_mann(5), 6: gell_mann(6), 7: gell_mann(7)}
 class SweepError(RuntimeError):
     """One or more sweep points failed; carries the partial result.
 
-    ``points`` holds the successfully computed SpectralPoints in Delta
-    order (group quantities are NaN since the surviving grid is broken)
-    and ``failures`` the ordered list of (delta, exception) pairs.
+    ``points`` is the :class:`Spectrum` of the surviving points in Delta
+    order (every ``edge_stencil`` set and the group quantities NaN, since
+    the surviving grid is broken) and ``failures`` the ordered list of
+    (delta, exception) pairs.
     """
 
-    def __init__(self, points: list["SpectralPoint"],
+    def __init__(self, points: Spectrum,
                  failures: list[tuple[float, Exception]]):
         self.points = points
         self.failures = failures
@@ -96,7 +97,8 @@ class OpticalConstants:
     dipole moment in SI units (by default the Bohr magneton's numerical
     value, kept for fidelity to the reference data despite the dimensional
     oddity for an electric dipole).  ``angular_convention`` defaults to
-    :data:`CALIBRATED_CONVENTION`.
+    :data:`CALIBRATED_CONVENTION`.  Constants whose prefactor times
+    ``omega_probe`` is not a finite float are a ValueError.
     """
 
     omega_probe: float
@@ -113,28 +115,38 @@ class OpticalConstants:
         if self.angular_convention not in ANGULAR_CONVENTIONS:
             raise ValueError(
                 f"angular_convention must be one of {ANGULAR_CONVENTIONS}")
+        try:  # mu**2 raises OverflowError past a float, n0 * mu**2 gives inf
+            scale = prefactor(self) * self.omega_probe
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):  # the scale of n_g - 1
+            raise ValueError(
+                f"prefactor * omega_probe overflows a float (n0={self.n0!r}, "
+                f"mu={self.mu!r}, omega_probe={self.omega_probe!r})")
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One sample of a probe-detuning sweep.
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """A probe-detuning sweep as columns: one array per quantity, in Delta
+    order, so ``s.v_g[i]`` is the group velocity at ``s.delta[i]``.
 
     ``alpha`` shares the dimensionless prefactor scale of ``n - 1``;
-    ``v_g`` is in m/s and satisfies v_g = c / n_g exactly.
-    ``edge_stencil`` marks group quantities computed with a one-sided
-    difference (grid endpoints) or left as NaN (broken grid).
+    ``v_g`` is in m/s and satisfies v_g = c / n_g exactly;
+    ``probe_coherence`` is complex.  ``edge_stencil`` (bool) marks group
+    quantities computed with a one-sided difference (grid endpoints) or
+    left as NaN (broken grid).
     """
 
-    delta: float
-    n: float
-    alpha: float
-    n_g: float
-    v_g: float
-    rho11: float
-    rho22: float
-    rho33: float
-    probe_coherence: complex
-    edge_stencil: bool = False
+    delta: np.ndarray
+    n: np.ndarray
+    alpha: np.ndarray
+    n_g: np.ndarray
+    v_g: np.ndarray
+    rho11: np.ndarray
+    rho22: np.ndarray
+    rho33: np.ndarray
+    probe_coherence: np.ndarray
+    edge_stencil: np.ndarray
 
 
 def prefactor(k: OpticalConstants) -> float:
@@ -149,24 +161,35 @@ def _probe_lambdas(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
     return _LAM[6], _LAM[7]
 
 
+def _detunings(delta_min: float, delta_max: float, points: int) -> np.ndarray:
+    """The uniform sweep grid; ValueError unless it strictly increases (a
+    span too narrow for ``points`` distinct floats repeats detunings)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf span: NaNs
+        deltas = np.linspace(delta_min, delta_max, points)
+    if not (deltas[1:] > deltas[:-1]).all():
+        raise ValueError(f"{points} points from {delta_min!r} to {delta_max!r} "
+                         "are not a strictly increasing grid of floats")
+    return deltas
+
+
 def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
-          delta_max: float, points: int, backend: str) -> list[SpectralPoint]:
+          delta_max: float, points: int, backend: str) -> Spectrum:
     """Uniform probe-detuning sweep with group quantities attached.
 
+    Returns one :class:`Spectrum`, a column per quantity in Delta order.
     Group index and velocity use central differences of Tr[rho lam_r] on
     the grid (one-sided at the two endpoints, flagged via ``edge_stencil``).
     The states come from :func:`eit3.steady.solve_grid`: ``backend``
     "numeric" solves the grid as batched stacks of Liouvillians, 256
     detunings at a time, and "analytic" evaluates the closed forms point
     by point; either way the output is Delta-ordered and deterministic.
-    If any point's solve fails, a :class:`SweepError` is raised carrying
-    the partial result and the ordered (delta, error) list.
+    A grid that is not strictly increasing is a ValueError.  If any
+    point's solve fails, a :class:`SweepError` is raised carrying the
+    Spectrum of the surviving points and the ordered (delta, error) list.
     """
     if points < 3:
         raise ValueError(f"points must be >= 3, got {points}")
-    if not delta_min < delta_max:
-        raise ValueError("delta_min must be < delta_max")
-    deltas = np.linspace(delta_min, delta_max, points)
+    deltas = _detunings(delta_min, delta_max, points)
     solved = solve_grid(params, deltas, backend)
     failures = [(float(d), r) for d, r in zip(deltas, solved)
                 if isinstance(r, Exception)]
@@ -179,25 +202,21 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
     tr_im = np.trace(rho @ lam_i, axis1=1, axis2=2).real
     pl, pu = params.config.probe_transition
     coherence = rho[:, LEVEL_INDEX[pl], LEVEL_INDEX[pu]]  # e.g. rho_13 at [2, 0]
+    edge = np.ones(len(good), dtype=bool)
     if failures:  # the surviving grid is broken: no group quantities
         n_g = v_g = np.full(len(good), math.nan)
-        edge = [True] * len(good)
     else:
         slope = np.gradient(tr_re, deltas[1] - deltas[0])  # one-sided at the ends
         n_g = 1.0 + pref * k.omega_probe * slope
         v_g = C_LIGHT / n_g
-        edge = [i == 0 or i == points - 1 for i in range(points)]
-    # .tolist() hands out Python floats, whose repr the CSV writer relies on
-    pts = [SpectralPoint(delta=d, n=n, alpha=a, n_g=ng, v_g=vg, rho11=r11,
-                         rho22=r22, rho33=r33, probe_coherence=c, edge_stencil=e)
-           for d, n, a, ng, vg, r11, r22, r33, c, e in zip(
-               deltas[good].tolist(), (1.0 + pref * tr_re).tolist(),
-               (pref * tr_im).tolist(), n_g.tolist(), v_g.tolist(),
-               rho[:, 2, 2].real.tolist(), rho[:, 1, 1].real.tolist(),
-               rho[:, 0, 0].real.tolist(), coherence.tolist(), edge)]
+        edge[1:-1] = False
+    spectrum = Spectrum(
+        delta=deltas[good], n=1.0 + pref * tr_re, alpha=pref * tr_im, n_g=n_g,
+        v_g=v_g, rho11=rho[:, 2, 2].real, rho22=rho[:, 1, 1].real,
+        rho33=rho[:, 0, 0].real, probe_coherence=coherence, edge_stencil=edge)
     if failures:
-        raise SweepError(pts, failures)
-    return pts
+        raise SweepError(spectrum, failures)
+    return spectrum
 
 
 def calibration_table() -> dict:
@@ -218,8 +237,8 @@ def calibration_table() -> dict:
         for config in Configuration:
             k = OpticalConstants(omega_probe=REFERENCE_OMEGA_MHZ[config],
                                  angular_convention=conv)
-            vg = sweep(reference_params(config), k, -0.3, 0.3, 3,
-                       backend="analytic")[1].v_g
+            vg = float(sweep(reference_params(config), k, -0.3, 0.3, 3,
+                             backend="analytic").v_g[1])
             target = REFERENCE_VG_NM_PER_S[config] * 1e-9  # m/s
             table["conventions"][conv][config.value] = vg
             table["relative_errors"][conv][config.value] = abs(vg - target) / target

@@ -82,15 +82,14 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_lambda_trapping():
     params = reference_params("lambda")
     k = optics_for("lambda")
-    pts = sweep(params, k, -30.0, 30.0, 201, backend="analytic")
-    center = pts[100]
-    alpha_max = max(p.alpha for p in pts)
-    ok = (center.rho11 >= 0.99 and abs(center.rho33) <= 1e-9
-          and center.alpha <= 1e-3 * alpha_max)
+    s = sweep(params, k, -30.0, 30.0, 201, backend="analytic")
+    rho11, rho33, alpha = s.rho11[100], s.rho33[100], s.alpha[100]
+    alpha_max = s.alpha.max()
+    ok = rho11 >= 0.99 and abs(rho33) <= 1e-9 and alpha <= 1e-3 * alpha_max
     report(2, ok,
-           f"lambda resonance: rho11={center.rho11:.6f} (>=0.99), "
-           f"rho33={center.rho33:.2e} (<=1e-9), "
-           f"alpha(0)/max={center.alpha / alpha_max:.2e} (<=1e-3)")
+           f"lambda resonance: rho11={rho11:.6f} (>=0.99), "
+           f"rho33={rho33:.2e} (<=1e-9), "
+           f"alpha(0)/max={alpha / alpha_max:.2e} (<=1e-3)")
 
 
 def test_criterion_3_cascade_trapping():
@@ -99,13 +98,13 @@ def test_criterion_3_cascade_trapping():
     # absorption maximum taken over a window containing the doublet at
     # +-g_pump; the +-30 MHz window of criterion 1 sits inside the dip
     w = 2.0 * params.g_pump
-    pts = sweep(params, k, -w, w, 401, backend="analytic")
-    center = pts[200]
-    alpha_max = max(p.alpha for p in pts)
-    ok = center.rho11 >= 0.95 and center.alpha <= 1e-2 * alpha_max
+    s = sweep(params, k, -w, w, 401, backend="analytic")
+    rho11, alpha = s.rho11[200], s.alpha[200]
+    alpha_max = s.alpha.max()
+    ok = rho11 >= 0.95 and alpha <= 1e-2 * alpha_max
     report(3, ok,
-           f"cascade resonance: rho11={center.rho11:.6f} (>=0.95), "
-           f"alpha(0)/max={center.alpha / alpha_max:.2e} (<=1e-2, "
+           f"cascade resonance: rho11={rho11:.6f} (>=0.95), "
+           f"alpha(0)/max={alpha / alpha_max:.2e} (<=1e-2, "
            f"max over +-{w:.0f} MHz)")
 
 
@@ -287,17 +286,16 @@ def test_criterion_8_dispersion_parity_and_slope():
     worst_odd = worst_even = 0.0
     for backend in ("analytic", "numeric"):
         for d in np.linspace(0.3, 30.0, 100):
-            pts = sweep(params, k, -float(d), float(d), 3, backend=backend)
-            lo, hi = pts[0], pts[2]
-            worst_odd = max(worst_odd, abs((lo.n - 1.0) + (hi.n - 1.0)))
-            worst_even = max(worst_even, abs(lo.alpha - hi.alpha))
+            s = sweep(params, k, -float(d), float(d), 3, backend=backend)
+            worst_odd = max(worst_odd, abs((s.n[0] - 1.0) + (s.n[2] - 1.0)))
+            worst_even = max(worst_even, abs(s.alpha[0] - s.alpha[2]))
     ok_parity = worst_odd <= 1e-9 and worst_even <= 1e-9
 
     slopes = {}
     for tag in ("lambda", "cascade", "vee"):
         p0 = reference_params(tag)
-        pts = sweep(p0, optics_for(tag), -3.0, 3.0, 21, backend="analytic")
-        slopes[tag] = (pts[11].n - pts[9].n) / (pts[11].delta - pts[9].delta)
+        s = sweep(p0, optics_for(tag), -3.0, 3.0, 21, backend="analytic")
+        slopes[tag] = (s.n[11] - s.n[9]) / (s.delta[11] - s.delta[9])
     ok_slope = all(s > 0 for s in slopes.values())
     report(8, ok_parity and ok_slope,
            f"parity residuals odd {worst_odd:.2e} / even {worst_even:.2e} "

@@ -267,6 +267,36 @@ def test_steady_degenerate_config(tmp_path, capsys):
     assert "DegenerateNullSpace" in capsys.readouterr().err
 
 
+def test_repeated_detunings_are_config_error(tmp_path, capsys):
+    # 11 points over a 2-ulp span repeat detunings at float precision
+    cfg = write_config(tmp_path, sweep={"min": 1.0, "max": 1.0000000000000009,
+                                        "points": 11})
+    assert main(["sweep", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: fields sweep.min, sweep.max, sweep.points: 11 points "
+        "from 1.0 to 1.0000000000000009 are not a strictly increasing grid "
+        "of floats\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+OVERFLOWING_OPTICS = [
+    {"n0": 1e21, "mu": 1e200, "omega_probe": 2.37e9},  # mu**2 raises
+    {"n0": 1e300, "mu": 1e10, "omega_probe": 2.37e9},  # prefactor inf
+    {"n0": 1e21, "mu": 9.2740100657e-24, "omega_probe": 1e305},  # n_g scale inf
+]
+
+
+@pytest.mark.parametrize("optics", OVERFLOWING_OPTICS)
+def test_overflowing_optics_are_config_error(tmp_path, capsys, optics):
+    cfg = write_config(tmp_path, optics=optics)
+    assert main(["sweep", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: optics: prefactor * omega_probe "
+                          "overflows a float (")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_partial_output_on_solver_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, g_probe=0.0, g_pump=0.0, backend="numeric",
                        sweep={"min": -1.0, "max": 1.0, "points": 3},
@@ -485,17 +515,17 @@ def test_csv_round_trip(tmp_path):
     metadata, rows, _ = read_sweep_csv(tmp_path / "out.csv")
     from eit3.optics import OpticalConstants, sweep as lib_sweep
     run = load_config(cfg)
-    pts = lib_sweep(run.params, run.optics, -5.0, 5.0, 11, backend="analytic")
-    assert len(rows) == len(pts)
-    for row, p in zip(rows, pts):
-        assert row["delta_mhz"] == p.delta
-        assert row["n"] == p.n
-        assert row["alpha"] == p.alpha
-        assert row["n_g"] == p.n_g
-        assert row["v_g_m_per_s"] == p.v_g
-        assert row["rho11"] == p.rho11
-        assert row["re_coh"] == p.probe_coherence.real
-        assert row["im_coh"] == p.probe_coherence.imag
+    s = lib_sweep(run.params, run.optics, -5.0, 5.0, 11, backend="analytic")
+    assert len(rows) == len(s.delta)
+    for i, row in enumerate(rows):
+        assert row["delta_mhz"] == s.delta[i]
+        assert row["n"] == s.n[i]
+        assert row["alpha"] == s.alpha[i]
+        assert row["n_g"] == s.n_g[i]
+        assert row["v_g_m_per_s"] == s.v_g[i]
+        assert row["rho11"] == s.rho11[i]
+        assert row["re_coh"] == s.probe_coherence[i].real
+        assert row["im_coh"] == s.probe_coherence[i].imag
 
 
 def test_json_round_trip(tmp_path):
@@ -507,43 +537,120 @@ def test_json_round_trip(tmp_path):
     assert errors == []
     run = load_config(cfg)
     from eit3.optics import sweep as lib_sweep
-    pts = lib_sweep(run.params, run.optics, -5.0, 5.0, 11, backend="analytic")
-    for rec, p in zip(records, pts):
-        assert rec["delta_mhz"] == p.delta
-        assert rec["v_g_m_per_s"] == p.v_g
-        assert rec["edge_stencil"] == p.edge_stencil
+    s = lib_sweep(run.params, run.optics, -5.0, 5.0, 11, backend="analytic")
+    for i, rec in enumerate(records):
+        assert rec["delta_mhz"] == s.delta[i]
+        assert rec["v_g_m_per_s"] == s.v_g[i]
+        assert rec["edge_stencil"] == s.edge_stencil[i]
 
 
 RECORD_FIELDS = ("delta", "n", "alpha", "n_g", "v_g", "rho11", "rho22", "rho33")
 
 
-def dumps_oracle(metadata, points, errors=None):
+def point_values(s, i):
+    """Point i of a Spectrum as Python values: the eight real fields, then
+    the coherence and the edge flag."""
+    return ([float(getattr(s, name)[i]) for name in RECORD_FIELDS]
+            + [complex(s.probe_coherence[i]), bool(s.edge_stencil[i])])
+
+
+def dumps_oracle(metadata, s, errors=None):
     """The bytes write_sweep_json must produce: json's own indenting encoder."""
-    records = [{"delta_mhz": p.delta, "n": p.n, "alpha": p.alpha, "n_g": p.n_g,
-                "v_g_m_per_s": p.v_g, "rho11": p.rho11, "rho22": p.rho22,
-                "rho33": p.rho33, "re_coh": p.probe_coherence.real,
-                "im_coh": p.probe_coherence.imag, "edge_stencil": p.edge_stencil}
-               for p in points]
+    records = []
+    for i in range(len(s.delta)):
+        *reals, c, edge = point_values(s, i)
+        records.append(dict(zip(("delta_mhz", "n", "alpha", "n_g", "v_g_m_per_s",
+                                 "rho11", "rho22", "rho33"), reals),
+                            re_coh=c.real, im_coh=c.imag, edge_stencil=edge))
     doc = {"errors": [{"delta_mhz": d, "error": msg} for d, msg in (errors or [])],
            "metadata": metadata, "records": records}
     return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8")
 
 
-def spectral_point(values, coherence=0j, edge_stencil=False):
-    return eit3.optics.SpectralPoint(
-        **dict(zip(RECORD_FIELDS, values)), probe_coherence=coherence,
-        edge_stencil=edge_stencil)
+def csv_oracle(metadata, s, errors=()):
+    """The bytes write_sweep_csv must produce, built row by row: repr of each
+    field, the error rows' nans merged in Delta order."""
+    lines = [f"# {key} = {value}" for key, value in metadata.items()]
+    lines += [f"# error: delta={d!r} {msg}" for d, msg in errors]
+    lines.append("delta_mhz,n,alpha,n_g,v_g_m_per_s,rho11,rho22,rho33,re_coh,im_coh")
+    rows = []
+    for i in range(len(s.delta)):
+        *reals, c, _ = point_values(s, i)
+        rows.append((reals[0], ",".join(repr(v) for v in reals + [c.real, c.imag])))
+    rows += [(d, ",".join([repr(d)] + ["nan"] * 9)) for d, _ in errors]
+    lines += [row for _, row in sorted(rows, key=lambda r: r[0])]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def spectrum(rows):
+    """A Spectrum from (eight real fields, coherence, edge_stencil) rows."""
+    reals = np.array([values for values, _, _ in rows], dtype=float).reshape(-1, 8)
+    return eit3.optics.Spectrum(
+        *reals.T, probe_coherence=np.array([c for _, c, _ in rows], dtype=complex),
+        edge_stencil=np.array([edge for _, _, edge in rows], dtype=bool))
 
 
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
 def test_json_writer_matches_json_dumps_on_reference_sweeps(tmp_path, tag):
     run = load_config(str(bundled_config_path(tag)))
-    points = eit3.optics.sweep(run.params, run.optics, run.sweep_min,
-                               run.sweep_max, 2001, backend="analytic")
+    s = eit3.optics.sweep(run.params, run.optics, run.sweep_min,
+                          run.sweep_max, 2001, backend="analytic")
     metadata = eit3.cli._metadata(run, "sweep")
     out = tmp_path / "out.json"
-    eit3.cli.write_sweep_json(out, metadata, points)
-    assert out.read_bytes() == dumps_oracle(metadata, points)
+    eit3.cli.write_sweep_json(out, metadata, s)
+    assert out.read_bytes() == dumps_oracle(metadata, s)
+
+
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_csv_writer_matches_row_oracle_on_reference_sweeps(tmp_path, tag):
+    run = load_config(str(bundled_config_path(tag)))
+    s = eit3.optics.sweep(run.params, run.optics, run.sweep_min,
+                          run.sweep_max, 2001, backend="numeric")
+    metadata = eit3.cli._metadata(run, "sweep")
+    out = tmp_path / "out.csv"
+    eit3.cli.write_sweep_csv(out, metadata, s)
+    assert out.read_bytes() == csv_oracle(metadata, s)
+
+
+def test_csv_writer_matches_row_oracle_with_interleaved_failures(tmp_path,
+                                                                 monkeypatch):
+    # points 1, 4, 7, ... fail: error rows sit between surviving rows
+    original = eit3.optics.solve_grid
+
+    def failing(params, deltas, backend):
+        return [RuntimeError(f"injected {i}") if i % 3 == 1 else rho
+                for i, rho in enumerate(original(params, deltas, backend))]
+    monkeypatch.setattr(eit3.optics, "solve_grid", failing)
+    run = load_config(str(bundled_config_path("cascade")))
+    with pytest.raises(eit3.optics.SweepError) as err:
+        eit3.optics.sweep(run.params, run.optics, run.sweep_min, run.sweep_max,
+                          31, backend="numeric")
+    s = err.value.points
+    errors = [(d, f"{type(e).__name__}: {e}") for d, e in err.value.failures]
+    assert len(s.delta) == 21 and len(errors) == 10
+    metadata = eit3.cli._metadata(run, "sweep")
+    out = tmp_path / "out.csv"
+    eit3.cli.write_sweep_csv(out, metadata, s, errors)
+    assert out.read_bytes() == csv_oracle(metadata, s, errors)
+    _, rows, _ = read_sweep_csv(out)
+    assert [math.isnan(r["n"]) for r in rows] == [i % 3 == 1 for i in range(31)]
+
+
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_both_discrepancy_matches_pointwise_maximum(tmp_path, tag):
+    # the per-pair maximum over populations and coherence, in Python floats
+    assert main(["sweep", tag, "--out", str(tmp_path / "both.csv")]) == EXIT_OK
+    metadata, _, _ = read_sweep_csv(tmp_path / "both.csv")
+    run = load_config(str(bundled_config_path(tag)))
+    a, b = (eit3.optics.sweep(run.params, run.optics, run.sweep_min,
+                              run.sweep_max, run.sweep_points, backend=backend)
+            for backend in ("analytic", "numeric"))
+    pairs = zip(*(column.tolist() for s in (a, b) for column in
+                  (s.rho11, s.rho22, s.rho33, s.probe_coherence)))
+    expected = max(max(abs(a11 - b11), abs(a22 - b22), abs(a33 - b33),
+                       abs(ac - bc))
+                   for a11, a22, a33, ac, b11, b22, b33, bc in pairs)
+    assert metadata["backend_discrepancy"] == repr(expected)
 
 
 ODD_NUMBERS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5,
@@ -555,19 +662,18 @@ ODD_ERRORS = [(math.nan, 'SomeError: "quoted" \\ path'),
 
 
 @pytest.mark.parametrize("errors", [None, ODD_ERRORS])
-@pytest.mark.parametrize("points", [
+@pytest.mark.parametrize("rows", [
     [],
-    [spectral_point(ODD_NUMBERS[:8], complex(ODD_NUMBERS[8], ODD_NUMBERS[9]),
-                    edge_stencil=True),
-     spectral_point(ODD_NUMBERS[4:12], complex(math.nan, -math.inf)),
-     spectral_point([np.float64(x) for x in ODD_NUMBERS[2:10]],
-                    np.complex128(complex(1e16, -0.0)), edge_stencil=True)],
+    [(ODD_NUMBERS[:8], complex(ODD_NUMBERS[8], ODD_NUMBERS[9]), True),
+     (ODD_NUMBERS[4:12], complex(math.nan, -math.inf), False),
+     ([np.float64(x) for x in ODD_NUMBERS[2:10]],
+      np.complex128(complex(1e16, -0.0)), True)],
 ], ids=["no-points", "odd-values"])
-def test_json_writer_matches_json_dumps_on_odd_values(tmp_path, points, errors):
+def test_json_writer_matches_json_dumps_on_odd_values(tmp_path, rows, errors):
     metadata = {"tool": "eit3", "z_last": "\u00e9\"\\", "a_first": "x"}
     out = tmp_path / "out.json"
-    eit3.cli.write_sweep_json(out, metadata, points, errors)
-    assert out.read_bytes() == dumps_oracle(metadata, points, errors)
+    eit3.cli.write_sweep_json(out, metadata, spectrum(rows), errors)
+    assert out.read_bytes() == dumps_oracle(metadata, spectrum(rows), errors)
 
 
 def test_json_writer_matches_json_dumps_property(tmp_path):
@@ -581,10 +687,10 @@ def test_json_writer_matches_json_dumps_property(tmp_path):
                                                   max_size=10),
                                          st.booleans()), max_size=4))
     def check(rows):
-        points = [spectral_point(values[:8], complex(values[8], values[9]), edge)
-                  for values, edge in rows]
-        eit3.cli.write_sweep_json(out, {"command": "sweep"}, points)
-        assert out.read_bytes() == dumps_oracle({"command": "sweep"}, points)
+        s = spectrum([(values[:8], complex(values[8], values[9]), edge)
+                      for values, edge in rows])
+        eit3.cli.write_sweep_json(out, {"command": "sweep"}, s)
+        assert out.read_bytes() == dumps_oracle({"command": "sweep"}, s)
 
     check()
 
@@ -612,10 +718,10 @@ def shift_numeric_sweep(monkeypatch):
     original = eit3.cli.sweep
 
     def shifted(*args, backend, **kwargs):
-        pts = original(*args, backend=backend, **kwargs)
+        s = original(*args, backend=backend, **kwargs)
         if backend == "numeric":
-            pts = [replace(p, rho11=p.rho11 + 1e-5) for p in pts]
-        return pts
+            s = replace(s, rho11=s.rho11 + 1e-5)
+        return s
     monkeypatch.setattr(eit3.cli, "sweep", shifted)
 
 
@@ -643,7 +749,7 @@ def test_sweep_backend_discrepancy_exits_3(tmp_path, capsys, monkeypatch, fmt):
     run = load_config(cfg)
     analytic = eit3.optics.sweep(run.params, run.optics, -5.0, 5.0, 21,
                                  backend="analytic")
-    assert [r["rho11"] for r in rows] == [p.rho11 for p in analytic]
+    assert [r["rho11"] for r in rows] == analytic.rho11.tolist()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: numeric vs analytic discrepancy {disc:.3e} "

@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eit3.optics
 from eit3.model import Configuration, SystemParams
 from eit3.optics import (
     ANGULAR_CONVENTIONS,
@@ -19,6 +20,7 @@ from eit3.optics import (
     HBAR,
     MU_BOHR,
     OpticalConstants,
+    Spectrum,
     SweepError,
     calibration_table,
     prefactor,
@@ -39,26 +41,25 @@ def test_zero_coherence_state_is_transparent(config):
     p = replace(reference_params(config.value), g_probe=0.0)
     k = optics_for(config)
     for backend in ("analytic", "numeric"):
-        for q in sweep(p, k, -30.0, 30.0, 21, backend=backend):
-            assert q.probe_coherence == 0.0
-            assert q.n == 1.0
-            assert q.alpha == 0.0
+        s = sweep(p, k, -30.0, 30.0, 21, backend=backend)
+        assert (s.probe_coherence == 0.0).all()
+        assert (s.n == 1.0).all()
+        assert (s.alpha == 0.0).all()
 
 
 def test_lambda_resonance_unit_index_zero_absorption():
     p = reference_params("lambda")
     k = optics_for("lambda")
-    pts = sweep(p, k, -1.0, 1.0, 3, backend="analytic")
-    center = pts[1]
-    assert center.delta == 0.0
-    assert center.n == 1.0          # probe coherence vanishes identically
-    assert center.alpha == 0.0
+    s = sweep(p, k, -1.0, 1.0, 3, backend="analytic")
+    assert s.delta[1] == 0.0
+    assert s.n[1] == 1.0            # probe coherence vanishes identically
+    assert s.alpha[1] == 0.0
     # numeric solve: transparency at the 1e-9 coherence level (the huge
     # dimensionless prefactor would otherwise amplify solver noise)
-    num = sweep(p, k, -1.0, 1.0, 3, backend="numeric")[1]
+    num = sweep(p, k, -1.0, 1.0, 3, backend="numeric")
     pref = prefactor(k)
-    assert abs(num.n - 1.0) <= 1e-9 * pref
-    assert abs(num.alpha) <= 1e-9 * pref
+    assert abs(num.n[1] - 1.0) <= 1e-9 * pref
+    assert abs(num.alpha[1]) <= 1e-9 * pref
 
 
 def test_susceptibility_traces_pick_probe_coherence():
@@ -69,10 +70,10 @@ def test_susceptibility_traces_pick_probe_coherence():
         k = optics_for(config)
         pref = prefactor(k)
         for backend in ("analytic", "numeric"):
-            for q in sweep(p, k, -30.0, 30.0, 41, backend=backend):
-                c = q.probe_coherence
-                assert q.n - 1.0 == pytest.approx(pref * 2 * c.real, rel=1e-12, abs=0)
-                assert q.alpha == pytest.approx(pref * 2 * c.imag, rel=1e-12, abs=0)
+            s = sweep(p, k, -30.0, 30.0, 41, backend=backend)
+            for n, alpha, c in zip(s.n, s.alpha, s.probe_coherence):
+                assert n - 1.0 == pytest.approx(pref * 2 * c.real, rel=1e-12, abs=0)
+                assert alpha == pytest.approx(pref * 2 * c.imag, rel=1e-12, abs=0)
 
 
 def test_dispersion_odd_absorption_even_lambda():
@@ -81,11 +82,10 @@ def test_dispersion_odd_absorption_even_lambda():
     p = reference_params("lambda")
     k = optics_for("lambda")
     for backend in ("analytic", "numeric"):
-        pts = sweep(p, k, -30.0, 30.0, 41, backend=backend)
-        for a, b in zip(pts, reversed(pts)):
-            assert abs(a.delta + b.delta) <= 1e-12
-            assert abs((a.n - 1.0) + (b.n - 1.0)) <= 1e-9
-            assert abs(a.alpha - b.alpha) <= 1e-9
+        s = sweep(p, k, -30.0, 30.0, 41, backend=backend)
+        assert (np.abs(s.delta + s.delta[::-1]) <= 1e-12).all()
+        assert (np.abs((s.n - 1.0) + (s.n[::-1] - 1.0)) <= 1e-9).all()
+        assert (np.abs(s.alpha - s.alpha[::-1]) <= 1e-9).all()
 
 
 def test_absorption_nonnegative_and_dip_at_resonance(config):
@@ -93,8 +93,8 @@ def test_absorption_nonnegative_and_dip_at_resonance(config):
     p = reference_params(config.value)
     k = optics_for(config)
     w = 2.0 * p.g_pump
-    pts = sweep(p, k, -w, w, 401, backend="analytic")
-    alphas = np.array([q.alpha for q in pts])
+    s = sweep(p, k, -w, w, 401, backend="analytic")
+    alphas = s.alpha
     assert alphas.min() >= 0.0
     a0 = alphas[200]
     ratio = {"lambda": 1e-3, "cascade": 1e-2, "vee": 1e-2}[config.value]
@@ -102,15 +102,14 @@ def test_absorption_nonnegative_and_dip_at_resonance(config):
     # doublet: the strongest absorption sits symmetrically off resonance
     imax = int(np.argmax(alphas))
     mirrored = alphas[len(alphas) - 1 - imax]
-    assert abs(pts[imax].delta) > 0.0
+    assert abs(s.delta[imax]) > 0.0
     assert abs(mirrored - alphas[imax]) <= 1e-9 * alphas.max()
 
 
 def test_lambda_window_absorption_maxima_symmetric():
     p = reference_params("lambda")
     k = optics_for("lambda")
-    pts = sweep(p, k, -30.0, 30.0, 201, backend="analytic")
-    alphas = np.array([q.alpha for q in pts])
+    alphas = sweep(p, k, -30.0, 30.0, 201, backend="analytic").alpha
     # transparency at the center, two symmetric maxima about it
     assert alphas[100] == 0.0
     left, right = alphas[:100], alphas[101:]
@@ -121,23 +120,22 @@ def test_lambda_window_absorption_maxima_symmetric():
 def test_positive_dispersion_slope_and_slow_light(config):
     p = reference_params(config.value)
     k = optics_for(config)
-    pts = sweep(p, k, -3.0, 3.0, 21, backend="analytic")
+    s = sweep(p, k, -3.0, 3.0, 21, backend="analytic")
     i = 10
-    assert pts[i].delta == 0.0
-    slope = (pts[i + 1].n - pts[i - 1].n) / (pts[i + 1].delta - pts[i - 1].delta)
+    assert s.delta[i] == 0.0
+    slope = (s.n[i + 1] - s.n[i - 1]) / (s.delta[i + 1] - s.delta[i - 1])
     assert slope > 0.0
-    assert pts[i].n_g > 1.0
-    assert pts[i].n_g >= 1e12   # slow light at the order-of-magnitude level
+    assert s.n_g[i] > 1.0
+    assert s.n_g[i] >= 1e12     # slow light at the order-of-magnitude level
 
 
 def test_group_velocity_index_identity(config):
     p = reference_params(config.value)
     k = optics_for(config)
-    pts = sweep(p, k, -5.0, 5.0, 11, backend="analytic")
-    for q in pts:
-        assert abs(q.v_g * q.n_g - C_LIGHT) <= 1e-12 * C_LIGHT
-        assert abs(q.rho11 + q.rho22 + q.rho33 - 1.0) <= 1e-9
-    flagged = [q.edge_stencil for q in pts]
+    s = sweep(p, k, -5.0, 5.0, 11, backend="analytic")
+    assert (np.abs(s.v_g * s.n_g - C_LIGHT) <= 1e-12 * C_LIGHT).all()
+    assert (np.abs(s.rho11 + s.rho22 + s.rho33 - 1.0) <= 1e-9).all()
+    flagged = s.edge_stencil.tolist()
     assert flagged[0] and flagged[-1] and not any(flagged[1:-1])
 
 
@@ -149,10 +147,10 @@ def test_group_velocity_richardson_check():
         p = reference_params(tag)
         k = optics_for(tag)
         for width, converged in ((3.0, True), (10.0, False)):
-            coarse = sweep(p, k, -width, width, 5, backend="analytic")[2]
-            fine = sweep(p, k, -width, width, 9, backend="analytic")[4]
-            assert coarse.delta == fine.delta == 0.0
-            mismatch = abs(coarse.v_g - fine.v_g) / abs(fine.v_g)
+            coarse = sweep(p, k, -width, width, 5, backend="analytic")
+            fine = sweep(p, k, -width, width, 9, backend="analytic")
+            assert coarse.delta[2] == fine.delta[4] == 0.0
+            mismatch = float(abs(coarse.v_g[2] - fine.v_g[4]) / abs(fine.v_g[4]))
             assert (mismatch <= 1e-3) is converged
 
 
@@ -164,16 +162,17 @@ def test_backends_agree_pointwise():
         pref = prefactor(k)
         a = sweep(p, k, -30.0, 30.0, 41, backend="analytic")
         b = sweep(p, k, -30.0, 30.0, 41, backend="numeric")
-        for qa, qb in zip(a, b):
-            assert abs(qa.n - qb.n) / pref <= 1e-8
-            assert abs(qa.alpha - qb.alpha) / pref <= 1e-8
+        assert (np.abs(a.n - b.n) / pref <= 1e-8).all()
+        assert (np.abs(a.alpha - b.alpha) / pref <= 1e-8).all()
 
 
 def test_sweep_repeat_calls_identical():
     p = reference_params("cascade", delta_pump=1.7)
     k = optics_for("cascade")
     first = sweep(p, k, -10.0, 10.0, 301, backend="numeric")
-    assert first == sweep(p, k, -10.0, 10.0, 301, backend="numeric")
+    second = sweep(p, k, -10.0, 10.0, 301, backend="numeric")
+    for f in fields(Spectrum):
+        assert np.array_equal(getattr(first, f.name), getattr(second, f.name))
 
 
 def test_sweep_surfaces_per_point_failures():
@@ -185,7 +184,7 @@ def test_sweep_surfaces_per_point_failures():
     failures = err.value.failures
     assert [d for d, _ in failures] == [-1.0, 0.0, 1.0]
     assert all(isinstance(e, DegenerateNullSpaceError) for _, e in failures)
-    assert err.value.points == []
+    assert no_points(err.value.points)
     assert "delta=" in str(err.value)
 
 
@@ -198,7 +197,11 @@ def test_degenerate_sweep_fails_every_point_in_delta_order():
     failures = err.value.failures
     assert [d for d, _ in failures] == np.linspace(-1.0, 1.0, 300).tolist()
     assert all(isinstance(e, DegenerateNullSpaceError) for _, e in failures)
-    assert err.value.points == []
+    assert no_points(err.value.points)
+
+
+def no_points(s):
+    return all(len(getattr(s, f.name)) == 0 for f in fields(Spectrum))
 
 
 def test_sweep_argument_validation():
@@ -210,6 +213,35 @@ def test_sweep_argument_validation():
         sweep(p, k, 1.0, -1.0, 5, backend="analytic")
     with pytest.raises(ValueError):
         sweep(p, k, -1.0, 1.0, 5, backend="exact")
+
+
+def test_sweep_rejects_repeated_detunings():
+    # 11 points over a 2-ulp span: linspace repeats detunings
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sweep(reference_params("lambda"), optics_for("lambda"), 1.0,
+              1.0000000000000009, 11, backend="numeric")
+
+
+def test_sweep_failures_keep_the_surviving_columns(monkeypatch):
+    # every third point fails: the record holds the others, in Delta order
+    original = eit3.optics.solve_grid
+
+    def failing(params, deltas, backend):
+        return [RuntimeError("injected") if i % 3 == 1 else rho
+                for i, rho in enumerate(original(params, deltas, backend))]
+    monkeypatch.setattr(eit3.optics, "solve_grid", failing)
+    p, k = reference_params("vee"), optics_for("vee")
+    with pytest.raises(SweepError) as err:
+        sweep(p, k, -3.0, 3.0, 7, backend="analytic")
+    monkeypatch.undo()
+    full = sweep(p, k, -3.0, 3.0, 7, backend="analytic")
+    s, kept = err.value.points, [0, 2, 3, 5, 6]
+    assert [d for d, _ in err.value.failures] == [-2.0, 1.0]
+    for name in ("delta", "n", "alpha", "rho11", "rho22", "rho33",
+                 "probe_coherence"):
+        assert np.array_equal(getattr(s, name), getattr(full, name)[kept])
+    assert np.isnan(s.n_g).all() and np.isnan(s.v_g).all()
+    assert s.edge_stencil.tolist() == [True] * 5
 
 
 def test_calibration_table_and_default_convention():
@@ -260,6 +292,16 @@ def test_optical_constants_validation():
         OpticalConstants(omega_probe=1.0, angular_convention="mhz")
     with pytest.raises(ValueError):
         OpticalConstants(omega_probe=1.0, angular_convention=None)
+
+
+@pytest.mark.parametrize("constants", [
+    {"omega_probe": 1.0, "mu": 1e200},             # mu**2 raises OverflowError
+    {"omega_probe": 1.0, "n0": 1e300, "mu": 1e10},  # prefactor is inf
+    {"omega_probe": 1e305},                         # prefactor * omega is inf
+])
+def test_optical_constants_reject_overflowing_prefactor(constants):
+    with pytest.raises(ValueError, match="overflows a float"):
+        OpticalConstants(**constants)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
