@@ -5,13 +5,16 @@
 #   .github/compare_outputs.sh BASE HEAD
 #
 # BASE and HEAD are checkouts of this repository (for example the base of
-# a pull request as a git worktree, and the working tree).  The commands:
-# 2001-point numeric|analytic|both x csv|json sweeps of each bundled
-# configuration; the same at 11 points with g_probe = g_pump = 0 (failing
-# points, partial files); a delta_pump = 1.7 numeric sweep of each;
-# `sweep lambda|cascade|vee`, `darkstate lambda|cascade|vee` and
-# `calibrate`.  Both checkouts write into one shared output directory, so
-# the paths they print agree.  Exits 1 and prints the diff on a difference.
+# a pull request as a git worktree, and the working tree).  The commands,
+# for each bundled configuration: 2001-point numeric|analytic|both x
+# csv|json sweeps; the same at 11 points with g_probe = g_pump = 0 (failing
+# points, partial files); a delta_pump = 1.7 numeric sweep; `sweep TAG`;
+# `steady` at --delta 0 and 2.5 with delta_pump 0 (the bundled config) and
+# 1.7 (backend both: the numeric block on stdout, the analytic error on
+# stderr); `darkstate` with delta_pump 0, and 1.7 on the numeric and both
+# backends; `evolve TAG --t-end 500`.  Then `calibrate`.  Both checkouts
+# write into one shared output directory, so the paths they print agree.
+# Exits 1 and prints the diff on a difference.
 set -euo pipefail
 [ $# -eq 2 ] || { echo "usage: $0 BASE HEAD" >&2; exit 2; }
 base=$(cd "$1" && pwd)
@@ -27,6 +30,19 @@ from pathlib import Path
 bundled, work = Path(sys.argv[1]), Path(sys.argv[2])
 (work / "configs").mkdir()
 commands = []
+
+
+def write(doc, name, change):  # DOC with CHANGE applied, as configs/NAME.json
+    cfg = dict(doc, backend=change.pop("backend"),
+               sweep=dict(doc["sweep"], points=change.pop("points")))
+    fmt = change.pop("format")
+    cfg["output"] = {"path": f"{name}.{fmt}", "format": fmt}
+    cfg.update(change)
+    path = work / "configs" / f"{name}.json"
+    path.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
+    return path
+
+
 for tag in ("lambda", "cascade", "vee"):
     doc = json.loads((bundled / f"{tag}.json").read_text(encoding="utf-8"))
     runs = [(f"{tag}-{backend}-{fmt}", {"backend": backend, "points": 2001,
@@ -40,16 +56,20 @@ for tag in ("lambda", "cascade", "vee"):
              for fmt in ("csv", "json")]
     runs.append((f"{tag}-pump-detuned", {"backend": "numeric", "points": 2001,
                                          "format": "csv", "delta_pump": 1.7}))
-    for name, change in runs:
-        cfg = dict(doc, backend=change.pop("backend"),
-                   sweep=dict(doc["sweep"], points=change.pop("points")))
-        fmt = change.pop("format")
-        cfg["output"] = {"path": f"{name}.{fmt}", "format": fmt}
-        cfg.update(change)
-        path = work / "configs" / f"{name}.json"
-        path.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
-        commands.append(f"{name} sweep {path}")
+    paths = {name: write(doc, name, change) for name, change in runs}
+    commands += [f"{name} sweep {path}" for name, path in paths.items()]
+    detuned = {"numeric": paths[f"{tag}-pump-detuned"],
+               "both": write(doc, f"{tag}-pump-detuned-both",
+                             {"backend": "both", "points": 2001,
+                              "format": "csv", "delta_pump": 1.7})}
     commands += [f"sweep-{tag} sweep {tag}", f"darkstate-{tag} darkstate {tag}"]
+    commands += [f"darkstate-{tag}-pump-detuned-{backend} darkstate {path}"
+                 for backend, path in detuned.items()]
+    for delta in ("0", "2.5"):
+        commands += [f"steady-{tag}-{delta} steady {tag} --delta {delta}",
+                     f"steady-{tag}-pump-detuned-{delta} steady "
+                     f"{detuned['both']} --delta {delta}"]
+    commands.append(f"evolve-{tag} evolve {tag} --t-end 500")
 commands.append("calibrate calibrate")
 (work / "commands").write_text("\n".join(commands) + "\n", encoding="utf-8")
 EOF

@@ -341,23 +341,31 @@ def cmd_sweep(run: RunConfig, out_override: str | None = None) -> int:
     with _writing(path):  # an unwritable path fails before any point is solved
         path.open("a", encoding="utf-8").close()  # "a": nothing truncated yet
 
-    backends = ("analytic", "numeric") if run.backend == "both" else (run.backend,)
+    grid = (run.sweep_min, run.sweep_max, run.sweep_points)
     try:
-        # under both, the analytic sweep runs first: its profile is the one
-        # emitted, and its failure the partial file written
-        sweeps = [sweep(run.params, run.optics, run.sweep_min, run.sweep_max,
-                        run.sweep_points, backend=backend) for backend in backends]
+        # under both, the analytic sweep is the one emitted, and its failure
+        # the partial file written; the numeric sweep only checks it
+        spectrum = sweep(run.params, run.optics, *grid, backend=(
+            "analytic" if run.backend == "both" else run.backend))
     except SweepError as exc:
         return _emit_partial(path, metadata, run, exc)
-    disc = 0.0
-    if len(sweeps) == 2:
-        # on the dimensionless density-matrix scale (as for `steady`)
-        a, b = sweeps
-        disc = float(np.max([abs(a.rho11 - b.rho11), abs(a.rho22 - b.rho22),
-                             abs(a.rho33 - b.rho33),
-                             abs(a.probe_coherence - b.probe_coherence)]))
-        metadata["backend_discrepancy"] = repr(disc)
-    _emit(path, metadata, run, sweeps[0])
+    failures, disc = [], 0.0
+    if run.backend == "both":
+        try:
+            b = sweep(run.params, run.optics, *grid, backend="numeric")
+        except SweepError as exc:
+            failures = exc.failures
+        else:
+            # on the dimensionless density-matrix scale (as for `steady`)
+            a = spectrum
+            disc = float(np.max([abs(a.rho11 - b.rho11), abs(a.rho22 - b.rho22),
+                                 abs(a.rho33 - b.rho33),
+                                 abs(a.probe_coherence - b.probe_coherence)]))
+            metadata["backend_discrepancy"] = repr(disc)
+    _emit(path, metadata, run, spectrum)
+    if failures:  # the file holds the complete analytic profile
+        _print_failures(failures)
+        return EXIT_SOLVER
     if disc > BACKEND_AGREEMENT_TOL:
         print(f"error: numeric vs analytic discrepancy {disc:.3e} exceeds "
               f"{BACKEND_AGREEMENT_TOL:g}", file=sys.stderr)
@@ -392,10 +400,14 @@ def _emit_partial(path: Path, metadata: dict, run: RunConfig,
                   exc: SweepError) -> int:
     errors = [(d, f"{type(e).__name__}: {e}") for d, e in exc.failures]
     _emit(path, metadata, run, exc.points, errors)
-    for d, e in exc.failures:
-        print(f"error: delta={d:g} MHz: {type(e).__name__}: {e}", file=sys.stderr)
+    _print_failures(exc.failures)
     print(f"partial output retained in {path}", file=sys.stderr)
     return EXIT_SOLVER
+
+
+def _print_failures(failures: list[tuple[float, Exception]]) -> None:
+    for d, e in failures:
+        print(f"error: delta={d:g} MHz: {type(e).__name__}: {e}", file=sys.stderr)
 
 
 def _format_rho(rho: np.ndarray) -> str:

@@ -1,14 +1,14 @@
 """Probe-field optics: refractive index, absorption, group velocity, sweeps.
 
-The steady-state susceptibility of the probe is read off the density matrix
-through Gell-Mann projections of the probe coherence,
+The steady-state susceptibility of the probe is read off its coherence
+rho_p (rho_13 on 1<->3, rho_12 on 1<->2) through the paper's SU(3) form,
 
-    n     = 1 + P * Tr[rho lam_r]        (lam_4 for 1<->3, lam_6 for 1<->2)
-    alpha =     P * Tr[rho lam_i]        (lam_5 for 1<->3, lam_7 for 1<->2)
+    n     = 1 + P * Tr[rho lam_r] = 1 + P * 2 Re rho_p   (lam_4 / lam_6)
+    alpha =     P * Tr[rho lam_i] =     P * 2 Im rho_p   (lam_5 / lam_7)
 
 with the dimensionless prefactor P = N0 mu^2 / (2 eps0 hbar) expressed in
-the working frequency unit.  The group index follows from the dispersion
-slope, n_g = 1 + P * omega * d(Tr[rho lam_r])/dDelta, and v_g = c / n_g.
+the working frequency unit (the traces are exact: each state is Hermitian).
+Group index n_g = 1 + P * omega * d(2 Re rho_p)/dDelta and v_g = c / n_g.
 
 The SI constants c, eps0, hbar and the Bohr magneton are module literals,
 the CODATA 2022 recommended values, so the prefactor needs no physics
@@ -38,7 +38,7 @@ import numpy as np
 from .model import Configuration, SystemParams
 from .presets import REFERENCE_OMEGA_MHZ, REFERENCE_VG_NM_PER_S, reference_params
 from .steady import solve_grid
-from .su3 import LEVEL_INDEX, gell_mann
+from .su3 import LEVEL_INDEX
 
 __all__ = [
     "C_LIGHT",
@@ -66,9 +66,6 @@ _UNIT = {"plain_mhz": 1e6, "two_pi_mhz": 2 * math.pi * 1e6}
 ANGULAR_CONVENTIONS = tuple(_UNIT)
 # calibration_table()["chosen"]; a test recomputes it
 CALIBRATED_CONVENTION = "two_pi_mhz"
-
-_LAM = {4: gell_mann(4), 5: gell_mann(5), 6: gell_mann(6), 7: gell_mann(7)}
-
 
 class SweepError(RuntimeError):
     """One or more sweep points failed; carries the partial result.
@@ -155,12 +152,6 @@ def prefactor(k: OpticalConstants) -> float:
     return p_si / _UNIT[k.angular_convention]
 
 
-def _probe_lambdas(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
-    if config.probe_transition == (1, 3):
-        return _LAM[4], _LAM[5]
-    return _LAM[6], _LAM[7]
-
-
 def _detunings(delta_min: float, delta_max: float, points: int) -> np.ndarray:
     """The uniform sweep grid; ValueError unless it strictly increases (a
     span too narrow for ``points`` distinct floats repeats detunings)."""
@@ -177,8 +168,10 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
     """Uniform probe-detuning sweep with group quantities attached.
 
     Returns one :class:`Spectrum`, a column per quantity in Delta order.
-    Group index and velocity use central differences of Tr[rho lam_r] on
-    the grid (one-sided at the two endpoints, flagged via ``edge_stencil``).
+    n, alpha and n_g read 2 Re and 2 Im of the probe coherence, which are
+    Tr[rho lam_r] and Tr[rho lam_i] since every solved state is exactly
+    Hermitian; n_g and v_g use central differences on the grid (one-sided
+    at the two endpoints, flagged via ``edge_stencil``).
     The states come from :func:`eit3.steady.solve_grid`: ``backend``
     "numeric" solves the grid as batched stacks of Liouvillians, 256
     detunings at a time, and "analytic" evaluates the closed forms point
@@ -197,11 +190,9 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
 
     rho = np.array([solved[i] for i in good]).reshape(-1, 3, 3)
     pref = prefactor(k)
-    lam_r, lam_i = _probe_lambdas(params.config)
-    tr_re = np.trace(rho @ lam_r, axis1=1, axis2=2).real
-    tr_im = np.trace(rho @ lam_i, axis1=1, axis2=2).real
     pl, pu = params.config.probe_transition
     coherence = rho[:, LEVEL_INDEX[pl], LEVEL_INDEX[pu]]  # e.g. rho_13 at [2, 0]
+    tr_re, tr_im = 2.0 * coherence.real, 2.0 * coherence.imag  # Tr[rho lam]
     edge = np.ones(len(good), dtype=bool)
     if failures:  # the surviving grid is broken: no group quantities
         n_g = v_g = np.full(len(good), math.nan)

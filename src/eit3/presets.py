@@ -44,9 +44,8 @@ REFERENCE_VG_NM_PER_S = {
 }
 
 
-def reference_params(config: Configuration | str, delta_probe: float = 0.0,
-                     delta_pump: float = 0.0) -> SystemParams:
+def reference_params(config: Configuration | str,
+                     delta_probe: float = 0.0) -> SystemParams:
     """Reference SystemParams for a configuration (tag or enum)."""
     cfg = Configuration(config) if not isinstance(config, Configuration) else config
-    return SystemParams(config=cfg, delta_probe=delta_probe,
-                        delta_pump=delta_pump, **_RATES[cfg])
+    return SystemParams(config=cfg, delta_probe=delta_probe, **_RATES[cfg])

@@ -17,9 +17,9 @@ Because the basis order above is reversed relative to the common Gell-Mann
 convention, the lambda matrices here are defined directly by the level pair
 they project: lambda_4/lambda_5 are the Hermitian/anti-Hermitian pair on
 1 <-> 3 and lambda_6/lambda_7 the pair on 1 <-> 2, normalized so that
-Tr[lam_a lam_b] = 2 delta_ab.  The signs of lambda_5 and lambda_7 are fixed
-so that Tr[rho lam_5] = 2 Im rho_13 and Tr[rho lam_7] = 2 Im rho_12, which
-makes the absorption coefficient non-negative on the reference sweeps.
+Tr[lam_a lam_b] = 2 delta_ab.  The signs of lambda_5 and lambda_7 give
+Tr[rho lam_5] = 2 Im rho_13 and Tr[rho lam_7] = 2 Im rho_12: the tests'
+reference for the optics' absorption, non-negative on the reference sweeps.
 """
 
 from __future__ import annotations

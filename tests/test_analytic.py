@@ -149,7 +149,7 @@ def test_closed_forms_against_50_digit_oracle(config):
 
 
 def test_pump_detuning_rejected():
-    p = reference_params("lambda", delta_pump=1.0)
+    p = replace(reference_params("lambda"), delta_pump=1.0)
     with pytest.raises(PumpDetuningUnsupportedError):
         analytic_steady_state(p)
 

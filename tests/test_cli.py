@@ -817,3 +817,38 @@ def test_sweep_both_writes_the_analytic_failure(tmp_path, capsys):
     _, _, errors = read_sweep_csv(tmp_path / "out.csv")
     assert len(errors) == 3
     assert all("DegenerateDenominatorError" in e for e in errors)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_both_keeps_the_analytic_profile_when_numeric_fails(tmp_path, capsys,
+                                                                   fmt):
+    # every rate and the range scaled by 1e-14: the closed forms solve each
+    # point, while the numeric solve is too ill-conditioned at each
+    rates = {name: base_config()[name] * 1e-14
+             for name in ("g_probe", "g_pump", "gamma_a", "gamma_b")}
+    grid = {"min": -30.0 * 1e-14, "max": 30.0 * 1e-14, "points": 11}
+    read = read_sweep_csv if fmt == "csv" else read_sweep_json
+    files = {}
+    for backend in ("analytic", "both"):
+        cfg = write_config(tmp_path, f"{backend}-run.json", backend=backend,
+                           sweep=grid, **rates,
+                           output={"path": f"{backend}.{fmt}", "format": fmt})
+        code = main(["sweep", str(cfg)])
+        assert code == (EXIT_OK if backend == "analytic" else EXIT_SOLVER)
+        files[backend] = read(tmp_path / f"{backend}.{fmt}")
+    analytic_rows, both_rows = files["analytic"][1], files["both"][1]
+    assert len(both_rows) == 11
+    assert all(math.isfinite(r["n"]) for r in both_rows)
+    assert both_rows == analytic_rows
+    metadata, _, errors = files["both"]
+    assert "backend_discrepancy" not in metadata and not errors
+    run = load_config(cfg)
+    with pytest.raises(eit3.optics.SweepError) as numeric:
+        eit3.optics.sweep(run.params, run.optics, grid["min"], grid["max"], 11,
+                          backend="numeric")
+    assert len(numeric.value.failures) == 11
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {tmp_path / f'analytic.{fmt}'}\n"
+    assert captured.err.splitlines() == [
+        f"error: delta={d:g} MHz: {type(e).__name__}: {e}"
+        for d, e in numeric.value.failures]

@@ -209,7 +209,7 @@ def test_liouvillian_stack_matches_kron_formula(config, delta_pump):
     # single-detuning Hamiltonian: same products, so equal bit for bit.  An
     # affine split L0 + Delta L1 fails here: with delta_pump = 1.7,
     # (1 + 1.7) - 1.7 != 1 in floating point
-    p = reference_params(config, delta_pump=delta_pump)
+    p = replace(reference_params(config), delta_pump=delta_pump)
     deltas = np.linspace(-40.0, 40.0, 61)
     stack = build_liouvillian_stack(p, deltas)
     assert stack.shape == (61, 9, 9)

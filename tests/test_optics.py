@@ -27,7 +27,8 @@ from eit3.optics import (
     sweep,
 )
 from eit3.presets import REFERENCE_OMEGA_MHZ, reference_params
-from eit3.steady import DegenerateNullSpaceError
+from eit3.steady import DegenerateNullSpaceError, solve_grid
+from eit3.su3 import gell_mann
 
 
 def optics_for(config, convention=CALIBRATED_CONVENTION):
@@ -74,6 +75,39 @@ def test_susceptibility_traces_pick_probe_coherence():
             for n, alpha, c in zip(s.n, s.alpha, s.probe_coherence):
                 assert n - 1.0 == pytest.approx(pref * 2 * c.real, rel=1e-12, abs=0)
                 assert alpha == pytest.approx(pref * 2 * c.imag, rel=1e-12, abs=0)
+
+
+def su3_oracle(params, k, s, backend):
+    """n, alpha and n_g of the paper's SU(3) form on the grid of ``s``:
+    1 + P Tr[rho lam_r], P Tr[rho lam_i] and 1 + P omega d(Tr[rho lam_r])/dDelta
+    with the Gell-Mann matrices of the probe pair, from solve_grid states."""
+    lam_r, lam_i = {(1, 3): (4, 5), (1, 2): (6, 7)}[params.config.probe_transition]
+    rho = np.array(solve_grid(params, s.delta, backend))
+    tr_re = np.trace(rho @ gell_mann(lam_r), axis1=1, axis2=2).real
+    tr_im = np.trace(rho @ gell_mann(lam_i), axis1=1, axis2=2).real
+    pref = prefactor(k)
+    slope = np.gradient(tr_re, s.delta[1] - s.delta[0])
+    return 1.0 + pref * tr_re, pref * tr_im, 1.0 + pref * k.omega_probe * slope
+
+
+@pytest.mark.parametrize("tag,change,backend,points", [
+    *[(tag, {}, backend, 2001) for tag in ("lambda", "cascade", "vee")
+      for backend in ("numeric", "analytic")],
+    *[(tag, {"delta_pump": 1.7}, "numeric", 2001)
+      for tag in ("lambda", "cascade", "vee")],
+    *[(tag, {"g_probe": 0.0, "g_pump": 0.0}, backend, 11)
+      for tag in ("cascade", "vee") for backend in ("numeric", "analytic")],
+    *[(tag, {"g_probe": 0.0}, backend, 201) for tag in ("lambda", "cascade", "vee")
+      for backend in ("numeric", "analytic")],
+])
+def test_sweep_equals_su3_traces_bitwise(tag, change, backend, points):
+    # n, alpha and n_g read off the probe coherence equal the Gell-Mann
+    # traces bit for bit, the sign of zeros included (repr tells -0.0 apart)
+    p = replace(reference_params(tag), **change)
+    k = optics_for(tag)
+    s = sweep(p, k, -30.0, 30.0, points, backend=backend)
+    for got, want in zip((s.n, s.alpha, s.n_g), su3_oracle(p, k, s, backend)):
+        assert list(map(repr, got.tolist())) == list(map(repr, want.tolist()))
 
 
 def test_dispersion_odd_absorption_even_lambda():
@@ -167,7 +201,7 @@ def test_backends_agree_pointwise():
 
 
 def test_sweep_repeat_calls_identical():
-    p = reference_params("cascade", delta_pump=1.7)
+    p = replace(reference_params("cascade"), delta_pump=1.7)
     k = optics_for("cascade")
     first = sweep(p, k, -10.0, 10.0, 301, backend="numeric")
     second = sweep(p, k, -10.0, 10.0, 301, backend="numeric")

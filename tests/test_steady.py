@@ -293,7 +293,7 @@ def test_is_density_matrix_checks():
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
 def test_grid_solve_matches_single_solves_bitwise(tag, delta_pump):
     # 601 detunings span three chunks of the batched solve, the last partial
-    p = reference_params(tag, delta_pump=delta_pump)
+    p = replace(reference_params(tag), delta_pump=delta_pump)
     deltas = np.linspace(-40.0, 40.0, 601)
     states = solve_grid(p, deltas, "numeric")
     assert len(states) == len(deltas)
