@@ -8,7 +8,11 @@
 # a pull request as a git worktree, and the working tree).  The commands,
 # for each bundled configuration: 2001-point numeric|analytic|both x
 # csv|json sweeps; the same at 11 points with g_probe = g_pump = 0 (failing
-# points, partial files); a delta_pump = 1.7 numeric sweep; `sweep TAG`;
+# points, partial files); a delta_pump = 1.7 numeric sweep; a stiff
+# 2001-point numeric csv sweep (g_probe = g_pump = 1, both decays 1e-8,
+# delta from -1e3 to 1e3), whose chunks mix points solved on the
+# conditioning proof, points solved after the SVD fallback and
+# DegenerateNullSpaceError points; `sweep TAG`;
 # `steady` at --delta 0 and 2.5 with delta_pump 0 (the bundled config) and
 # 1.7 (backend both: the numeric block on stdout, the analytic error on
 # stderr); `darkstate` with delta_pump 0, and 1.7 on the numeric and both
@@ -34,7 +38,8 @@ commands = []
 
 def write(doc, name, change):  # DOC with CHANGE applied, as configs/NAME.json
     cfg = dict(doc, backend=change.pop("backend"),
-               sweep=dict(doc["sweep"], points=change.pop("points")))
+               sweep=dict(doc["sweep"], points=change.pop("points"),
+                          **change.pop("range", {})))
     fmt = change.pop("format")
     cfg["output"] = {"path": f"{name}.{fmt}", "format": fmt}
     cfg.update(change)
@@ -56,6 +61,11 @@ for tag in ("lambda", "cascade", "vee"):
              for fmt in ("csv", "json")]
     runs.append((f"{tag}-pump-detuned", {"backend": "numeric", "points": 2001,
                                          "format": "csv", "delta_pump": 1.7}))
+    runs.append((f"{tag}-stiff", {"backend": "numeric", "points": 2001,
+                                  "format": "csv", "g_probe": 1.0,
+                                  "g_pump": 1.0, "gamma_a": 1e-8,
+                                  "gamma_b": 1e-8,
+                                  "range": {"min": -1e3, "max": 1e3}}))
     paths = {name: write(doc, name, change) for name, change in runs}
     commands += [f"{name} sweep {path}" for name, path in paths.items()]
     detuned = {"numeric": paths[f"{tag}-pump-detuned"],

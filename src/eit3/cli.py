@@ -465,6 +465,7 @@ def _initial_state(spec: str) -> np.ndarray:
 
 def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
                rho0_spec: str, out_override: str | None = None) -> int:
+    rho0 = _initial_state(rho0_spec)  # a bad file is a config error first
     params = replace(run.params, delta_probe=delta)
     L = build_liouvillian(params)
     try:
@@ -472,7 +473,6 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    rho0 = _initial_state(rho0_spec)
     if dt is None:
         dt = STEP_SAFETY / params.rate_scale
     try:

@@ -3,10 +3,11 @@
 The steady state is the unit-trace null vector of the Liouvillian.  For the
 generic (one-dimensional null space) case it is found by replacing the last
 population-derivative row of L -- the row generating d(rho_11)/dt -- with
-the trace constraint and solving the resulting linear system.  One SVD of
-that bordered matrix gives its condition number and, on nearly every
-matrix, a proof that the null space is one-dimensional; L gets an SVD of
-its own only where the proof fails.  The same solve serves one Liouvillian
+the trace constraint and solving the resulting linear system.  One inverse
+of that bordered matrix bounds its condition number and, on nearly every
+well-conditioned matrix, proves the null space one-dimensional; the rest
+get the SVD of the bordered matrix, and L an SVD of its own where that
+proof fails too.  The same solve serves one Liouvillian
 (:func:`steady_state`) and a stack of them (:func:`steady_states`);
 :func:`solve_grid` runs either backend over a probe-detuning grid.
 """
@@ -126,41 +127,63 @@ def steady_states(matrices: np.ndarray) -> list[np.ndarray | ValueError]:
     :class:`SingularSolveError`.  The matrices that pass are solved in one
     batched call; per matrix, the arithmetic is that of a one-matrix stack.
 
-    One SVD of the bordered matrix B serves both checks.  B is L with one
-    row replaced, so by rank-one interlacing sigma_9(B) <= sigma_8(L): a
-    null space of L of dimension >= 2 would make cond(B) >=
+    B is L with one row replaced, so by rank-one interlacing sigma_9(B) <=
+    sigma_8(L): a null space of L of dimension >= 2 would make cond(B) >=
     sigma_1(B) / (NULL_TOL * ||L||_F).  So a matrix with cond <= COND_LIMIT
     and 2 * cond * NULL_TOL * ||L||_F < sigma_1(B) has at most one null
     direction.  The factor 2 is a margin for rounding: within COND_LIMIT,
     sigma_9(B) >= 45 eps sigma_1(B), above the SVD's absolute error (past
     the limit, rates near 1e-11 leave a sigma_9(B) of rounding alone).
-    The matrices without this proof -- every finite one that fails a
-    check, and a few that pass -- get the SVD of L that counts null
-    directions.
+
+    One inverse per matrix proves both conditions without an SVD.  As
+    ||.||_2 <= ||.||_F, cond(B) <= kappa_F = ||B||_F ||B^-1||_F, and B has
+    rank 9, so sigma_1(B) >= ||B||_F / 3 (Golub & Van Loan, Matrix
+    Computations, 4th ed., 2.3).  A matrix with kappa_F <= 1e-2 * COND_LIMIT
+    and 6 * kappa_F * NULL_TOL * ||L||_F < ||B||_F therefore meets both; the
+    margin 1e-2 covers the rounding of the computed inverse, a relative
+    error of about 9 eps kappa_F (2e-3 at kappa_F = 1e12).  The second
+    condition has a factor 3 to spare: ||B^-1||_F >= 1 / sigma_9(B), so the
+    factor 2 alone would imply 2 * cond * NULL_TOL * ||L||_F < sigma_1(B).
+    kappa_F reads inf where B is exactly singular and NaN where L is not
+    finite, so those matrices go without the proof and the others in the
+    stack keep it.  The matrices without it -- every finite one that fails
+    a check, and the stiff ones that pass -- get the SVD of B, which gives
+    cond (the value in the error message) and the proof above; those
+    without that proof too get the SVD of L that counts null directions.
     """
     M = np.asarray(matrices)
     finite = np.isfinite(M).all(axis=(1, 2))
     bordered = M.copy()
-    # a zero stand-in for non-finite matrices: LAPACK's SVD would otherwise
-    # fail the whole stack
-    bordered[~finite] = 0.0
     trace_row = DIAGONAL_VEC_INDICES[-1]  # d(rho_11)/dt row
     bordered[:, trace_row, :] = 0.0
     bordered[:, trace_row, list(DIAGONAL_VEC_INDICES)] = 1.0
-    sv = np.linalg.svd(bordered, compute_uv=False)  # descending: sigma_max first
+    # kappa_F from one inverse per matrix: inf where B is exactly singular,
+    # NaN where M is not finite
+    kappa = np.linalg.cond(bordered, "fro")
     with np.errstate(all="ignore"):
-        # np.linalg.cond's value: its NaN (0 / 0) reads as inf
-        cond = sv[:, 0] / sv[:, -1]
-        cond[np.isnan(cond)] = np.inf
-        # NaN or inf where M is not finite or the norm overflows: no proof
+        # NaN or inf where M is not finite or a norm overflows: no proof
         frobenius = np.linalg.norm(M, axis=(1, 2))
-        at_most_one_null = ((cond <= COND_LIMIT)
-                            & (2.0 * cond * NULL_TOL * frobenius < sv[:, 0]))
+        proved = ((kappa <= 1e-2 * COND_LIMIT)
+                  & (6.0 * kappa * NULL_TOL * frobenius
+                     < np.linalg.norm(bordered, axis=(1, 2))))
+    # the rows without the proof: B's SVD gives cond and, where it can, the
+    # same proof; L's own SVD counts the null directions of the rest
+    cond = np.zeros(len(M))  # proved rows are within the limit
     degenerate = np.zeros(len(M), dtype=bool)
-    probe = finite & ~at_most_one_null
-    if probe.any():
-        sl = np.linalg.svd(M[probe], compute_uv=False)
-        degenerate[probe] = (sl <= NULL_TOL * sl[:, :1]).sum(axis=1) > 1
+    rows = np.flatnonzero(finite & ~proved)
+    if rows.size:
+        sv = np.linalg.svd(bordered[rows], compute_uv=False)  # sigma_max first
+        with np.errstate(all="ignore"):
+            # np.linalg.cond's value: its NaN (0 / 0) reads as inf
+            c = sv[:, 0] / sv[:, -1]
+            c[np.isnan(c)] = np.inf
+            at_most_one_null = ((c <= COND_LIMIT)
+                                & (2.0 * c * NULL_TOL * frobenius[rows] < sv[:, 0]))
+        cond[rows] = c
+        probe = rows[~at_most_one_null]
+        if probe.size:
+            sl = np.linalg.svd(M[probe], compute_uv=False)
+            degenerate[probe] = (sl <= NULL_TOL * sl[:, :1]).sum(axis=1) > 1
     ok = finite & ~degenerate & (cond <= COND_LIMIT)
 
     b = np.zeros(9, dtype=complex)

@@ -437,6 +437,26 @@ def test_evolve_bad_rho0_file_is_config_error(tmp_path, capsys, content, detail)
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_evolve_bad_rho0_file_is_read_before_the_steady_solve(tmp_path, capsys):
+    # the undriven vee system has no unique steady state: the unreadable
+    # initial state is still the error reported
+    cfg = write_config(tmp_path, config="vee", g_probe=1.0, g_pump=1.0,
+                       gamma_a=0.0, gamma_b=0.0, backend="numeric")
+    state = tmp_path / "missing.json"
+    code = main(["evolve", str(cfg), "--t-end", "5", "--rho0", str(state),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read an initial state from {state}: "
+                          "FileNotFoundError")
+    assert "DegenerateNullSpace" not in err
+    assert not (tmp_path / "x.csv").exists()
+    # with a valid initial state the same config fails in the solver
+    assert main(["evolve", str(cfg), "--t-end", "5", "--rho0", "ground",
+                 "--out", str(tmp_path / "x.csv")]) == EXIT_SOLVER
+    assert "DegenerateNullSpace" in capsys.readouterr().err
+
+
 def test_darkstate_lambda(capsys):
     assert main(["darkstate", "lambda"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -43,6 +43,10 @@ def bordered(M):
     return B
 
 
+# the trace constraint: the d(rho_11)/dt row of every bordered matrix
+TRACE_ROW = bordered(np.zeros((9, 9), dtype=complex))[DIAGONAL_VEC_INDICES[-1]]
+
+
 def one_matrix_solve(M):
     """The trace-row solve written out for a single matrix, as the reference
     for the batched one: both checks on every matrix, each with its own SVD
@@ -84,17 +88,26 @@ def stiff_stacks(seed, lo, hi, sets=150, per_set=8):
 
 
 @pytest.fixture
-def svd_calls(monkeypatch):
-    """The shapes np.linalg.svd is called with."""
+def linalg_calls(monkeypatch):
+    """The np.linalg.svd and np.linalg.cond calls, as (name, matrices,
+    further positional arguments)."""
     calls = []
-    svd = np.linalg.svd
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def counting(name):
+        function = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+        def call(a, *args, **kwargs):
+            calls.append((name, np.array(a), args))
+            return function(a, *args, **kwargs)
+        return call
+
+    for name in ("svd", "cond"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
     return calls
+
+
+def call_shapes(calls):
+    return [(name, a.shape, *args) for name, a, args in calls]
 
 
 def step_loop(L, rho0, t_end, dt_max, max_samples):
@@ -303,7 +316,7 @@ def test_grid_solve_matches_single_solves_bitwise(tag, delta_pump):
         assert np.array_equal(rho, one_matrix_solve(L.matrix))
 
 
-def test_steady_states_attributes_each_failure_to_its_matrix(svd_calls):
+def test_steady_states_attributes_each_failure_to_its_matrix(linalg_calls):
     p = reference_params("vee", delta_probe=2.0)
     good = build_liouvillian(p).matrix
     undriven = build_liouvillian(SystemParams(Configuration.LAMBDA, 0.0, 0.0,
@@ -313,9 +326,11 @@ def test_steady_states_attributes_each_failure_to_its_matrix(svd_calls):
     broken = good.copy()
     broken[3, 5] = np.nan
     out = steady_states(np.stack([good, undriven, rank8, broken, good]))
-    # one SVD of the bordered stack; the two finite failures then get L's
-    # own SVD, in one call
-    assert svd_calls == [(5, 9, 9), (2, 9, 9)]
+    # one inverse of the bordered stack proves the good matrices; the two
+    # finite failures get the bordered matrix's SVD, then L's own, each in
+    # one call
+    assert call_shapes(linalg_calls) == [
+        ("cond", (5, 9, 9), "fro"), ("svd", (2, 9, 9)), ("svd", (2, 9, 9))]
     assert np.array_equal(out[0], steady_state(build_liouvillian(p)))
     assert np.array_equal(out[4], out[0])
     assert isinstance(out[1], DegenerateNullSpaceError)
@@ -342,25 +357,44 @@ def test_grid_solve_mixes_solved_and_failed_points_in_one_chunk():
     assert np.array_equal(states[5], steady_state(build_liouvillian(p)))
 
 
+def match_oracle(stack, out):
+    """Each row of steady_states(stack) is the oracle's state bit for bit, or
+    its error by type and message; returns the oracle's outcomes."""
+    refs = []
+    for Mi, got in zip(stack, out):
+        try:
+            ref = one_matrix_solve(Mi)
+            assert np.array_equal(got, ref)
+        except ValueError as exc:
+            ref = exc
+            assert type(got) is type(ref)
+            assert str(got) == str(ref)
+        refs.append(ref)
+    return refs
+
+
 @pytest.mark.parametrize("lo,hi", [(1e-5, 1e5), (1e-12, 1e-8)])
-def test_stiff_stacks_match_the_two_svd_oracle(lo, hi):
-    # the batched solve decides the null-space count from the bordered
-    # matrix's SVD where it can prove it, the oracle from L's own SVD: states
-    # bit for bit, errors by type and message; tiny rates put the condition
-    # number near COND_LIMIT, where the SVD's rounding is largest
+def test_stiff_stacks_match_the_two_svd_oracle(lo, hi, linalg_calls):
+    # the batched solve decides both checks from one inverse where it can
+    # prove them, else from the bordered matrix's SVD and then L's; the
+    # oracle from the two SVDs: states bit for bit, errors by type and
+    # message; tiny rates put the condition number near COND_LIMIT, where
+    # the SVD's rounding is largest
     outcomes = Counter()
     for M in stiff_stacks(7, lo, hi):
-        for Mi, out in zip(M, steady_states(M)):
-            try:
-                ref = one_matrix_solve(Mi)
-                assert np.array_equal(out, ref)
-            except ValueError as exc:
-                ref = exc
-                assert type(out) is type(ref)
-                assert str(out) == str(ref)
+        linalg_calls.clear()
+        out = steady_states(M)
+        # the bordered matrices the proof left to the SVD
+        fallback = sum(len(a) for name, a, _ in linalg_calls if name == "svd"
+                       and (a[:, DIAGONAL_VEC_INDICES[-1]] == TRACE_ROW).all())
+        outcomes["fallback"] += fallback
+        outcomes["proof"] += len(M) - fallback
+        for Mi, ref in zip(M, match_oracle(M, out)):
             cond = np.linalg.cond(bordered(Mi))
             near = COND_LIMIT / 100 <= cond <= COND_LIMIT * 100
             outcomes[type(ref).__name__, near] += 1
+            kappa = np.linalg.cond(bordered(Mi), "fro")
+            outcomes["kappa_F within the margin", kappa <= 1e-2 * COND_LIMIT] += 1
     # both draws reach degenerate points, and the tiny rates solved and
     # failed points within a factor 100 of the condition limit
     assert outcomes["ndarray", False] > 0
@@ -368,6 +402,77 @@ def test_stiff_stacks_match_the_two_svd_oracle(lo, hi):
     if lo < 1e-8:
         assert outcomes["ndarray", True] > 0
         assert outcomes["SingularSolveError", True] > 0
+    # kappa_F falls on both sides of 1e-2 * COND_LIMIT, and both the proof
+    # and the SVD fallback decide points
+    assert outcomes["kappa_F within the margin", True] > 0
+    assert outcomes["kappa_F within the margin", False] > 0
+    assert outcomes["proof"] > 0
+    assert outcomes["fallback"] > 0
+
+
+def unitary_with(rng, first):
+    """A random unitary 9x9 matrix whose first column is the unit vector
+    ``first``."""
+    z = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    z[:, 0] = first
+    q = np.linalg.qr(z)[0]
+    q[:, 0] = first  # QR leaves it up to a sign
+    return q
+
+
+def test_condition_limit_is_decided_by_the_svd():
+    # L whose bordered matrix B has sigma = sqrt(3) (the trace row), seven
+    # at 1e-6 and one at sqrt(3) / c, for c within 1% of COND_LIMIT: kappa_F
+    # equals c to 1e-6, the SVD's cond only to about 1e-2, so they fall on
+    # different sides of the limit on some points.  The decision is the
+    # SVD's; a proof that admitted kappa_F up to COND_LIMIT would solve
+    # points the oracle rejects
+    rng = np.random.default_rng(0)
+    row = DIAGONAL_VEC_INDICES[-1]
+    targets = COND_LIMIT * np.linspace(0.99, 1.01, 200)
+    stack = []
+    for c in targets:
+        sigma = np.full(9, 1e-6)
+        sigma[0], sigma[-1] = np.sqrt(3.0), np.sqrt(3.0) / c
+        V = unitary_with(rng, TRACE_ROW.real / np.sqrt(3.0))
+        W = unitary_with(rng, np.eye(9)[row])
+        L = (W * sigma) @ V.conj().T
+        L[row] = 0.0  # the trace row of B, not part of L
+        stack.append(L)
+    stack = np.stack(stack)
+    refs = match_oracle(stack, steady_states(stack))
+    outcomes = Counter(type(r).__name__ for r in refs)
+    assert outcomes["ndarray"] > 0 and outcomes["SingularSolveError"] > 0
+    kappa = np.array([np.linalg.cond(bordered(L), "fro") for L in stack])
+    cond = np.array([np.linalg.cond(bordered(L)) for L in stack])
+    assert np.allclose(kappa, targets, rtol=1e-6, atol=0)
+    assert ((kappa <= COND_LIMIT) & (cond > COND_LIMIT)).any()
+
+
+def test_singular_and_non_finite_matrices_leave_the_proof_to_the_rest(linalg_calls):
+    # the undriven lambda system's bordered matrix is exactly singular
+    # (np.linalg.inv raises for it), so its kappa_F reads inf; a non-finite
+    # L has none; the good matrices beside them in the stack keep the proof
+    good = [build_liouvillian(reference_params(tag, delta_probe=2.0)).matrix
+            for tag in ("lambda", "cascade", "vee")]
+    singular = build_liouvillian(SystemParams(Configuration.LAMBDA, 0.0, 0.0,
+                                              gamma_a=0.1, gamma_b=6.0)).matrix
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(bordered(singular))
+    not_a_number = good[0].copy()
+    not_a_number[3, 5] = np.nan
+    infinite = good[1].copy()
+    infinite[0, 0] = np.inf
+    stack = np.stack([good[0], singular, not_a_number, good[1], infinite,
+                      good[2]])
+    out = steady_states(stack)
+    # only the singular matrix gets the bordered matrix's SVD, then L's
+    assert call_shapes(linalg_calls) == [
+        ("cond", (6, 9, 9), "fro"), ("svd", (1, 9, 9)), ("svd", (1, 9, 9))]
+    refs = match_oracle(stack, out)
+    assert [type(r).__name__ for r in refs] == [
+        "ndarray", "DegenerateNullSpaceError", "SingularSolveError",
+        "ndarray", "SingularSolveError", "ndarray"]
 
 
 def test_tiny_rates_degenerate_null_space_is_found():
@@ -385,8 +490,10 @@ def test_tiny_rates_degenerate_null_space_is_found():
 
 
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
-def test_grid_solve_makes_one_svd_per_chunk(tag, svd_calls):
-    # the bordered matrix's SVD proves a one-dimensional null space on every
-    # point of the reference grids: L's own SVD is never needed
+def test_grid_solve_makes_one_inverse_per_chunk(tag, linalg_calls):
+    # one inverse proves both checks on every point of the reference grids:
+    # neither the bordered matrix's SVD nor L's is needed
     solve_grid(reference_params(tag), np.linspace(-40.0, 40.0, 601), "numeric")
-    assert svd_calls == [(256, 9, 9), (256, 9, 9), (89, 9, 9)]
+    assert call_shapes(linalg_calls) == [
+        ("cond", (256, 9, 9), "fro"), ("cond", (256, 9, 9), "fro"),
+        ("cond", (89, 9, 9), "fro")]
