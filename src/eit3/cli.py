@@ -468,20 +468,20 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
     rho0 = _initial_state(rho0_spec)  # a bad file is a config error first
     params = replace(run.params, delta_probe=delta)
     L = build_liouvillian(params)
-    try:
-        target = steady_state(L)
-    except Exception as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    if dt is None:
-        dt = STEP_SAFETY / params.rate_scale
-    try:
+    if dt is None:  # an all-zero config has no step bound; its solve fails below
+        dt = STEP_SAFETY / params.rate_scale if params.rate_scale else math.inf
+    try:  # before the steady solve: a bad step is a config error whatever L is
         traj = evolve(L, rho0, t_end=t_end, dt_max=dt)
     except StepTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:  # non-positive t_end or dt, or too many steps
         raise ConfigError(str(exc)) from exc
+    try:
+        target = steady_state(L)
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
     default = Path(run.output_path).with_suffix(".evolve.csv").name
     path = _resolve_output(out_override or default)

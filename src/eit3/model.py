@@ -164,8 +164,10 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
 
 
 def unvectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    return np.asarray(v, dtype=complex).reshape((3, 3), order="F")
+    """Inverse of :func:`vectorize`; a stack of shape (..., 9) gives one of
+    shape (..., 3, 3)."""
+    v = np.asarray(v, dtype=complex)
+    return v.reshape(*v.shape[:-1], 3, 3).swapaxes(-1, -2)  # vec[3c + r] = rho[r, c]
 
 
 def build_hamiltonian_rwa(params: SystemParams) -> np.ndarray:

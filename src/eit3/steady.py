@@ -3,13 +3,13 @@
 The steady state is the unit-trace null vector of the Liouvillian.  For the
 generic (one-dimensional null space) case it is found by replacing the last
 population-derivative row of L -- the row generating d(rho_11)/dt -- with
-the trace constraint and solving the resulting linear system.  One inverse
-of that bordered matrix bounds its condition number and, on nearly every
-well-conditioned matrix, proves the null space one-dimensional; the rest
-get the SVD of the bordered matrix, and L an SVD of its own where that
-proof fails too.  The same solve serves one Liouvillian
-(:func:`steady_state`) and a stack of them (:func:`steady_states`);
-:func:`solve_grid` runs either backend over a probe-detuning grid.
+the trace constraint and solving the resulting linear system.  Two checks
+guard the solve.  One inverse of the bordered matrix proves both on nearly
+every matrix; the rest are decided by their definition, the condition
+number of the bordered matrix and the singular values of L.  The same
+solve serves one Liouvillian (:func:`steady_state`) and a stack of them
+(:func:`steady_states`); :func:`solve_grid` runs either backend over a
+probe-detuning grid.
 """
 
 from __future__ import annotations
@@ -122,34 +122,26 @@ def steady_states(matrices: np.ndarray) -> list[np.ndarray | ValueError]:
 
     Every matrix gets both checks: a null-space dimension above 1 (singular
     values at or below NULL_TOL * sigma_max) gives
-    :class:`DegenerateNullSpaceError`; otherwise a condition estimate of the
-    trace-bordered matrix above COND_LIMIT, or non-finite entries, give
+    :class:`DegenerateNullSpaceError`; otherwise a condition number of the
+    trace-bordered matrix B above COND_LIMIT, or non-finite entries, give
     :class:`SingularSolveError`.  The matrices that pass are solved in one
     batched call; per matrix, the arithmetic is that of a one-matrix stack.
 
-    B is L with one row replaced, so by rank-one interlacing sigma_9(B) <=
-    sigma_8(L): a null space of L of dimension >= 2 would make cond(B) >=
-    sigma_1(B) / (NULL_TOL * ||L||_F).  So a matrix with cond <= COND_LIMIT
-    and 2 * cond * NULL_TOL * ||L||_F < sigma_1(B) has at most one null
-    direction.  The factor 2 is a margin for rounding: within COND_LIMIT,
-    sigma_9(B) >= 45 eps sigma_1(B), above the SVD's absolute error (past
-    the limit, rates near 1e-11 leave a sigma_9(B) of rounding alone).
-
-    One inverse per matrix proves both conditions without an SVD.  As
-    ||.||_2 <= ||.||_F, cond(B) <= kappa_F = ||B||_F ||B^-1||_F, and B has
-    rank 9, so sigma_1(B) >= ||B||_F / 3 (Golub & Van Loan, Matrix
-    Computations, 4th ed., 2.3).  A matrix with kappa_F <= 1e-2 * COND_LIMIT
-    and 6 * kappa_F * NULL_TOL * ||L||_F < ||B||_F therefore meets both; the
-    margin 1e-2 covers the rounding of the computed inverse, a relative
-    error of about 9 eps kappa_F (2e-3 at kappa_F = 1e12).  The second
-    condition has a factor 3 to spare: ||B^-1||_F >= 1 / sigma_9(B), so the
-    factor 2 alone would imply 2 * cond * NULL_TOL * ||L||_F < sigma_1(B).
+    One inverse per matrix proves both checks.  Let kappa_F = ||B||_F
+    ||B^-1||_F.  As ||.||_2 <= ||.||_F, cond(B) <= kappa_F and sigma_9(B) =
+    1 / ||B^-1||_2 >= ||B||_F / kappa_F.  A matrix with kappa_F <= 1e-2 *
+    COND_LIMIT and 6 * kappa_F * NULL_TOL * ||L||_F < ||B||_F is therefore
+    within the condition limit and has sigma_9(B) > 6 * NULL_TOL * ||L||_F.
+    B is L with one row replaced, so rank-one interlacing gives sigma_8(L)
+    >= sigma_9(B) > 6 * NULL_TOL * sigma_1(L): L has at most one null
+    direction.  The factors 1e-2 and 6 are margins for rounding: the
+    computed inverse has a relative error of about 9 eps kappa_F (2e-3 at
+    kappa_F = 1e12), and the SVD an absolute error of a few eps sigma_1.
     kappa_F reads inf where B is exactly singular and NaN where L is not
     finite, so those matrices go without the proof and the others in the
-    stack keep it.  The matrices without it -- every finite one that fails
-    a check, and the stiff ones that pass -- get the SVD of B, which gives
-    cond (the value in the error message) and the proof above; those
-    without that proof too get the SVD of L that counts null directions.
+    stack keep it.  Every other finite matrix is decided by the definition:
+    cond(B) from ``np.linalg.cond`` (the value in the error message) and
+    the null directions counted from the singular values of L.
     """
     M = np.asarray(matrices)
     finite = np.isfinite(M).all(axis=(1, 2))
@@ -166,31 +158,19 @@ def steady_states(matrices: np.ndarray) -> list[np.ndarray | ValueError]:
         proved = ((kappa <= 1e-2 * COND_LIMIT)
                   & (6.0 * kappa * NULL_TOL * frobenius
                      < np.linalg.norm(bordered, axis=(1, 2))))
-    # the rows without the proof: B's SVD gives cond and, where it can, the
-    # same proof; L's own SVD counts the null directions of the rest
+    # the rest are decided by the definition: cond of B and L's SVD
     cond = np.zeros(len(M))  # proved rows are within the limit
     degenerate = np.zeros(len(M), dtype=bool)
     rows = np.flatnonzero(finite & ~proved)
     if rows.size:
-        sv = np.linalg.svd(bordered[rows], compute_uv=False)  # sigma_max first
-        with np.errstate(all="ignore"):
-            # np.linalg.cond's value: its NaN (0 / 0) reads as inf
-            c = sv[:, 0] / sv[:, -1]
-            c[np.isnan(c)] = np.inf
-            at_most_one_null = ((c <= COND_LIMIT)
-                                & (2.0 * c * NULL_TOL * frobenius[rows] < sv[:, 0]))
-        cond[rows] = c
-        probe = rows[~at_most_one_null]
-        if probe.size:
-            sl = np.linalg.svd(M[probe], compute_uv=False)
-            degenerate[probe] = (sl <= NULL_TOL * sl[:, :1]).sum(axis=1) > 1
+        cond[rows] = np.linalg.cond(bordered[rows])
+        sv = np.linalg.svd(M[rows], compute_uv=False)  # sigma_max first
+        degenerate[rows] = (sv <= NULL_TOL * sv[:, :1]).sum(axis=1) > 1
     ok = finite & ~degenerate & (cond <= COND_LIMIT)
 
     b = np.zeros(9, dtype=complex)
     b[trace_row] = 1.0
-    x = np.linalg.solve(bordered[ok], b)
-    # column-major unvectorization of each solution, vec(rho)[3*c + r] = rho[r, c]
-    rho = x.reshape(-1, 3, 3).transpose(0, 2, 1)
+    rho = unvectorize(np.linalg.solve(bordered[ok], b))
     # symmetrize away the solver's rounding-level Hermiticity defect
     solved = iter(0.5 * (rho + rho.conj().transpose(0, 2, 1)))
     return [next(solved) if passed else _failure(fin, deg, c)
@@ -287,13 +267,13 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float,
     P = np.linalg.matrix_power(phi, stride)
     x = vectorize(rho0)
     times = [0.0]
-    states = [unvectorize(x)]
+    samples = [x]
     for k in range(stride, n_steps + 1, stride):
         x = P @ x
         times.append(t_end if k == n_steps else k * h)
-        states.append(unvectorize(x))
+        samples.append(x)
     if n_steps % stride:
         x = np.linalg.matrix_power(phi, n_steps % stride) @ x
         times.append(t_end)
-        states.append(unvectorize(x))
-    return Trajectory(times=np.array(times), states=np.array(states))
+        samples.append(x)
+    return Trajectory(times=np.array(times), states=unvectorize(np.array(samples)))

@@ -457,6 +457,40 @@ def test_evolve_bad_rho0_file_is_read_before_the_steady_solve(tmp_path, capsys):
     assert "DegenerateNullSpace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--t-end", "-1"],
+    ["--t-end", "1", "--dt", "0"],
+    ["--t-end", "1", "--dt", "1e9"],      # above the stability bound
+])
+def test_evolve_bad_step_is_checked_before_the_steady_solve(tmp_path, capsys,
+                                                            argv):
+    # the undecayed vee system has no unique steady state: the bad step is
+    # still the error reported, as on the bundled vee config
+    cfg = write_config(tmp_path, config="vee", g_probe=10.0, g_pump=250.0,
+                       gamma_a=0.0, gamma_b=0.0, backend="numeric")
+    for config in (str(cfg), "vee"):
+        code = main(["evolve", config, *argv, "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(("config error: ", "error: StepTooLarge: "))
+        assert "DegenerateNullSpace" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+
+def test_evolve_all_zero_config_fails_in_the_solver(tmp_path, capsys):
+    # every rate and detuning 0: no step bound, and the default step is no
+    # division by zero; the steady solve fails and writes no trajectory
+    cfg = write_config(tmp_path, g_probe=0.0, g_pump=0.0, gamma_a=0.0,
+                       gamma_b=0.0, backend="numeric")
+    code = main(["evolve", str(cfg), "--delta", "0", "--t-end", "5",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        "error: DegenerateNullSpaceError: DegenerateNullSpace: Liouvillian "
+        "null space has dimension > 1; the stationary state is not unique\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_darkstate_lambda(capsys):
     assert main(["darkstate", "lambda"]) == EXIT_OK
     out = capsys.readouterr().out

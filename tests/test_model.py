@@ -160,6 +160,18 @@ def test_vectorization_layout_roundtrip(rng):
     assert np.array_equal(unvectorize(v), rho)
 
 
+def test_unvectorize_takes_a_stack(rng):
+    # each slice of a stack's unvectorization is that of its vector, bit for
+    # bit, and the stack round-trips through vectorize
+    V = rng.normal(size=(5, 9)) + 1j * rng.normal(size=(5, 9))
+    stack = unvectorize(V)
+    assert stack.shape == (5, 3, 3)
+    for v, rho in zip(V, stack):
+        assert np.array_equal(rho, unvectorize(v))
+    assert np.array_equal(np.array([vectorize(rho) for rho in stack]), V)
+    assert unvectorize(V.reshape(5, 1, 9)).shape == (5, 1, 3, 3)
+
+
 def test_zero_pump_detuning_is_default():
     p = reference_params("lambda")
     assert p.delta_pump == 0.0

@@ -327,10 +327,10 @@ def test_steady_states_attributes_each_failure_to_its_matrix(linalg_calls):
     broken[3, 5] = np.nan
     out = steady_states(np.stack([good, undriven, rank8, broken, good]))
     # one inverse of the bordered stack proves the good matrices; the two
-    # finite failures get the bordered matrix's SVD, then L's own, each in
-    # one call
+    # finite failures get the bordered matrix's condition number, then L's
+    # SVD, each in one call
     assert call_shapes(linalg_calls) == [
-        ("cond", (5, 9, 9), "fro"), ("svd", (2, 9, 9)), ("svd", (2, 9, 9))]
+        ("cond", (5, 9, 9), "fro"), ("cond", (2, 9, 9)), ("svd", (2, 9, 9))]
     assert np.array_equal(out[0], steady_state(build_liouvillian(p)))
     assert np.array_equal(out[4], out[0])
     assert isinstance(out[1], DegenerateNullSpaceError)
@@ -376,20 +376,22 @@ def match_oracle(stack, out):
 @pytest.mark.parametrize("lo,hi", [(1e-5, 1e5), (1e-12, 1e-8)])
 def test_stiff_stacks_match_the_two_svd_oracle(lo, hi, linalg_calls):
     # the batched solve decides both checks from one inverse where it can
-    # prove them, else from the bordered matrix's SVD and then L's; the
-    # oracle from the two SVDs: states bit for bit, errors by type and
-    # message; tiny rates put the condition number near COND_LIMIT, where
-    # the SVD's rounding is largest
+    # prove them, else from the bordered matrix's condition number and L's
+    # SVD; the oracle from the two SVDs: states bit for bit, errors by type
+    # and message; tiny rates put the condition number near COND_LIMIT,
+    # where the SVD's rounding is largest
     outcomes = Counter()
     for M in stiff_stacks(7, lo, hi):
         linalg_calls.clear()
         out = steady_states(M)
-        # the bordered matrices the proof left to the SVD
-        fallback = sum(len(a) for name, a, _ in linalg_calls if name == "svd"
-                       and (a[:, DIAGONAL_VEC_INDICES[-1]] == TRACE_ROW).all())
-        outcomes["fallback"] += fallback
-        outcomes["proof"] += len(M) - fallback
+        # the bordered matrices the proof left to the 2-norm condition number
+        fallback = [B for name, a, args in linalg_calls
+                    if name == "cond" and not args for B in a]
         for Mi, ref in zip(M, match_oracle(M, out)):
+            path = ("fallback" if any(np.array_equal(bordered(Mi), B)
+                                      for B in fallback) else "proof")
+            outcomes[path] += 1
+            outcomes[path, type(ref).__name__] += 1
             cond = np.linalg.cond(bordered(Mi))
             near = COND_LIMIT / 100 <= cond <= COND_LIMIT * 100
             outcomes[type(ref).__name__, near] += 1
@@ -408,6 +410,9 @@ def test_stiff_stacks_match_the_two_svd_oracle(lo, hi, linalg_calls):
     assert outcomes["kappa_F within the margin", False] > 0
     assert outcomes["proof"] > 0
     assert outcomes["fallback"] > 0
+    # the stiff matrices that pass without the proof are solved after both
+    # SVDs, to the oracle's bits
+    assert outcomes["fallback", "ndarray"] > 0
 
 
 def unitary_with(rng, first):
@@ -466,9 +471,10 @@ def test_singular_and_non_finite_matrices_leave_the_proof_to_the_rest(linalg_cal
     stack = np.stack([good[0], singular, not_a_number, good[1], infinite,
                       good[2]])
     out = steady_states(stack)
-    # only the singular matrix gets the bordered matrix's SVD, then L's
+    # only the singular matrix gets the bordered matrix's condition number,
+    # then L's SVD
     assert call_shapes(linalg_calls) == [
-        ("cond", (6, 9, 9), "fro"), ("svd", (1, 9, 9)), ("svd", (1, 9, 9))]
+        ("cond", (6, 9, 9), "fro"), ("cond", (1, 9, 9)), ("svd", (1, 9, 9))]
     refs = match_oracle(stack, out)
     assert [type(r).__name__ for r in refs] == [
         "ndarray", "DegenerateNullSpaceError", "SingularSolveError",
