@@ -11,8 +11,11 @@
 # points, partial files); a delta_pump = 1.7 numeric sweep; a stiff
 # 2001-point numeric csv sweep (g_probe = g_pump = 1, both decays 1e-8,
 # delta from -1e3 to 1e3), whose chunks mix points solved on the
-# conditioning proof, points solved after the SVD fallback and
-# DegenerateNullSpaceError points; `sweep TAG`;
+# conditioning proof, points decided by the definition (cond of the
+# bordered matrix and the SVD of L) and DegenerateNullSpaceError points; a 2001-point analytic json sweep over
+# delta from -1e77 to 1e77, whose points overflow the closed forms, fall
+# to the denominator floor (each message quoting its point's rate scale)
+# or solve (at delta = 0); `sweep TAG`;
 # `steady` at --delta 0 and 2.5 with delta_pump 0 (the bundled config) and
 # 1.7 (backend both: the numeric block on stdout, the analytic error on
 # stderr); `darkstate` with delta_pump 0, and 1.7 on the numeric and both
@@ -66,6 +69,10 @@ for tag in ("lambda", "cascade", "vee"):
                                   "g_pump": 1.0, "gamma_a": 1e-8,
                                   "gamma_b": 1e-8,
                                   "range": {"min": -1e3, "max": 1e3}}))
+    runs.append((f"{tag}-wide-analytic", {"backend": "analytic",
+                                          "points": 2001, "format": "json",
+                                          "range": {"min": -1e77,
+                                                    "max": 1e77}}))
     paths = {name: write(doc, name, change) for name, change in runs}
     commands += [f"{name} sweep {path}" for name, path in paths.items()]
     detuned = {"numeric": paths[f"{tag}-pump-detuned"],

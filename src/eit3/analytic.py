@@ -16,6 +16,7 @@ the general case.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -181,6 +182,40 @@ _TERMS = {
 _DEGREE = {Configuration.LAMBDA: 7, Configuration.CASCADE: 8, Configuration.VEE: 8}
 
 
+def _point_terms(params: SystemParams, rates: tuple, delta: float,
+                 rate_scale: float) -> tuple:
+    """The terms at the float rates and probe detuning ``delta``, after the
+    checks of :func:`steady_state_terms`, with ``rate_scale`` for that
+    point's overflow message and denominator floor."""
+    if params.delta_pump != 0.0:
+        raise PumpDetuningUnsupportedError(
+            "PumpDetuningUnsupported: closed-form steady states require "
+            f"delta_pump = 0, got {params.delta_pump}")
+    try:
+        terms = _TERMS[params.config](*rates, delta)
+        finite = all(map(cmath.isfinite, terms))
+    except OverflowError:  # a float power raises; a float product gives inf
+        finite = False
+    if not finite:
+        raise ClosedFormOverflowError(
+            "ClosedFormOverflow: closed-form terms overflow double precision "
+            f"(rate scale {rate_scale:.3e} MHz)")
+    D = terms[0]
+    deg = _DEGREE[params.config]
+    # compared as deg-th roots: rate_scale**deg overflows from a rate scale of
+    # about 1e44, where the terms are still finite
+    if abs(D) ** (1 / deg) <= DENOMINATOR_FLOOR ** (1 / deg) * rate_scale:
+        raise DegenerateDenominatorError(
+            f"DegenerateDenominator: |D| = {abs(D):.3e} underflows "
+            f"{DENOMINATOR_FLOOR:g} * rate_scale**{deg}")
+    return terms
+
+
+def _float_rates(params: SystemParams) -> tuple:
+    return (float(params.g_probe), float(params.g_pump),
+            float(params.gamma_a), float(params.gamma_b))
+
+
 def steady_state_terms(params: SystemParams) -> tuple:
     """Evaluate the closed-form denominator and numerators.
 
@@ -198,41 +233,54 @@ def steady_state_terms(params: SystemParams) -> tuple:
     The terms are evaluated in Python floats, whatever the parameters' float
     type.
     """
-    if params.delta_pump != 0.0:
-        raise PumpDetuningUnsupportedError(
-            "PumpDetuningUnsupported: closed-form steady states require "
-            f"delta_pump = 0, got {params.delta_pump}")
-    fn = _TERMS[params.config]
-    try:
-        terms = fn(float(params.g_probe), float(params.g_pump),
-                   float(params.gamma_a), float(params.gamma_b),
-                   float(params.delta_probe))
-        finite = all(map(cmath.isfinite, terms))
-    except OverflowError:  # a float power raises; a float product gives inf
-        finite = False
-    if not finite:
-        raise ClosedFormOverflowError(
-            "ClosedFormOverflow: closed-form terms overflow double precision "
-            f"(rate scale {params.rate_scale:.3e} MHz)")
-    D = terms[0]
-    deg = _DEGREE[params.config]
-    # compared as deg-th roots: rate_scale**deg overflows from a rate scale of
-    # about 1e44, where the terms are still finite
-    if abs(D) ** (1 / deg) <= DENOMINATOR_FLOOR ** (1 / deg) * params.rate_scale:
-        raise DegenerateDenominatorError(
-            f"DegenerateDenominator: |D| = {abs(D):.3e} underflows "
-            f"{DENOMINATOR_FLOOR:g} * rate_scale**{deg}")
-    return terms
+    return _point_terms(params, _float_rates(params), float(params.delta_probe),
+                        params.rate_scale)
+
+
+def _steady_state_rows(params: SystemParams, deltas) -> list[np.ndarray | Exception]:
+    """Closed-form steady state of ``params`` at each probe detuning in
+    ``deltas``, or the error that point fails with, in grid order, written
+    as the rows of one (N, 3, 3) block.  The rates are read once; each point
+    gets the checks and messages of ``steady_state_terms(replace(params,
+    delta_probe=d))``, a non-finite d failing first as SystemParams does,
+    and Python's complex division by D.
+    """
+    rates = _float_rates(params)
+    # max over the rates first, then d and delta_pump: SystemParams.rate_scale
+    scale = max(params.g_probe, params.g_pump, params.gamma_a, params.gamma_b)
+    pump = abs(params.delta_pump)
+    block = np.zeros((len(deltas), 3, 3), dtype=complex)
+    flat = block.reshape(-1, 9)
+    out: list = list(block)
+    for i, d in enumerate(deltas):
+        if not math.isfinite(d):  # SystemParams' check of delta_probe
+            out[i] = ValueError(f"delta_probe must be finite, got {d}")
+            continue
+        try:
+            D, *numerators = _point_terms(params, rates, float(d),
+                                          max(scale, abs(d), pump))
+        except (PumpDetuningUnsupportedError, ClosedFormOverflowError,
+                DegenerateDenominatorError) as exc:
+            out[i] = exc
+            continue
+        # Python's complex division: numpy's multiplies by a reciprocal and
+        # rounds differently
+        r11, r22, r33, r12, r13, r23 = (complex(n) / D for n in numerators)
+        flat[i] = (r33, r23.conjugate(), r13.conjugate(),
+                   r23, r22, r12.conjugate(),
+                   r13, r12, r11)
+    return out
 
 
 def analytic_steady_state(params: SystemParams) -> np.ndarray:
     """Full closed-form steady state assembled with rho_lk = conj(rho_kl).
 
-    Every entry is the Python division complex(n_kl) / D: numpy's complex
-    division multiplies by a reciprocal and rounds differently.
+    The one-point case of the grid pass behind
+    ``solve_grid(params, deltas, "analytic")``: every entry is the Python
+    division complex(n_kl) / D of :func:`steady_state_terms`' terms, and
+    the errors are that function's.
     """
-    D, *numerators = steady_state_terms(params)
-    r11, r22, r33, r12, r13, r23 = (complex(n) / D for n in numerators)
-    return np.array([[r33, r23.conjugate(), r13.conjugate()],
-                     [r23, r22, r12.conjugate()],
-                     [r13, r12, r11]])
+    [rho] = _steady_state_rows(params, [params.delta_probe])
+    if isinstance(rho, Exception):
+        raise rho
+    return rho

@@ -174,8 +174,9 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
     at the two endpoints, flagged via ``edge_stencil``).
     The states come from :func:`eit3.steady.solve_grid`: ``backend``
     "numeric" solves the grid as batched stacks of Liouvillians, 256
-    detunings at a time, and "analytic" evaluates the closed forms point
-    by point; either way the output is Delta-ordered and deterministic.
+    detunings at a time, and "analytic" evaluates the closed forms in one
+    pass that writes every state into one (N, 3, 3) block; either way the
+    output is Delta-ordered and deterministic.
     A grid that is not strictly increasing is a ValueError.  If any
     point's solve fails, a :class:`SweepError` is raised carrying the
     Spectrum of the surviving points and the ordered (delta, error) list.

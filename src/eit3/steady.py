@@ -14,11 +14,11 @@ probe-detuning grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import analytic_steady_state
+from .analytic import _steady_state_rows
 from .model import (
     DIAGONAL_VEC_INDICES,
     Liouvillian,
@@ -199,7 +199,10 @@ def solve_grid(params: SystemParams, deltas,
     ``backend`` "numeric" builds and solves the Liouvillian stack in chunks
     of 256 detunings (:func:`steady_states`), each state equal bit for bit
     to ``steady_state(build_liouvillian(replace(params, delta_probe=d)))``;
-    "analytic" evaluates the closed forms point by point.
+    "analytic" evaluates the closed forms in one pass that writes every
+    state into one (N, 3, 3) block and returns views of its rows, each
+    equal bit for bit to ``analytic_steady_state(replace(params,
+    delta_probe=d))`` and failing with that call's error.
     """
     if backend == "numeric":
         deltas = np.asarray(deltas, dtype=float)
@@ -209,13 +212,7 @@ def solve_grid(params: SystemParams, deltas,
             out += steady_states(build_liouvillian_stack(params, chunk))
         return out
     if backend == "analytic":
-        out = []
-        for d in deltas:
-            try:
-                out.append(analytic_steady_state(replace(params, delta_probe=float(d))))
-            except Exception as exc:  # reported per point, like the numeric errors
-                out.append(exc)
-        return out
+        return _steady_state_rows(params, np.asarray(deltas, dtype=float).tolist())
     raise ValueError(f"backend must be 'numeric' or 'analytic', got {backend!r}")
 
 

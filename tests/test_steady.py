@@ -1,5 +1,6 @@
 """Null-space steady states and RK4 time evolution."""
 
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import random_params, random_state
 
+from eit3.analytic import analytic_steady_state, steady_state_terms
 from eit3.model import (
     DIAGONAL_VEC_INDICES,
     Configuration,
@@ -503,3 +505,65 @@ def test_grid_solve_makes_one_inverse_per_chunk(tag, linalg_calls):
     assert call_shapes(linalg_calls) == [
         ("cond", (256, 9, 9), "fro"), ("cond", (256, 9, 9), "fro"),
         ("cond", (89, 9, 9), "fro")]
+
+
+def composed_analytic(p, d):
+    """The closed-form state at one detuning composed from the public
+    pieces: ``steady_state_terms`` of the replaced parameters, then Python's
+    complex division entry by entry; or the error that point fails with."""
+    try:
+        D, *numerators = steady_state_terms(replace(p, delta_probe=float(d)))
+    except (ValueError, ZeroDivisionError) as exc:
+        return exc
+    r11, r22, r33, r12, r13, r23 = (complex(n) / D for n in numerators)
+    return np.array([[r33, r23.conjugate(), r13.conjugate()],
+                     [r23, r22, r12.conjugate()],
+                     [r13, r12, r11]])
+
+
+def same_outcome(got, expected):
+    """Bit-identical states, or the same error type and message."""
+    if isinstance(expected, Exception):
+        return type(got) is type(expected) and str(got) == str(expected)
+    return isinstance(got, np.ndarray) and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("delta_pump", [0.0, 1.7])
+@pytest.mark.parametrize("grid", ["reference", "wide", "nan"])
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_analytic_grid_matches_the_per_point_composition(tag, grid, delta_pump):
+    # the wide grid mixes overflowing, degenerate and solved points, each
+    # error quoting its own point's rate scale
+    deltas = {"reference": np.linspace(-40.0, 40.0, 2001),
+              "wide": np.linspace(-1e77, 1e77, 2001),
+              "nan": [np.nan, 1.0]}[grid]
+    p = replace(reference_params(tag), delta_pump=delta_pump)
+    states = solve_grid(p, deltas, "analytic")
+    assert len(states) == len(deltas)
+    for d, rho in zip(deltas, states):
+        assert same_outcome(rho, composed_analytic(p, d)), d
+    if grid == "wide" and delta_pump == 0.0:
+        assert {type(rho).__name__ for rho in states} == {"ndarray", "ClosedFormOverflowError",
+                              "DegenerateDenominatorError"}
+    # the solved points are rows of one block
+    solved = [rho for rho in states if isinstance(rho, np.ndarray)]
+    assert all(rho.base is not None and rho.base is solved[0].base
+               for rho in solved)
+
+
+@pytest.mark.parametrize("p", [
+    reference_params("lambda", delta_probe=2.5),
+    reference_params("cascade", delta_probe=-7.0),
+    reference_params("vee", delta_probe=0.0),
+    replace(reference_params("vee"), delta_pump=1.7),
+    SystemParams(Configuration.LAMBDA, 1e60, 1.0, 1.0, 1.0),
+    SystemParams(Configuration.CASCADE, 0.0, 0.0, 1.0, 1.0, delta_probe=3.0),
+], ids=["lambda", "cascade", "vee", "pump-detuned", "overflow", "degenerate"])
+def test_analytic_steady_state_is_the_one_point_grid(p):
+    [expected] = solve_grid(p, [p.delta_probe], "analytic")
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            analytic_steady_state(p)
+    else:
+        assert analytic_steady_state(p).tobytes() == expected.tobytes()
+    assert same_outcome(expected, composed_analytic(p, p.delta_probe))
