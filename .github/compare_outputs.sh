@@ -19,7 +19,9 @@
 # `steady` at --delta 0 and 2.5 with delta_pump 0 (the bundled config) and
 # 1.7 (backend both: the numeric block on stdout, the analytic error on
 # stderr); `darkstate` with delta_pump 0, and 1.7 on the numeric and both
-# backends; `evolve TAG --t-end 500`.  Then `calibrate`.  Both checkouts
+# backends; `steady` and `darkstate` on the undriven numeric and analytic
+# csv configs, whose solves fail (exit 2); `evolve TAG --t-end 500`.  Then
+# `calibrate`: 85 commands in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -80,6 +82,10 @@ for tag in ("lambda", "cascade", "vee"):
                              {"backend": "both", "points": 2001,
                               "format": "csv", "delta_pump": 1.7})}
     commands += [f"sweep-{tag} sweep {tag}", f"darkstate-{tag} darkstate {tag}"]
+    commands += [f"{command}-{tag}-undriven-{backend} {command} "
+                 f"{paths[f'{tag}-undriven-{backend}-csv']}"
+                 for backend in ("numeric", "analytic")
+                 for command in ("steady", "darkstate")]
     commands += [f"darkstate-{tag}-pump-detuned-{backend} darkstate {path}"
                  for backend, path in detuned.items()]
     for delta in ("0", "2.5"):

@@ -237,31 +237,29 @@ def steady_state_terms(params: SystemParams) -> tuple:
                         params.rate_scale)
 
 
-def _steady_state_rows(params: SystemParams, deltas) -> list[np.ndarray | Exception]:
-    """Closed-form steady state of ``params`` at each probe detuning in
-    ``deltas``, or the error that point fails with, in grid order, written
-    as the rows of one (N, 3, 3) block.  The rates are read once; each point
-    gets the checks and messages of ``steady_state_terms(replace(params,
-    delta_probe=d))``, a non-finite d failing first as SystemParams does,
-    and Python's complex division by D.
+def _steady_state_rows(params: SystemParams, deltas) -> tuple[np.ndarray, list]:
+    """Closed-form steady states of ``params`` at the probe detunings
+    ``deltas`` as one (N, 3, 3) block, and the failures in grid order as
+    (index, error) pairs; the row of a failed point is NaN.  The rates are
+    read once; each point gets the checks and messages of
+    ``steady_state_terms(replace(params, delta_probe=d))``, a non-finite d
+    failing first as SystemParams does, and Python's complex division by D.
     """
     rates = _float_rates(params)
     # max over the rates first, then d and delta_pump: SystemParams.rate_scale
     scale = max(params.g_probe, params.g_pump, params.gamma_a, params.gamma_b)
     pump = abs(params.delta_pump)
-    block = np.zeros((len(deltas), 3, 3), dtype=complex)
+    block = np.full((len(deltas), 3, 3), np.nan, dtype=complex)
     flat = block.reshape(-1, 9)
-    out: list = list(block)
+    failures: list = []
     for i, d in enumerate(deltas):
-        if not math.isfinite(d):  # SystemParams' check of delta_probe
-            out[i] = ValueError(f"delta_probe must be finite, got {d}")
-            continue
         try:
+            if not math.isfinite(d):  # SystemParams' check of delta_probe
+                raise ValueError(f"delta_probe must be finite, got {d}")
             D, *numerators = _point_terms(params, rates, float(d),
                                           max(scale, abs(d), pump))
-        except (PumpDetuningUnsupportedError, ClosedFormOverflowError,
-                DegenerateDenominatorError) as exc:
-            out[i] = exc
+        except (ValueError, DegenerateDenominatorError) as exc:
+            failures.append((i, exc))
             continue
         # Python's complex division: numpy's multiplies by a reciprocal and
         # rounds differently
@@ -269,7 +267,7 @@ def _steady_state_rows(params: SystemParams, deltas) -> list[np.ndarray | Except
         flat[i] = (r33, r23.conjugate(), r13.conjugate(),
                    r23, r22, r12.conjugate(),
                    r13, r12, r11)
-    return out
+    return block, failures
 
 
 def analytic_steady_state(params: SystemParams) -> np.ndarray:
@@ -280,7 +278,7 @@ def analytic_steady_state(params: SystemParams) -> np.ndarray:
     division complex(n_kl) / D of :func:`steady_state_terms`' terms, and
     the errors are that function's.
     """
-    [rho] = _steady_state_rows(params, [params.delta_probe])
-    if isinstance(rho, Exception):
-        raise rho
-    return rho
+    block, failures = _steady_state_rows(params, [params.delta_probe])
+    if failures:
+        raise failures[0][1]
+    return block[0]

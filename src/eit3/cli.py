@@ -119,9 +119,14 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
 def _number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {field} must be a number, got {value!r}")
-    if not math.isfinite(value):  # JSON's NaN/Infinity literals parse
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        raise ConfigError(f"field {field} must be finite, got an integer "
+                          "too large for a float")
+    if not math.isfinite(number):  # JSON's NaN/Infinity literals parse
         raise ConfigError(f"field {field} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def load_config(path) -> RunConfig:
@@ -132,7 +137,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
         raise ConfigError(f"cannot read config file {path}: {type(exc).__name__}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -426,11 +431,11 @@ def cmd_steady(run: RunConfig, delta: float) -> int:
     backends = ("numeric", "analytic") if run.backend == "both" else (run.backend,)
     states = {}
     for backend in backends:
-        [rho] = solve_grid(run.params, [delta], backend)
-        if isinstance(rho, Exception):
-            print(f"error: {type(rho).__name__}: {rho}", file=sys.stderr)
+        block, failures = solve_grid(run.params, [delta], backend)
+        for _, exc in failures:  # one point: at most one failure
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_SOLVER
-        states[backend] = rho
+        states[backend] = block[0]
         print(f"backend {backend}:")
         print(_format_rho(states[backend]))
     if len(states) == 2:
@@ -454,8 +459,9 @@ def _initial_state(spec: str) -> np.ndarray:
         doc = json.loads(Path(spec).read_text(encoding="utf-8"))
         rho = (np.array(doc["rho_real"], dtype=float)
                + 1j * np.array(doc["rho_imag"], dtype=float))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        # unreadable or missing file, bad JSON, a missing key, ragged rows
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        # unreadable or missing file, bad JSON, a missing key, ragged rows,
+        # an integer past the float range
         raise ConfigError(f"cannot read an initial state from {spec}: "
                           f"{type(exc).__name__}: {exc}") from exc
     if rho.shape != (3, 3) or not is_density_matrix(rho, herm_tol=1e-9):
@@ -518,11 +524,11 @@ def cmd_darkstate(run: RunConfig) -> int:
     backends = ("numeric", "analytic") if run.backend == "both" else (run.backend,)
     states = {}
     for backend in backends:
-        [rho] = solve_grid(run.params, [0.0], backend)
-        if isinstance(rho, Exception):
-            print(f"error: {type(rho).__name__}: {rho}", file=sys.stderr)
+        block, failures = solve_grid(run.params, [0.0], backend)
+        for _, exc in failures:  # one point: at most one failure
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_SOLVER
-        states[backend] = rho
+        states[backend] = block[0]
     if len(states) == 2:
         disc = float(np.abs(states["numeric"] - states["analytic"]).max())
         if disc > BACKEND_AGREEMENT_TOL:

@@ -66,6 +66,9 @@ _UNIT = {"plain_mhz": 1e6, "two_pi_mhz": 2 * math.pi * 1e6}
 ANGULAR_CONVENTIONS = tuple(_UNIT)
 # calibration_table()["chosen"]; a test recomputes it
 CALIBRATED_CONVENTION = "two_pi_mhz"
+# grid points a sweep takes at most: 50x the bundled 2001-point grids, checked
+# before the grid is allocated
+MAX_POINTS = 10**5
 
 class SweepError(RuntimeError):
     """One or more sweep points failed; carries the partial result.
@@ -153,8 +156,11 @@ def prefactor(k: OpticalConstants) -> float:
 
 
 def _detunings(delta_min: float, delta_max: float, points: int) -> np.ndarray:
-    """The uniform sweep grid; ValueError unless it strictly increases (a
-    span too narrow for ``points`` distinct floats repeats detunings)."""
+    """The uniform sweep grid; ValueError above MAX_POINTS points or unless
+    it strictly increases (a span too narrow for ``points`` distinct floats
+    repeats detunings)."""
+    if points > MAX_POINTS:
+        raise ValueError(f"{points} points exceed the cap of {MAX_POINTS}")
     with np.errstate(over="ignore", invalid="ignore"):  # an inf span: NaNs
         deltas = np.linspace(delta_min, delta_max, points)
     if not (deltas[1:] > deltas[:-1]).all():
@@ -172,38 +178,37 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
     Tr[rho lam_r] and Tr[rho lam_i] since every solved state is exactly
     Hermitian; n_g and v_g use central differences on the grid (one-sided
     at the two endpoints, flagged via ``edge_stencil``).
-    The states come from :func:`eit3.steady.solve_grid`: ``backend``
-    "numeric" solves the grid as batched stacks of Liouvillians, 256
-    detunings at a time, and "analytic" evaluates the closed forms in one
-    pass that writes every state into one (N, 3, 3) block; either way the
-    output is Delta-ordered and deterministic.
-    A grid that is not strictly increasing is a ValueError.  If any
-    point's solve fails, a :class:`SweepError` is raised carrying the
-    Spectrum of the surviving points and the ordered (delta, error) list.
+    The states are the (N, 3, 3) block of :func:`eit3.steady.solve_grid`
+    (``backend`` "numeric": batched Liouvillian stacks, "analytic": the
+    closed forms), which the state columns view when every point solves.
+    A grid that is not strictly increasing, or of more than MAX_POINTS
+    points, is a ValueError.  If any point's solve fails, a
+    :class:`SweepError` is raised carrying the Spectrum of the surviving
+    rows, taken with one index, and the ordered (delta, error) list.
     """
     if points < 3:
         raise ValueError(f"points must be >= 3, got {points}")
     deltas = _detunings(delta_min, delta_max, points)
-    solved = solve_grid(params, deltas, backend)
-    failures = [(float(d), r) for d, r in zip(deltas, solved)
-                if isinstance(r, Exception)]
-    good = [i for i, r in enumerate(solved) if not isinstance(r, Exception)]
+    rho, failed = solve_grid(params, deltas, backend)
+    failures = [(float(deltas[i]), exc) for i, exc in failed]
+    if failed:  # keep the surviving rows and their detunings
+        good = np.delete(np.arange(len(deltas)), [i for i, _ in failed])
+        rho, deltas = rho[good], deltas[good]
 
-    rho = np.array([solved[i] for i in good]).reshape(-1, 3, 3)
     pref = prefactor(k)
     pl, pu = params.config.probe_transition
     coherence = rho[:, LEVEL_INDEX[pl], LEVEL_INDEX[pu]]  # e.g. rho_13 at [2, 0]
     tr_re, tr_im = 2.0 * coherence.real, 2.0 * coherence.imag  # Tr[rho lam]
-    edge = np.ones(len(good), dtype=bool)
+    edge = np.ones(len(deltas), dtype=bool)
     if failures:  # the surviving grid is broken: no group quantities
-        n_g = v_g = np.full(len(good), math.nan)
+        n_g = v_g = np.full(len(deltas), math.nan)
     else:
         slope = np.gradient(tr_re, deltas[1] - deltas[0])  # one-sided at the ends
         n_g = 1.0 + pref * k.omega_probe * slope
         v_g = C_LIGHT / n_g
         edge[1:-1] = False
     spectrum = Spectrum(
-        delta=deltas[good], n=1.0 + pref * tr_re, alpha=pref * tr_im, n_g=n_g,
+        delta=deltas, n=1.0 + pref * tr_re, alpha=pref * tr_im, n_g=n_g,
         v_g=v_g, rho11=rho[:, 2, 2].real, rho22=rho[:, 1, 1].real,
         rho33=rho[:, 0, 0].real, probe_coherence=coherence, edge_stencil=edge)
     if failures:

@@ -110,15 +110,15 @@ def steady_state(L: Liouvillian) -> np.ndarray:
     returned state satisfies max|L vec(rho)| <= 1e-10 max|L| and
     Tr rho = 1.
     """
-    rho = steady_states(L.matrix[np.newaxis])[0]
-    if isinstance(rho, ValueError):
-        raise rho
-    return rho
+    block, failures = steady_states(L.matrix[np.newaxis])
+    if failures:
+        raise failures[0][1]
+    return block[0]
 
 
-def steady_states(matrices: np.ndarray) -> list[np.ndarray | ValueError]:
-    """Stationary density matrix of each Liouvillian in an (N, 9, 9) stack,
-    or the error that matrix fails with, in stack order.
+def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
+    """The (N, 3, 3) block of stationary states of an (N, 9, 9) Liouvillian
+    stack, NaN where a matrix fails, and the (index, error) failures in order.
 
     Every matrix gets both checks: a null-space dimension above 1 (singular
     values at or below NULL_TOL * sigma_max) gives
@@ -171,11 +171,11 @@ def steady_states(matrices: np.ndarray) -> list[np.ndarray | ValueError]:
     b = np.zeros(9, dtype=complex)
     b[trace_row] = 1.0
     rho = unvectorize(np.linalg.solve(bordered[ok], b))
+    block = np.full((len(M), 3, 3), np.nan, dtype=complex)
     # symmetrize away the solver's rounding-level Hermiticity defect
-    solved = iter(0.5 * (rho + rho.conj().transpose(0, 2, 1)))
-    return [next(solved) if passed else _failure(fin, deg, c)
-            for passed, fin, deg, c in zip(ok.tolist(), finite.tolist(),
-                                           degenerate.tolist(), cond.tolist())]
+    block[ok] = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    return block, [(i, _failure(finite[i], degenerate[i], cond[i]))
+                   for i, passed in enumerate(ok.tolist()) if not passed]
 
 
 def _failure(finite: bool, degenerate: bool, cond: float) -> ValueError:
@@ -192,25 +192,26 @@ def _failure(finite: bool, degenerate: bool, cond: float) -> ValueError:
 
 
 def solve_grid(params: SystemParams, deltas,
-               backend: str) -> list[np.ndarray | Exception]:
-    """Steady state of ``params`` at each probe detuning in ``deltas``, or
-    the error that point fails with, in grid order.
+               backend: str) -> tuple[np.ndarray, list]:
+    """The (N, 3, 3) block of steady states of ``params`` at the probe
+    detunings ``deltas``, NaN where a point fails, and the (index, error)
+    failures in grid order.
 
-    ``backend`` "numeric" builds and solves the Liouvillian stack in chunks
-    of 256 detunings (:func:`steady_states`), each state equal bit for bit
-    to ``steady_state(build_liouvillian(replace(params, delta_probe=d)))``;
-    "analytic" evaluates the closed forms in one pass that writes every
-    state into one (N, 3, 3) block and returns views of its rows, each
-    equal bit for bit to ``analytic_steady_state(replace(params,
-    delta_probe=d))`` and failing with that call's error.
+    ``backend`` "numeric" solves Liouvillian stacks of 256 detunings
+    (:func:`steady_states`), "analytic" the closed forms in one pass.  Each
+    row, and each failure's error, is that of the one-point call
+    ``steady_state(build_liouvillian(replace(params, delta_probe=d)))`` or
+    ``analytic_steady_state(replace(params, delta_probe=d))``, bit for bit.
     """
     if backend == "numeric":
         deltas = np.asarray(deltas, dtype=float)
-        out: list = []
+        block = np.empty((len(deltas), 3, 3), dtype=complex)
+        failures: list = []
         for start in range(0, len(deltas), _CHUNK):
-            chunk = deltas[start:start + _CHUNK]
-            out += steady_states(build_liouvillian_stack(params, chunk))
-        return out
+            stack = build_liouvillian_stack(params, deltas[start:start + _CHUNK])
+            block[start:start + _CHUNK], failed = steady_states(stack)
+            failures += [(start + i, exc) for i, exc in failed]
+        return block, failures
     if backend == "analytic":
         return _steady_state_rows(params, np.asarray(deltas, dtype=float).tolist())
     raise ValueError(f"backend must be 'numeric' or 'analytic', got {backend!r}")

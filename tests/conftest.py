@@ -36,3 +36,22 @@ def random_params(rng, config, with_detuning=True):
 @pytest.fixture(params=list(Configuration), ids=lambda c: c.value)
 def config(request):
     return request.param
+
+
+def outcomes(result):
+    """The per-point outcomes of a solver's ``(block, failures)`` result, in
+    grid order: the row of each solved point, the error of each failed one.
+    Checks the shape on the way: an (N, 3, 3) complex block, failure
+    indices strictly increasing within the grid, every failed row all NaN."""
+    block, failures = result
+    assert block.ndim == 3 and block.shape[1:] == (3, 3)
+    assert block.dtype == complex
+    indices = [i for i, _ in failures]
+    assert all(i < j for i, j in zip(indices, indices[1:]))
+    assert all(0 <= i < len(block) for i in indices)
+    out = list(block)
+    for i, exc in failures:
+        assert isinstance(exc, Exception)
+        assert np.isnan(block[i]).all()
+        out[i] = exc
+    return out

@@ -127,6 +127,7 @@ def test_negative_gamma_rejected(tmp_path, capsys):
     ("sweep.min", {"sweep": {"min": -math.inf, "max": 30.0, "points": 5}}),
     ("sweep.max", {"sweep": {"min": -30.0, "max": math.nan, "points": 5}}),
     ("sweep.max", {"sweep": {"min": -1e308, "max": 1e308, "points": 5}}),
+    ("g_probe", {"g_probe": 10**400}),  # a JSON integer past the float range
 ])
 def test_non_finite_config_rejected(tmp_path, capsys, backend, field, overrides):
     # json.dumps writes NaN/Infinity literals, which the config parser accepts
@@ -279,6 +280,34 @@ def test_repeated_detunings_are_config_error(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("points", [eit3.optics.MAX_POINTS + 1, 10**400],
+                         ids=["cap+1", "1e400"])
+def test_sweep_points_above_the_cap_are_config_error(tmp_path, capsys, points):
+    cfg = write_config(tmp_path, sweep={"min": -1.0, "max": 1.0,
+                                        "points": points})
+    assert main(["sweep", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: fields sweep.min, sweep.max, sweep.points: "
+        f"{points} points exceed the cap of 100000\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "steady", "darkstate", "evolve"])
+def test_huge_integers_in_a_config_are_config_error(tmp_path, capsys, command):
+    # past the float range, and past the 4300 digits Python's int() parses
+    argv = ["--t-end", "5"] if command == "evolve" else []
+    for digits, message in ((400, "config error: field g_probe must be finite, "
+                                  "got an integer too large for a float\n"),
+                            (5000, "config error: config is not valid JSON: ")):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(base_config()).replace(
+            "0.5", "1" + "0" * digits, 1), encoding="utf-8")
+        assert main([command, str(cfg), *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(message) and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 OVERFLOWING_OPTICS = [
     {"n0": 1e21, "mu": 1e200, "omega_probe": 2.37e9},  # mu**2 raises
     {"n0": 1e300, "mu": 1e10, "omega_probe": 2.37e9},  # prefactor inf
@@ -423,6 +452,8 @@ NAN_STATE = ('{"rho_real": [[NaN, 0, 0], [0, 0.5, 0], [0, 0, 0.5]], '
      '"rho_imag": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}', "ValueError"),
     ("[1, 2]", "TypeError"),
     (NAN_STATE, "not a valid density matrix"),
+    pytest.param(NAN_STATE.replace("NaN", "1" + "0" * 400), "OverflowError",
+                 id="integer-past-the-float-range-OverflowError"),
 ])
 def test_evolve_bad_rho0_file_is_config_error(tmp_path, capsys, content, detail):
     state = tmp_path / "rho0.json"
@@ -672,8 +703,11 @@ def test_csv_writer_matches_row_oracle_with_interleaved_failures(tmp_path,
     original = eit3.optics.solve_grid
 
     def failing(params, deltas, backend):
-        return [RuntimeError(f"injected {i}") if i % 3 == 1 else rho
-                for i, rho in enumerate(original(params, deltas, backend))]
+        block, failures = original(params, deltas, backend)
+        assert failures == []
+        block[1::3] = np.nan
+        return block, [(i, RuntimeError(f"injected {i}"))
+                       for i in range(1, len(deltas), 3)]
     monkeypatch.setattr(eit3.optics, "solve_grid", failing)
     run = load_config(str(bundled_config_path("cascade")))
     with pytest.raises(eit3.optics.SweepError) as err:
@@ -783,8 +817,8 @@ def shift_numeric_solve(monkeypatch):
     original = eit3.cli.solve_grid
 
     def shifted(params, deltas, backend):
-        states = original(params, deltas, backend)
-        return [rho + 1e-5 if backend == "numeric" else rho for rho in states]
+        block, failures = original(params, deltas, backend)
+        return (block + 1e-5 if backend == "numeric" else block), failures
     monkeypatch.setattr(eit3.cli, "solve_grid", shifted)
 
 

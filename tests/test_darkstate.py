@@ -4,6 +4,8 @@ kernel check."""
 import numpy as np
 import pytest
 
+from conftest import outcomes
+
 from eit3.darkstate import (
     UndefinedAngleError,
     UnsupportedConfigurationError,
@@ -19,7 +21,7 @@ from eit3.steady import solve_grid
 def populations(params, deltas, backend="analytic"):
     """(rho11, rho22, rho33) at each probe detuning, from solve_grid."""
     return [(float(rho[2, 2].real), float(rho[1, 1].real), float(rho[0, 0].real))
-            for rho in solve_grid(params, deltas, backend)]
+            for rho in outcomes(solve_grid(params, deltas, backend))]
 
 
 def resonance_populations(tag, backend="analytic"):

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import outcomes
+
 import eit3.optics
 from eit3.model import Configuration, SystemParams
 from eit3.optics import (
@@ -82,7 +84,7 @@ def su3_oracle(params, k, s, backend):
     1 + P Tr[rho lam_r], P Tr[rho lam_i] and 1 + P omega d(Tr[rho lam_r])/dDelta
     with the Gell-Mann matrices of the probe pair, from solve_grid states."""
     lam_r, lam_i = {(1, 3): (4, 5), (1, 2): (6, 7)}[params.config.probe_transition]
-    rho = np.array(solve_grid(params, s.delta, backend))
+    rho = np.array(outcomes(solve_grid(params, s.delta, backend)))
     tr_re = np.trace(rho @ gell_mann(lam_r), axis1=1, axis2=2).real
     tr_im = np.trace(rho @ gell_mann(lam_i), axis1=1, axis2=2).real
     pref = prefactor(k)
@@ -247,6 +249,8 @@ def test_sweep_argument_validation():
         sweep(p, k, 1.0, -1.0, 5, backend="analytic")
     with pytest.raises(ValueError):
         sweep(p, k, -1.0, 1.0, 5, backend="exact")
+    with pytest.raises(ValueError, match="exceed the cap of 100000"):
+        sweep(p, k, -1.0, 1.0, eit3.optics.MAX_POINTS + 1, backend="analytic")
 
 
 def test_sweep_rejects_repeated_detunings():
@@ -261,8 +265,11 @@ def test_sweep_failures_keep_the_surviving_columns(monkeypatch):
     original = eit3.optics.solve_grid
 
     def failing(params, deltas, backend):
-        return [RuntimeError("injected") if i % 3 == 1 else rho
-                for i, rho in enumerate(original(params, deltas, backend))]
+        block, failures = original(params, deltas, backend)
+        assert failures == []
+        block[1::3] = np.nan
+        return block, [(i, RuntimeError("injected"))
+                       for i in range(1, len(deltas), 3)]
     monkeypatch.setattr(eit3.optics, "solve_grid", failing)
     p, k = reference_params("vee"), optics_for("vee")
     with pytest.raises(SweepError) as err:
@@ -276,6 +283,24 @@ def test_sweep_failures_keep_the_surviving_columns(monkeypatch):
         assert np.array_equal(getattr(s, name), getattr(full, name)[kept])
     assert np.isnan(s.n_g).all() and np.isnan(s.v_g).all()
     assert s.edge_stencil.tolist() == [True] * 5
+
+
+@pytest.mark.parametrize("backend", ["numeric", "analytic"])
+def test_sweep_without_failures_views_the_solved_block(monkeypatch, backend):
+    # no second (N, 3, 3) block: the state columns are views of solve_grid's
+    blocks = []
+    original = eit3.optics.solve_grid
+
+    def recording(params, deltas, backend):
+        block, failures = original(params, deltas, backend)
+        blocks.append(block)
+        return block, failures
+    monkeypatch.setattr(eit3.optics, "solve_grid", recording)
+    s = sweep(reference_params("vee"), optics_for("vee"), -3.0, 3.0, 7,
+              backend=backend)
+    [block] = blocks
+    for name in ("rho11", "rho22", "rho33", "probe_coherence"):
+        assert np.shares_memory(getattr(s, name), block), name
 
 
 def test_calibration_table_and_default_convention():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_params, random_state
+from conftest import outcomes, random_params, random_state
 
 from eit3.analytic import analytic_steady_state, steady_state_terms
 from eit3.model import (
@@ -310,7 +310,7 @@ def test_grid_solve_matches_single_solves_bitwise(tag, delta_pump):
     # 601 detunings span three chunks of the batched solve, the last partial
     p = replace(reference_params(tag), delta_pump=delta_pump)
     deltas = np.linspace(-40.0, 40.0, 601)
-    states = solve_grid(p, deltas, "numeric")
+    states = outcomes(solve_grid(p, deltas, "numeric"))
     assert len(states) == len(deltas)
     for d, rho in zip(deltas, states):
         L = build_liouvillian(replace(p, delta_probe=float(d)))
@@ -327,7 +327,7 @@ def test_steady_states_attributes_each_failure_to_its_matrix(linalg_calls):
     rank8 = np.eye(9, dtype=complex) - np.outer(x, x.conj())
     broken = good.copy()
     broken[3, 5] = np.nan
-    out = steady_states(np.stack([good, undriven, rank8, broken, good]))
+    out = outcomes(steady_states(np.stack([good, undriven, rank8, broken, good])))
     # one inverse of the bordered stack proves the good matrices; the two
     # finite failures get the bordered matrix's condition number, then L's
     # SVD, each in one call
@@ -346,24 +346,43 @@ def test_steady_states_attributes_each_failure_to_its_matrix(linalg_calls):
         assert str(single.value) == str(err)
 
 
-def test_grid_solve_mixes_solved_and_failed_points_in_one_chunk():
+@pytest.mark.parametrize("points", [11, 601])
+def test_grid_solve_mixes_solved_and_failed_points_in_one_chunk(points):
     # with decays of 1e-8 the null-space probe resolves the steady state
-    # only near resonance; far detunings read as degenerate
+    # only near resonance; far detunings read as degenerate.  At 601 points
+    # the solved run straddles the first chunk boundary and all three chunks
+    # hold failures, so each chunk's failure indices must be offset by the
+    # chunk's start
     p = SystemParams(Configuration.CASCADE, 1.0, 1.0, gamma_a=1e-8, gamma_b=1e-8)
-    deltas = np.linspace(-1e3, 1e3, 11)
-    states = solve_grid(p, deltas, "numeric")
-    solved = [not isinstance(r, Exception) for r in states]
-    assert solved == [i == 5 for i in range(11)]
+    deltas = np.linspace(-1e3, 1e3, points)
+    block, failures = solve_grid(p, deltas, "numeric")
+    states = outcomes((block, failures))
+    solved = [i for i, r in enumerate(states) if not isinstance(r, Exception)]
     assert all(isinstance(r, DegenerateNullSpaceError)
                for r in states if isinstance(r, Exception))
-    assert np.array_equal(states[5], steady_state(build_liouvillian(p)))
+    # each point's outcome is the one-point solve's, at its own index
+    for d, got in zip(deltas, states):
+        L = build_liouvillian(replace(p, delta_probe=float(d)))
+        if isinstance(got, Exception):
+            with pytest.raises(DegenerateNullSpaceError,
+                               match=f"^{re.escape(str(got))}$"):
+                steady_state(L)
+        else:
+            assert np.array_equal(got, steady_state(L))
+    if points == 11:
+        assert solved == [5]
+        assert np.array_equal(states[5], steady_state(build_liouvillian(p)))
+    else:
+        assert solved[0] < 256 <= solved[-1]
+        assert {i // 256 for i, _ in failures} == {0, 1, 2}
 
 
 def match_oracle(stack, out):
-    """Each row of steady_states(stack) is the oracle's state bit for bit, or
-    its error by type and message; returns the oracle's outcomes."""
+    """Each outcome of ``out = steady_states(stack)`` is the oracle's state
+    bit for bit, or its error by type and message; returns the oracle's
+    outcomes."""
     refs = []
-    for Mi, got in zip(stack, out):
+    for Mi, got in zip(stack, outcomes(out)):
         try:
             ref = one_matrix_solve(Mi)
             assert np.array_equal(got, ref)
@@ -538,7 +557,8 @@ def test_analytic_grid_matches_the_per_point_composition(tag, grid, delta_pump):
               "wide": np.linspace(-1e77, 1e77, 2001),
               "nan": [np.nan, 1.0]}[grid]
     p = replace(reference_params(tag), delta_pump=delta_pump)
-    states = solve_grid(p, deltas, "analytic")
+    block, failures = solve_grid(p, deltas, "analytic")
+    states = outcomes((block, failures))
     assert len(states) == len(deltas)
     for d, rho in zip(deltas, states):
         assert same_outcome(rho, composed_analytic(p, d)), d
@@ -547,7 +567,7 @@ def test_analytic_grid_matches_the_per_point_composition(tag, grid, delta_pump):
                               "DegenerateDenominatorError"}
     # the solved points are rows of one block
     solved = [rho for rho in states if isinstance(rho, np.ndarray)]
-    assert all(rho.base is not None and rho.base is solved[0].base
+    assert all(rho.base is not None and np.shares_memory(rho, block)
                for rho in solved)
 
 
@@ -560,7 +580,7 @@ def test_analytic_grid_matches_the_per_point_composition(tag, grid, delta_pump):
     SystemParams(Configuration.CASCADE, 0.0, 0.0, 1.0, 1.0, delta_probe=3.0),
 ], ids=["lambda", "cascade", "vee", "pump-detuned", "overflow", "degenerate"])
 def test_analytic_steady_state_is_the_one_point_grid(p):
-    [expected] = solve_grid(p, [p.delta_probe], "analytic")
+    [expected] = outcomes(solve_grid(p, [p.delta_probe], "analytic"))
     if isinstance(expected, Exception):
         with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
             analytic_steady_state(p)
