@@ -15,13 +15,16 @@
 # bordered matrix and the SVD of L) and DegenerateNullSpaceError points; a 2001-point analytic json sweep over
 # delta from -1e77 to 1e77, whose points overflow the closed forms, fall
 # to the denominator floor (each message quoting its point's rate scale)
-# or solve (at delta = 0); `sweep TAG`;
+# or solve (at delta = 0); 11-point backend-both csv and json sweeps with
+# every rate and the sweep range scaled by 1e-14, where the analytic
+# profile solves and the numeric check may fail (its file is complete, no
+# "partial output" line); `sweep TAG`;
 # `steady` at --delta 0 and 2.5 with delta_pump 0 (the bundled config) and
 # 1.7 (backend both: the numeric block on stdout, the analytic error on
 # stderr); `darkstate` with delta_pump 0, and 1.7 on the numeric and both
 # backends; `steady` and `darkstate` on the undriven numeric and analytic
 # csv configs, whose solves fail (exit 2); `evolve TAG --t-end 500`.  Then
-# `calibrate`: 85 commands in all.  Both checkouts
+# `calibrate`: 91 commands in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -75,6 +78,13 @@ for tag in ("lambda", "cascade", "vee"):
                                           "points": 2001, "format": "json",
                                           "range": {"min": -1e77,
                                                     "max": 1e77}}))
+    tiny = {name: doc[name] * 1e-14
+            for name in ("g_probe", "g_pump", "gamma_a", "gamma_b")}
+    runs += [(f"{tag}-tiny-both-{fmt}",
+              {"backend": "both", "points": 11, "format": fmt, **tiny,
+               "range": {"min": doc["sweep"]["min"] * 1e-14,
+                         "max": doc["sweep"]["max"] * 1e-14}})
+             for fmt in ("csv", "json")]
     paths = {name: write(doc, name, change) for name, change in runs}
     commands += [f"{name} sweep {path}" for name, path in paths.items()]
     detuned = {"numeric": paths[f"{tag}-pump-detuned"],

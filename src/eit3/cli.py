@@ -41,7 +41,6 @@ from .optics import (
     CALIBRATED_CONVENTION,
     OpticalConstants,
     Spectrum,
-    SweepError,
     _detunings,
     calibration_table,
     prefactor,
@@ -341,35 +340,41 @@ def read_sweep_json(path) -> tuple[dict, list[dict], list[dict]]:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(run: RunConfig, out_override: str | None = None) -> int:
+    """Sweep the config's grid and write its data file once.
+
+    Under ``both`` the analytic sweep is the one written and the numeric
+    sweep, run only when every analytic point solved, checks it.  A failed
+    point of either sweep prints an error line and gives exit 2; the file
+    then holds the written sweep's surviving rows and its error rows.
+    """
     path = _resolve_output(out_override or run.output_path)
     metadata = _metadata(run, "sweep")
     with _writing(path):  # an unwritable path fails before any point is solved
         path.open("a", encoding="utf-8").close()  # "a": nothing truncated yet
 
     grid = (run.sweep_min, run.sweep_max, run.sweep_points)
-    try:
-        # under both, the analytic sweep is the one emitted, and its failure
-        # the partial file written; the numeric sweep only checks it
-        spectrum = sweep(run.params, run.optics, *grid, backend=(
-            "analytic" if run.backend == "both" else run.backend))
-    except SweepError as exc:
-        return _emit_partial(path, metadata, run, exc)
-    failures, disc = [], 0.0
-    if run.backend == "both":
-        try:
-            b = sweep(run.params, run.optics, *grid, backend="numeric")
-        except SweepError as exc:
-            failures = exc.failures
-        else:
+    spectrum, failures = sweep(run.params, run.optics, *grid, backend=(
+        "analytic" if run.backend == "both" else run.backend))
+    errors = [(d, f"{type(e).__name__}: {e}") for d, e in failures]
+    disc = 0.0
+    if run.backend == "both" and not failures:
+        b, failures = sweep(run.params, run.optics, *grid, backend="numeric")
+        if not failures:
             # on the dimensionless density-matrix scale (as for `steady`)
             a = spectrum
             disc = float(np.max([abs(a.rho11 - b.rho11), abs(a.rho22 - b.rho22),
                                  abs(a.rho33 - b.rho33),
                                  abs(a.probe_coherence - b.probe_coherence)]))
             metadata["backend_discrepancy"] = repr(disc)
-    _emit(path, metadata, run, spectrum)
-    if failures:  # the file holds the complete analytic profile
-        _print_failures(failures)
+    write = write_sweep_csv if run.output_format == "csv" else write_sweep_json
+    with _writing(path):
+        write(path, metadata, spectrum, errors)
+    if failures:
+        for d, e in failures:
+            print(f"error: delta={d:g} MHz: {type(e).__name__}: {e}",
+                  file=sys.stderr)
+        if errors:  # a numeric failure under both leaves the file complete
+            print(f"partial output retained in {path}", file=sys.stderr)
         return EXIT_SOLVER
     if disc > BACKEND_AGREEMENT_TOL:
         print(f"error: numeric vs analytic discrepancy {disc:.3e} exceeds "
@@ -390,29 +395,6 @@ def _writing(path: Path):
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: "
                           f"{type(exc).__name__}: {exc}") from exc
-
-
-def _emit(path: Path, metadata: dict, run: RunConfig, points: Spectrum,
-          errors: list[tuple[float, str]] | None = None) -> None:
-    with _writing(path):
-        if run.output_format == "csv":
-            write_sweep_csv(path, metadata, points, errors)
-        else:
-            write_sweep_json(path, metadata, points, errors)
-
-
-def _emit_partial(path: Path, metadata: dict, run: RunConfig,
-                  exc: SweepError) -> int:
-    errors = [(d, f"{type(e).__name__}: {e}") for d, e in exc.failures]
-    _emit(path, metadata, run, exc.points, errors)
-    _print_failures(exc.failures)
-    print(f"partial output retained in {path}", file=sys.stderr)
-    return EXIT_SOLVER
-
-
-def _print_failures(failures: list[tuple[float, Exception]]) -> None:
-    for d, e in failures:
-        print(f"error: delta={d:g} MHz: {type(e).__name__}: {e}", file=sys.stderr)
 
 
 def _format_rho(rho: np.ndarray) -> str:
@@ -448,6 +430,20 @@ def cmd_steady(run: RunConfig, delta: float) -> int:
     return EXIT_OK
 
 
+def _state_part(doc, key: str) -> np.ndarray:
+    """doc[key] as a float array.  As in configs, numbers only: a string,
+    bool or null anywhere in it is a TypeError (np.array reads "1", true and
+    null as numbers)."""
+    todo = [doc[key]]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, list):
+            todo += item
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise TypeError(f"{key} holds {item!r}, not a number")
+    return np.array(doc[key], dtype=float)
+
+
 def _initial_state(spec: str) -> np.ndarray:
     if spec == "ground":
         rho = np.zeros((3, 3), dtype=complex)
@@ -457,11 +453,10 @@ def _initial_state(spec: str) -> np.ndarray:
         return np.eye(3, dtype=complex) / 3.0
     try:
         doc = json.loads(Path(spec).read_text(encoding="utf-8"))
-        rho = (np.array(doc["rho_real"], dtype=float)
-               + 1j * np.array(doc["rho_imag"], dtype=float))
+        rho = _state_part(doc, "rho_real") + 1j * _state_part(doc, "rho_imag")
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         # unreadable or missing file, bad JSON, a missing key, ragged rows,
-        # an integer past the float range
+        # a value that is not a number, an integer past the float range
         raise ConfigError(f"cannot read an initial state from {spec}: "
                           f"{type(exc).__name__}: {exc}") from exc
     if rho.shape != (3, 3) or not is_density_matrix(rho, herm_tol=1e-9):

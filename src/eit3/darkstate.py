@@ -57,13 +57,13 @@ def estimate_mixing_angle(populations: tuple[float, float, float],
     """Mixing angle (radians, in [0, pi/2]) of the configuration's dark pair.
 
     ``populations`` is (rho11, rho22, rho33), normalized; tiny negative
-    entries from numerics are clipped to zero.  Raises
-    :class:`UndefinedAngleError` when the pair holds less than 1e-6 of the
-    population.
+    entries from numerics are clipped to zero; a NaN or inf entry is a
+    ValueError.  Raises :class:`UndefinedAngleError` when the pair holds
+    less than 1e-6 of the population.
     """
     r11, r22, r33 = populations
     total = r11 + r22 + r33
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:  # a NaN or inf entry makes the sum fail
         raise ValueError(f"populations must sum to 1, got {total}")
     by_level = {1: max(r11, 0.0), 2: max(r22, 0.0), 3: max(r33, 0.0)}
     p, q = _DARK_PAIR[config]

@@ -47,7 +47,6 @@ __all__ = [
     "MU_BOHR",
     "ANGULAR_CONVENTIONS",
     "CALIBRATED_CONVENTION",
-    "SweepError",
     "OpticalConstants",
     "Spectrum",
     "prefactor",
@@ -69,25 +68,6 @@ CALIBRATED_CONVENTION = "two_pi_mhz"
 # grid points a sweep takes at most: 50x the bundled 2001-point grids, checked
 # before the grid is allocated
 MAX_POINTS = 10**5
-
-class SweepError(RuntimeError):
-    """One or more sweep points failed; carries the partial result.
-
-    ``points`` is the :class:`Spectrum` of the surviving points in Delta
-    order (every ``edge_stencil`` set and the group quantities NaN, since
-    the surviving grid is broken) and ``failures`` the ordered list of
-    (delta, exception) pairs.
-    """
-
-    def __init__(self, points: Spectrum,
-                 failures: list[tuple[float, Exception]]):
-        self.points = points
-        self.failures = failures
-        detail = "; ".join(f"delta={d:g}: {type(e).__name__}: {e}"
-                           for d, e in failures[:3])
-        more = "" if len(failures) <= 3 else f" (+{len(failures) - 3} more)"
-        super().__init__(f"{len(failures)} sweep point(s) failed: {detail}{more}")
-
 
 @dataclass(frozen=True)
 class OpticalConstants:
@@ -170,10 +150,13 @@ def _detunings(delta_min: float, delta_max: float, points: int) -> np.ndarray:
 
 
 def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
-          delta_max: float, points: int, backend: str) -> Spectrum:
+          delta_max: float, points: int,
+          backend: str) -> tuple[Spectrum, list[tuple[float, Exception]]]:
     """Uniform probe-detuning sweep with group quantities attached.
 
-    Returns one :class:`Spectrum`, a column per quantity in Delta order.
+    Returns ``(spectrum, failures)``: one :class:`Spectrum`, a column per
+    quantity in Delta order, and the ordered (delta, error) list of the
+    points whose solve failed, empty when every point solves.
     n, alpha and n_g read 2 Re and 2 Im of the probe coherence, which are
     Tr[rho lam_r] and Tr[rho lam_i] since every solved state is exactly
     Hermitian; n_g and v_g use central differences on the grid (one-sided
@@ -182,9 +165,10 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
     (``backend`` "numeric": batched Liouvillian stacks, "analytic": the
     closed forms), which the state columns view when every point solves.
     A grid that is not strictly increasing, or of more than MAX_POINTS
-    points, is a ValueError.  If any point's solve fails, a
-    :class:`SweepError` is raised carrying the Spectrum of the surviving
-    rows, taken with one index, and the ordered (delta, error) list.
+    points, is a ValueError.  A failed point raises nothing: the Spectrum
+    holds the surviving rows, taken with one index, with every
+    ``edge_stencil`` set and the group quantities NaN, since the surviving
+    grid is broken.
     """
     if points < 3:
         raise ValueError(f"points must be >= 3, got {points}")
@@ -207,13 +191,11 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
         n_g = 1.0 + pref * k.omega_probe * slope
         v_g = C_LIGHT / n_g
         edge[1:-1] = False
-    spectrum = Spectrum(
+    return Spectrum(
         delta=deltas, n=1.0 + pref * tr_re, alpha=pref * tr_im, n_g=n_g,
         v_g=v_g, rho11=rho[:, 2, 2].real, rho22=rho[:, 1, 1].real,
-        rho33=rho[:, 0, 0].real, probe_coherence=coherence, edge_stencil=edge)
-    if failures:
-        raise SweepError(spectrum, failures)
-    return spectrum
+        rho33=rho[:, 0, 0].real, probe_coherence=coherence,
+        edge_stencil=edge), failures
 
 
 def calibration_table() -> dict:
@@ -225,7 +207,8 @@ def calibration_table() -> dict:
     :data:`eit3.presets.REFERENCE_VG_NM_PER_S`, the chosen convention
     minimizes the lambda relative error and ``within_10pct`` records whether
     it lands within 10% of the lambda reference value.  v_g(0) is the centre
-    of a 3-point analytic sweep over +-0.3 MHz, a central-difference stencil.
+    of a 3-point analytic sweep over +-0.3 MHz, a central-difference stencil;
+    a reference point that fails raises its own error.
     """
     table: dict = {"conventions": {}, "relative_errors": {}}
     for conv in ANGULAR_CONVENTIONS:
@@ -234,8 +217,11 @@ def calibration_table() -> dict:
         for config in Configuration:
             k = OpticalConstants(omega_probe=REFERENCE_OMEGA_MHZ[config],
                                  angular_convention=conv)
-            vg = float(sweep(reference_params(config), k, -0.3, 0.3, 3,
-                             backend="analytic").v_g[1])
+            spectrum, failures = sweep(reference_params(config), k, -0.3, 0.3,
+                                       3, backend="analytic")
+            if failures:
+                raise failures[0][1]
+            vg = float(spectrum.v_g[1])
             target = REFERENCE_VG_NM_PER_S[config] * 1e-9  # m/s
             table["conventions"][conv][config.value] = vg
             table["relative_errors"][conv][config.value] = abs(vg - target) / target

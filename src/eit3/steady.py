@@ -234,8 +234,14 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float,
     4.7e-14 to 1.03e-13 per step of stride on the reference systems (the
     trace error is ~1e-11 at the default step 0.1 / rate_scale and ~3e-8 at
     a 1000x finer step), so a stride above MAX_STRIDE = 1e6, where the drift
-    would pass 1e-7, raises ``ValueError``.
+    would pass 1e-7, raises ``ValueError``.  So does a ``rho0`` that is not
+    a finite (3, 3) array.
     """
+    rho0 = np.asarray(rho0)
+    if rho0.shape != (3, 3):
+        raise ValueError(f"rho0 must be a (3, 3) array, got shape {rho0.shape}")
+    if not np.isfinite(rho0).all():
+        raise ValueError("rho0 must be finite, got a NaN or inf entry")
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     if dt_max <= 0:

@@ -82,7 +82,8 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_lambda_trapping():
     params = reference_params("lambda")
     k = optics_for("lambda")
-    s = sweep(params, k, -30.0, 30.0, 201, backend="analytic")
+    s, failures = sweep(params, k, -30.0, 30.0, 201, backend="analytic")
+    assert failures == []
     rho11, rho33, alpha = s.rho11[100], s.rho33[100], s.alpha[100]
     alpha_max = s.alpha.max()
     ok = rho11 >= 0.99 and abs(rho33) <= 1e-9 and alpha <= 1e-3 * alpha_max
@@ -98,7 +99,8 @@ def test_criterion_3_cascade_trapping():
     # absorption maximum taken over a window containing the doublet at
     # +-g_pump; the +-30 MHz window of criterion 1 sits inside the dip
     w = 2.0 * params.g_pump
-    s = sweep(params, k, -w, w, 401, backend="analytic")
+    s, failures = sweep(params, k, -w, w, 401, backend="analytic")
+    assert failures == []
     rho11, alpha = s.rho11[200], s.alpha[200]
     alpha_max = s.alpha.max()
     ok = rho11 >= 0.95 and alpha <= 1e-2 * alpha_max
@@ -286,7 +288,9 @@ def test_criterion_8_dispersion_parity_and_slope():
     worst_odd = worst_even = 0.0
     for backend in ("analytic", "numeric"):
         for d in np.linspace(0.3, 30.0, 100):
-            s = sweep(params, k, -float(d), float(d), 3, backend=backend)
+            s, failures = sweep(params, k, -float(d), float(d), 3,
+                                backend=backend)
+            assert failures == []
             worst_odd = max(worst_odd, abs((s.n[0] - 1.0) + (s.n[2] - 1.0)))
             worst_even = max(worst_even, abs(s.alpha[0] - s.alpha[2]))
     ok_parity = worst_odd <= 1e-9 and worst_even <= 1e-9
@@ -294,7 +298,9 @@ def test_criterion_8_dispersion_parity_and_slope():
     slopes = {}
     for tag in ("lambda", "cascade", "vee"):
         p0 = reference_params(tag)
-        s = sweep(p0, optics_for(tag), -3.0, 3.0, 21, backend="analytic")
+        s, failures = sweep(p0, optics_for(tag), -3.0, 3.0, 21,
+                            backend="analytic")
+        assert failures == []
         slopes[tag] = (s.n[11] - s.n[9]) / (s.delta[11] - s.delta[9])
     ok_slope = all(s > 0 for s in slopes.values())
     report(8, ok_parity and ok_slope,

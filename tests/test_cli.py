@@ -454,6 +454,19 @@ NAN_STATE = ('{"rho_real": [[NaN, 0, 0], [0, 0.5, 0], [0, 0, 0.5]], '
     (NAN_STATE, "not a valid density matrix"),
     pytest.param(NAN_STATE.replace("NaN", "1" + "0" * 400), "OverflowError",
                  id="integer-past-the-float-range-OverflowError"),
+    # np.array would read these as the ground state: numbers only, as in configs
+    ('{"rho_real": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]], '
+     '"rho_imag": [[false, 0, 0], [0, 0, 0], [0, 0, 0]]}',
+     "TypeError: rho_real holds '1', not a number"),
+    ('{"rho_real": [[0, 0, 0], [0, 0, 0], [0, 0, 1]], '
+     '"rho_imag": [[0, 0, 0], [0, 0, 0], [0, 0, false]]}',
+     "TypeError: rho_imag holds False, not a number"),
+    ('{"rho_real": [[0, 0, 0], [0, 0, 0], [0, 0, true]], '
+     '"rho_imag": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}',
+     "TypeError: rho_real holds True, not a number"),
+    ('{"rho_real": [[0, 0, 0], [0, 0, 0], [0, 0, 1]], "rho_imag": '
+     '[[null, 0, 0], [0, 0, 0], [0, 0, 0]]}',
+     "TypeError: rho_imag holds None, not a number"),
 ])
 def test_evolve_bad_rho0_file_is_config_error(tmp_path, capsys, content, detail):
     state = tmp_path / "rho0.json"
@@ -600,7 +613,9 @@ def test_csv_round_trip(tmp_path):
     metadata, rows, _ = read_sweep_csv(tmp_path / "out.csv")
     from eit3.optics import OpticalConstants, sweep as lib_sweep
     run = load_config(cfg)
-    s = lib_sweep(run.params, run.optics, -5.0, 5.0, 11, backend="analytic")
+    s, failures = lib_sweep(run.params, run.optics, -5.0, 5.0, 11,
+                            backend="analytic")
+    assert failures == []
     assert len(rows) == len(s.delta)
     for i, row in enumerate(rows):
         assert row["delta_mhz"] == s.delta[i]
@@ -622,7 +637,9 @@ def test_json_round_trip(tmp_path):
     assert errors == []
     run = load_config(cfg)
     from eit3.optics import sweep as lib_sweep
-    s = lib_sweep(run.params, run.optics, -5.0, 5.0, 11, backend="analytic")
+    s, failures = lib_sweep(run.params, run.optics, -5.0, 5.0, 11,
+                            backend="analytic")
+    assert failures == []
     for i, rec in enumerate(records):
         assert rec["delta_mhz"] == s.delta[i]
         assert rec["v_g_m_per_s"] == s.v_g[i]
@@ -678,8 +695,9 @@ def spectrum(rows):
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
 def test_json_writer_matches_json_dumps_on_reference_sweeps(tmp_path, tag):
     run = load_config(str(bundled_config_path(tag)))
-    s = eit3.optics.sweep(run.params, run.optics, run.sweep_min,
-                          run.sweep_max, 2001, backend="analytic")
+    s, failures = eit3.optics.sweep(run.params, run.optics, run.sweep_min,
+                                    run.sweep_max, 2001, backend="analytic")
+    assert failures == []
     metadata = eit3.cli._metadata(run, "sweep")
     out = tmp_path / "out.json"
     eit3.cli.write_sweep_json(out, metadata, s)
@@ -689,8 +707,9 @@ def test_json_writer_matches_json_dumps_on_reference_sweeps(tmp_path, tag):
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
 def test_csv_writer_matches_row_oracle_on_reference_sweeps(tmp_path, tag):
     run = load_config(str(bundled_config_path(tag)))
-    s = eit3.optics.sweep(run.params, run.optics, run.sweep_min,
-                          run.sweep_max, 2001, backend="numeric")
+    s, failures = eit3.optics.sweep(run.params, run.optics, run.sweep_min,
+                                    run.sweep_max, 2001, backend="numeric")
+    assert failures == []
     metadata = eit3.cli._metadata(run, "sweep")
     out = tmp_path / "out.csv"
     eit3.cli.write_sweep_csv(out, metadata, s)
@@ -710,11 +729,9 @@ def test_csv_writer_matches_row_oracle_with_interleaved_failures(tmp_path,
                        for i in range(1, len(deltas), 3)]
     monkeypatch.setattr(eit3.optics, "solve_grid", failing)
     run = load_config(str(bundled_config_path("cascade")))
-    with pytest.raises(eit3.optics.SweepError) as err:
-        eit3.optics.sweep(run.params, run.optics, run.sweep_min, run.sweep_max,
-                          31, backend="numeric")
-    s = err.value.points
-    errors = [(d, f"{type(e).__name__}: {e}") for d, e in err.value.failures]
+    s, failures = eit3.optics.sweep(run.params, run.optics, run.sweep_min,
+                                    run.sweep_max, 31, backend="numeric")
+    errors = [(d, f"{type(e).__name__}: {e}") for d, e in failures]
     assert len(s.delta) == 21 and len(errors) == 10
     metadata = eit3.cli._metadata(run, "sweep")
     out = tmp_path / "out.csv"
@@ -730,9 +747,11 @@ def test_both_discrepancy_matches_pointwise_maximum(tmp_path, tag):
     assert main(["sweep", tag, "--out", str(tmp_path / "both.csv")]) == EXIT_OK
     metadata, _, _ = read_sweep_csv(tmp_path / "both.csv")
     run = load_config(str(bundled_config_path(tag)))
-    a, b = (eit3.optics.sweep(run.params, run.optics, run.sweep_min,
-                              run.sweep_max, run.sweep_points, backend=backend)
-            for backend in ("analytic", "numeric"))
+    (a, a_failures), (b, b_failures) = (
+        eit3.optics.sweep(run.params, run.optics, run.sweep_min,
+                          run.sweep_max, run.sweep_points, backend=backend)
+        for backend in ("analytic", "numeric"))
+    assert a_failures == b_failures == []
     pairs = zip(*(column.tolist() for s in (a, b) for column in
                   (s.rho11, s.rho22, s.rho33, s.probe_coherence)))
     expected = max(max(abs(a11 - b11), abs(a22 - b22), abs(a33 - b33),
@@ -806,10 +825,10 @@ def shift_numeric_sweep(monkeypatch):
     original = eit3.cli.sweep
 
     def shifted(*args, backend, **kwargs):
-        s = original(*args, backend=backend, **kwargs)
+        s, failures = original(*args, backend=backend, **kwargs)
         if backend == "numeric":
             s = replace(s, rho11=s.rho11 + 1e-5)
-        return s
+        return s, failures
     monkeypatch.setattr(eit3.cli, "sweep", shifted)
 
 
@@ -835,8 +854,9 @@ def test_sweep_backend_discrepancy_exits_3(tmp_path, capsys, monkeypatch, fmt):
     assert not errors
     # the analytic profile is the one written
     run = load_config(cfg)
-    analytic = eit3.optics.sweep(run.params, run.optics, -5.0, 5.0, 21,
-                                 backend="analytic")
+    analytic, failures = eit3.optics.sweep(run.params, run.optics, -5.0, 5.0,
+                                           21, backend="analytic")
+    assert failures == []
     assert [r["rho11"] for r in rows] == analytic.rho11.tolist()
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -931,12 +951,11 @@ def test_sweep_both_keeps_the_analytic_profile_when_numeric_fails(tmp_path, caps
     metadata, _, errors = files["both"]
     assert "backend_discrepancy" not in metadata and not errors
     run = load_config(cfg)
-    with pytest.raises(eit3.optics.SweepError) as numeric:
-        eit3.optics.sweep(run.params, run.optics, grid["min"], grid["max"], 11,
-                          backend="numeric")
-    assert len(numeric.value.failures) == 11
+    _, failures = eit3.optics.sweep(run.params, run.optics, grid["min"],
+                                    grid["max"], 11, backend="numeric")
+    assert len(failures) == 11
     captured = capsys.readouterr()
     assert captured.out == f"wrote {tmp_path / f'analytic.{fmt}'}\n"
     assert captured.err.splitlines() == [
         f"error: delta={d:g} MHz: {type(e).__name__}: {e}"
-        for d, e in numeric.value.failures]
+        for d, e in failures]

@@ -129,6 +129,10 @@ def test_undefined_angle():
                               Configuration.LAMBDA)
     with pytest.raises(ValueError):
         estimate_mixing_angle((0.5, 0.2, 0.2), Configuration.LAMBDA)
+    # a NaN sum is not "more than 1e-6 from 1", and inf - inf is NaN
+    for pops in ((np.nan, 0.5, 0.5), (np.inf, 0.5, -np.inf)):
+        with pytest.raises(ValueError, match="populations must sum to 1, got nan"):
+            estimate_mixing_angle(pops, Configuration.LAMBDA)
 
 
 def test_verify_dark_state_lambda():

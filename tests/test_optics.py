@@ -23,7 +23,6 @@ from eit3.optics import (
     MU_BOHR,
     OpticalConstants,
     Spectrum,
-    SweepError,
     calibration_table,
     prefactor,
     sweep,
@@ -44,7 +43,8 @@ def test_zero_coherence_state_is_transparent(config):
     p = replace(reference_params(config.value), g_probe=0.0)
     k = optics_for(config)
     for backend in ("analytic", "numeric"):
-        s = sweep(p, k, -30.0, 30.0, 21, backend=backend)
+        s, failures = sweep(p, k, -30.0, 30.0, 21, backend=backend)
+        assert failures == []
         assert (s.probe_coherence == 0.0).all()
         assert (s.n == 1.0).all()
         assert (s.alpha == 0.0).all()
@@ -53,13 +53,15 @@ def test_zero_coherence_state_is_transparent(config):
 def test_lambda_resonance_unit_index_zero_absorption():
     p = reference_params("lambda")
     k = optics_for("lambda")
-    s = sweep(p, k, -1.0, 1.0, 3, backend="analytic")
+    s, failures = sweep(p, k, -1.0, 1.0, 3, backend="analytic")
+    assert failures == []
     assert s.delta[1] == 0.0
     assert s.n[1] == 1.0            # probe coherence vanishes identically
     assert s.alpha[1] == 0.0
     # numeric solve: transparency at the 1e-9 coherence level (the huge
     # dimensionless prefactor would otherwise amplify solver noise)
-    num = sweep(p, k, -1.0, 1.0, 3, backend="numeric")
+    num, failures = sweep(p, k, -1.0, 1.0, 3, backend="numeric")
+    assert failures == []
     pref = prefactor(k)
     assert abs(num.n[1] - 1.0) <= 1e-9 * pref
     assert abs(num.alpha[1]) <= 1e-9 * pref
@@ -73,7 +75,8 @@ def test_susceptibility_traces_pick_probe_coherence():
         k = optics_for(config)
         pref = prefactor(k)
         for backend in ("analytic", "numeric"):
-            s = sweep(p, k, -30.0, 30.0, 41, backend=backend)
+            s, failures = sweep(p, k, -30.0, 30.0, 41, backend=backend)
+            assert failures == []
             for n, alpha, c in zip(s.n, s.alpha, s.probe_coherence):
                 assert n - 1.0 == pytest.approx(pref * 2 * c.real, rel=1e-12, abs=0)
                 assert alpha == pytest.approx(pref * 2 * c.imag, rel=1e-12, abs=0)
@@ -107,7 +110,8 @@ def test_sweep_equals_su3_traces_bitwise(tag, change, backend, points):
     # traces bit for bit, the sign of zeros included (repr tells -0.0 apart)
     p = replace(reference_params(tag), **change)
     k = optics_for(tag)
-    s = sweep(p, k, -30.0, 30.0, points, backend=backend)
+    s, failures = sweep(p, k, -30.0, 30.0, points, backend=backend)
+    assert failures == []
     for got, want in zip((s.n, s.alpha, s.n_g), su3_oracle(p, k, s, backend)):
         assert list(map(repr, got.tolist())) == list(map(repr, want.tolist()))
 
@@ -118,7 +122,8 @@ def test_dispersion_odd_absorption_even_lambda():
     p = reference_params("lambda")
     k = optics_for("lambda")
     for backend in ("analytic", "numeric"):
-        s = sweep(p, k, -30.0, 30.0, 41, backend=backend)
+        s, failures = sweep(p, k, -30.0, 30.0, 41, backend=backend)
+        assert failures == []
         assert (np.abs(s.delta + s.delta[::-1]) <= 1e-12).all()
         assert (np.abs((s.n - 1.0) + (s.n[::-1] - 1.0)) <= 1e-9).all()
         assert (np.abs(s.alpha - s.alpha[::-1]) <= 1e-9).all()
@@ -129,7 +134,8 @@ def test_absorption_nonnegative_and_dip_at_resonance(config):
     p = reference_params(config.value)
     k = optics_for(config)
     w = 2.0 * p.g_pump
-    s = sweep(p, k, -w, w, 401, backend="analytic")
+    s, failures = sweep(p, k, -w, w, 401, backend="analytic")
+    assert failures == []
     alphas = s.alpha
     assert alphas.min() >= 0.0
     a0 = alphas[200]
@@ -145,7 +151,9 @@ def test_absorption_nonnegative_and_dip_at_resonance(config):
 def test_lambda_window_absorption_maxima_symmetric():
     p = reference_params("lambda")
     k = optics_for("lambda")
-    alphas = sweep(p, k, -30.0, 30.0, 201, backend="analytic").alpha
+    s, failures = sweep(p, k, -30.0, 30.0, 201, backend="analytic")
+    assert failures == []
+    alphas = s.alpha
     # transparency at the center, two symmetric maxima about it
     assert alphas[100] == 0.0
     left, right = alphas[:100], alphas[101:]
@@ -156,7 +164,8 @@ def test_lambda_window_absorption_maxima_symmetric():
 def test_positive_dispersion_slope_and_slow_light(config):
     p = reference_params(config.value)
     k = optics_for(config)
-    s = sweep(p, k, -3.0, 3.0, 21, backend="analytic")
+    s, failures = sweep(p, k, -3.0, 3.0, 21, backend="analytic")
+    assert failures == []
     i = 10
     assert s.delta[i] == 0.0
     slope = (s.n[i + 1] - s.n[i - 1]) / (s.delta[i + 1] - s.delta[i - 1])
@@ -168,7 +177,8 @@ def test_positive_dispersion_slope_and_slow_light(config):
 def test_group_velocity_index_identity(config):
     p = reference_params(config.value)
     k = optics_for(config)
-    s = sweep(p, k, -5.0, 5.0, 11, backend="analytic")
+    s, failures = sweep(p, k, -5.0, 5.0, 11, backend="analytic")
+    assert failures == []
     assert (np.abs(s.v_g * s.n_g - C_LIGHT) <= 1e-12 * C_LIGHT).all()
     assert (np.abs(s.rho11 + s.rho22 + s.rho33 - 1.0) <= 1e-9).all()
     flagged = s.edge_stencil.tolist()
@@ -183,8 +193,11 @@ def test_group_velocity_richardson_check():
         p = reference_params(tag)
         k = optics_for(tag)
         for width, converged in ((3.0, True), (10.0, False)):
-            coarse = sweep(p, k, -width, width, 5, backend="analytic")
-            fine = sweep(p, k, -width, width, 9, backend="analytic")
+            coarse, coarse_failures = sweep(p, k, -width, width, 5,
+                                            backend="analytic")
+            fine, fine_failures = sweep(p, k, -width, width, 9,
+                                        backend="analytic")
+            assert coarse_failures == fine_failures == []
             assert coarse.delta[2] == fine.delta[4] == 0.0
             mismatch = float(abs(coarse.v_g[2] - fine.v_g[4]) / abs(fine.v_g[4]))
             assert (mismatch <= 1e-3) is converged
@@ -196,8 +209,9 @@ def test_backends_agree_pointwise():
         p = reference_params(tag)
         k = optics_for(tag)
         pref = prefactor(k)
-        a = sweep(p, k, -30.0, 30.0, 41, backend="analytic")
-        b = sweep(p, k, -30.0, 30.0, 41, backend="numeric")
+        a, a_failures = sweep(p, k, -30.0, 30.0, 41, backend="analytic")
+        b, b_failures = sweep(p, k, -30.0, 30.0, 41, backend="numeric")
+        assert a_failures == b_failures == []
         assert (np.abs(a.n - b.n) / pref <= 1e-8).all()
         assert (np.abs(a.alpha - b.alpha) / pref <= 1e-8).all()
 
@@ -205,8 +219,9 @@ def test_backends_agree_pointwise():
 def test_sweep_repeat_calls_identical():
     p = replace(reference_params("cascade"), delta_pump=1.7)
     k = optics_for("cascade")
-    first = sweep(p, k, -10.0, 10.0, 301, backend="numeric")
-    second = sweep(p, k, -10.0, 10.0, 301, backend="numeric")
+    first, first_failures = sweep(p, k, -10.0, 10.0, 301, backend="numeric")
+    second, second_failures = sweep(p, k, -10.0, 10.0, 301, backend="numeric")
+    assert first_failures == second_failures == []
     for f in fields(Spectrum):
         assert np.array_equal(getattr(first, f.name), getattr(second, f.name))
 
@@ -215,25 +230,21 @@ def test_sweep_surfaces_per_point_failures():
     p = SystemParams(Configuration.LAMBDA, g_probe=0.0, g_pump=0.0,
                      gamma_a=0.1, gamma_b=6.0)
     k = optics_for("lambda")
-    with pytest.raises(SweepError) as err:
-        sweep(p, k, -1.0, 1.0, 3, backend="numeric")
-    failures = err.value.failures
+    s, failures = sweep(p, k, -1.0, 1.0, 3, backend="numeric")
     assert [d for d, _ in failures] == [-1.0, 0.0, 1.0]
     assert all(isinstance(e, DegenerateNullSpaceError) for _, e in failures)
-    assert no_points(err.value.points)
-    assert "delta=" in str(err.value)
+    assert no_points(s)
 
 
 def test_degenerate_sweep_fails_every_point_in_delta_order():
     # 300 points: two chunks of the batched solve
     p = SystemParams(Configuration.LAMBDA, g_probe=0.0, g_pump=0.0,
                      gamma_a=0.1, gamma_b=6.0)
-    with pytest.raises(SweepError) as err:
-        sweep(p, optics_for("lambda"), -1.0, 1.0, 300, backend="numeric")
-    failures = err.value.failures
+    s, failures = sweep(p, optics_for("lambda"), -1.0, 1.0, 300,
+                        backend="numeric")
     assert [d for d, _ in failures] == np.linspace(-1.0, 1.0, 300).tolist()
     assert all(isinstance(e, DegenerateNullSpaceError) for _, e in failures)
-    assert no_points(err.value.points)
+    assert no_points(s)
 
 
 def no_points(s):
@@ -272,12 +283,12 @@ def test_sweep_failures_keep_the_surviving_columns(monkeypatch):
                        for i in range(1, len(deltas), 3)]
     monkeypatch.setattr(eit3.optics, "solve_grid", failing)
     p, k = reference_params("vee"), optics_for("vee")
-    with pytest.raises(SweepError) as err:
-        sweep(p, k, -3.0, 3.0, 7, backend="analytic")
+    s, failures = sweep(p, k, -3.0, 3.0, 7, backend="analytic")
     monkeypatch.undo()
-    full = sweep(p, k, -3.0, 3.0, 7, backend="analytic")
-    s, kept = err.value.points, [0, 2, 3, 5, 6]
-    assert [d for d, _ in err.value.failures] == [-2.0, 1.0]
+    full, full_failures = sweep(p, k, -3.0, 3.0, 7, backend="analytic")
+    assert full_failures == []
+    kept = [0, 2, 3, 5, 6]
+    assert [d for d, _ in failures] == [-2.0, 1.0]
     for name in ("delta", "n", "alpha", "rho11", "rho22", "rho33",
                  "probe_coherence"):
         assert np.array_equal(getattr(s, name), getattr(full, name)[kept])
@@ -296,8 +307,9 @@ def test_sweep_without_failures_views_the_solved_block(monkeypatch, backend):
         blocks.append(block)
         return block, failures
     monkeypatch.setattr(eit3.optics, "solve_grid", recording)
-    s = sweep(reference_params("vee"), optics_for("vee"), -3.0, 3.0, 7,
-              backend=backend)
+    s, failures = sweep(reference_params("vee"), optics_for("vee"), -3.0, 3.0,
+                        7, backend=backend)
+    assert failures == []
     [block] = blocks
     for name in ("rho11", "rho22", "rho33", "probe_coherence"):
         assert np.shares_memory(getattr(s, name), block), name
@@ -318,6 +330,22 @@ def test_calibration_table_and_default_convention():
     lam_err = table["relative_errors"][table["chosen"]]["lambda"]
     assert all(table["relative_errors"][c]["lambda"] >= lam_err
                for c in ANGULAR_CONVENTIONS)
+
+
+def test_calibration_table_raises_a_failed_points_own_error(monkeypatch):
+    # the centre of a reference stencil fails: its error, not a wrapper
+    original = eit3.optics.solve_grid
+    error = DegenerateNullSpaceError("injected")
+
+    def failing(params, deltas, backend):
+        block, failures = original(params, deltas, backend)
+        assert failures == []
+        block[1] = np.nan
+        return block, [(1, error)]
+    monkeypatch.setattr(eit3.optics, "solve_grid", failing)
+    with pytest.raises(DegenerateNullSpaceError) as err:
+        calibration_table()
+    assert err.value is error
 
 
 def test_calibration_values_pinned():

@@ -288,6 +288,17 @@ def test_evolve_argument_validation():
         evolve(L, np.eye(3) / 3, t_end=-1.0, dt_max=0.1)
     with pytest.raises(ValueError):
         evolve(L, np.eye(3) / 3, t_end=1.0, dt_max=0.0)
+    nan_state = np.eye(3) / 3
+    nan_state[0, 0] = np.nan
+    with pytest.raises(ValueError, match="rho0 must be finite"):
+        evolve(L, nan_state, t_end=1.0, dt_max=0.1)
+    # a vectorized state and a 2x2 matrix are not states of the 3 levels
+    with pytest.raises(ValueError, match=r"rho0 must be a \(3, 3\) array, "
+                                         r"got shape \(9,\)"):
+        evolve(L, np.eye(3).reshape(9) / 3, t_end=1.0, dt_max=0.1)
+    with pytest.raises(ValueError, match=r"rho0 must be a \(3, 3\) array, "
+                                         r"got shape \(2, 2\)"):
+        evolve(L, np.eye(2) / 2, t_end=1.0, dt_max=0.1)
 
 
 def test_is_density_matrix_checks():
