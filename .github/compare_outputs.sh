@@ -8,14 +8,16 @@
 # a pull request as a git worktree, and the working tree).  The commands,
 # for each bundled configuration: 2001-point numeric|analytic|both x
 # csv|json sweeps; the same at 11 points with g_probe = g_pump = 0 (failing
-# points, partial files); a delta_pump = 1.7 numeric sweep; a stiff
-# 2001-point numeric csv sweep (g_probe = g_pump = 1, both decays 1e-8,
-# delta from -1e3 to 1e3), whose chunks mix points solved on the
-# conditioning proof, points decided by the definition (cond of the
-# bordered matrix and the SVD of L) and DegenerateNullSpaceError points; a 2001-point analytic json sweep over
-# delta from -1e77 to 1e77, whose points overflow the closed forms, fall
-# to the denominator floor (each message quoting its point's rate scale)
-# or solve (at delta = 0); 11-point backend-both csv and json sweeps with
+# points, partial files); a delta_pump = 1.7 numeric sweep; stiff
+# 2001-point numeric csv and json sweeps (g_probe = g_pump = 1, both
+# decays 1e-8, delta from -1e3 to 1e3), whose chunks mix points solved on
+# the conditioning proof, points decided by the definition (cond of the
+# bordered matrix and the SVD of L) and DegenerateNullSpaceError points;
+# 2001-point analytic csv and json sweeps over delta from -1e77 to 1e77,
+# whose points overflow the closed forms, fall to the denominator floor
+# (each message quoting its point's rate scale) or solve (at delta = 0),
+# so each writer sees failed points between solved ones from each
+# backend; 11-point backend-both csv and json sweeps with
 # every rate and the sweep range scaled by 1e-14, where the analytic
 # profile solves and the numeric check may fail (its file is complete, no
 # "partial output" line); `sweep TAG`;
@@ -24,7 +26,7 @@
 # stderr); `darkstate` with delta_pump 0, and 1.7 on the numeric and both
 # backends; `steady` and `darkstate` on the undriven numeric and analytic
 # csv configs, whose solves fail (exit 2); `evolve TAG --t-end 500`.  Then
-# `calibrate`: 91 commands in all.  Both checkouts
+# `calibrate`: 97 commands in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -69,15 +71,17 @@ for tag in ("lambda", "cascade", "vee"):
              for fmt in ("csv", "json")]
     runs.append((f"{tag}-pump-detuned", {"backend": "numeric", "points": 2001,
                                          "format": "csv", "delta_pump": 1.7}))
-    runs.append((f"{tag}-stiff", {"backend": "numeric", "points": 2001,
-                                  "format": "csv", "g_probe": 1.0,
-                                  "g_pump": 1.0, "gamma_a": 1e-8,
-                                  "gamma_b": 1e-8,
-                                  "range": {"min": -1e3, "max": 1e3}}))
-    runs.append((f"{tag}-wide-analytic", {"backend": "analytic",
-                                          "points": 2001, "format": "json",
-                                          "range": {"min": -1e77,
-                                                    "max": 1e77}}))
+    runs += [(f"{tag}-stiff-{fmt}", {"backend": "numeric", "points": 2001,
+                                     "format": fmt, "g_probe": 1.0,
+                                     "g_pump": 1.0, "gamma_a": 1e-8,
+                                     "gamma_b": 1e-8,
+                                     "range": {"min": -1e3, "max": 1e3}})
+             for fmt in ("csv", "json")]
+    runs += [(f"{tag}-wide-analytic-{fmt}", {"backend": "analytic",
+                                             "points": 2001, "format": fmt,
+                                             "range": {"min": -1e77,
+                                                       "max": 1e77}})
+             for fmt in ("csv", "json")]
     tiny = {name: doc[name] * 1e-14
             for name in ("g_probe", "g_pump", "gamma_a", "gamma_b")}
     runs += [(f"{tag}-tiny-both-{fmt}",

@@ -29,6 +29,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import compress
 from operator import attrgetter
 from pathlib import Path
 
@@ -136,7 +137,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
         raise ConfigError(f"cannot read config file {path}: {type(exc).__name__}: {exc}")
-    except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, an integer of over 4300 digits, arrays nested ~1000 deep
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -256,16 +258,11 @@ def _columns(points: Spectrum) -> dict[str, list]:
 
 def write_sweep_csv(path: Path, metadata: dict, points: Spectrum,
                     errors: list[tuple[float, str]] | None = None) -> None:
+    """``#`` lines for metadata and errors, then a line per Spectrum row."""
     lines = [f"# {key} = {value}" for key, value in metadata.items()]
     lines += [f"# error: delta={d!r} {msg}" for d, msg in (errors or [])]
     lines.append(CSV_HEADER)
-    nan = repr(math.nan)
-    # rows keyed by delta merge the error rows in; the grid has no repeats
-    rows = {row[0]: ",".join(map(repr, row))
-            for row in zip(*_columns(points).values())}
-    for d, _ in (errors or []):
-        rows[d] = ",".join([repr(d)] + [nan] * (len(_COLUMNS) - 1))
-    lines += [rows[d] for d in sorted(rows)]
+    lines += [",".join(map(repr, row)) for row in zip(*_columns(points).values())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -323,8 +320,9 @@ def write_sweep_json(path: Path, metadata: dict, points: Spectrum,
                for name, values in _columns(points).items()}
     columns["edge_stencil"] = ["true" if e else "false"
                                for e in points.edge_stencil.tolist()]
-    records = ",\n".join(_RECORD % row for row in zip(
-        *(columns[key] for key in _RECORD_KEYS)))
+    failed = np.isin(points.delta, [d for d, _ in errors or []])
+    records = ",\n".join(_RECORD % row for row in compress(zip(
+        *(columns[key] for key in _RECORD_KEYS)), (~failed).tolist()))
     body = f"[\n{records}\n ]" if records else "[]"
     # head ends in "\n}": reopen it for the last key, "records"
     path.write_text(f'{head[:-2]},\n "records": {body}\n}}\n', encoding="utf-8")
@@ -345,7 +343,8 @@ def cmd_sweep(run: RunConfig, out_override: str | None = None) -> int:
     Under ``both`` the analytic sweep is the one written and the numeric
     sweep, run only when every analytic point solved, checks it.  A failed
     point of either sweep prints an error line and gives exit 2; the file
-    then holds the written sweep's surviving rows and its error rows.
+    then lists the written sweep's errors; a CSV file keeps a NaN row for
+    each failed point, a JSON file has no record for it.
     """
     path = _resolve_output(out_override or run.output_path)
     metadata = _metadata(run, "sweep")
@@ -431,9 +430,9 @@ def cmd_steady(run: RunConfig, delta: float) -> int:
 
 
 def _state_part(doc, key: str) -> np.ndarray:
-    """doc[key] as a float array.  As in configs, numbers only: a string,
-    bool or null anywhere in it is a TypeError (np.array reads "1", true and
-    null as numbers)."""
+    """doc[key] as a (3, 3) float array, else a ValueError.  As in configs,
+    numbers only: a string, bool or null anywhere in it is a TypeError
+    (np.array reads "1", true and null as numbers)."""
     todo = [doc[key]]
     while todo:
         item = todo.pop()
@@ -441,7 +440,10 @@ def _state_part(doc, key: str) -> np.ndarray:
             todo += item
         elif isinstance(item, bool) or not isinstance(item, (int, float)):
             raise TypeError(f"{key} holds {item!r}, not a number")
-    return np.array(doc[key], dtype=float)
+    part = np.array(doc[key], dtype=float)
+    if part.shape != (3, 3):
+        raise ValueError(f"{key} has shape {part.shape}, not (3, 3)")
+    return part
 
 
 def _initial_state(spec: str) -> np.ndarray:
@@ -454,12 +456,13 @@ def _initial_state(spec: str) -> np.ndarray:
     try:
         doc = json.loads(Path(spec).read_text(encoding="utf-8"))
         rho = _state_part(doc, "rho_real") + 1j * _state_part(doc, "rho_imag")
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
-        # unreadable or missing file, bad JSON, a missing key, ragged rows,
-        # a value that is not a number, an integer past the float range
+    except (OSError, ValueError, KeyError, TypeError, OverflowError,
+            RecursionError) as exc:
+        # unreadable or missing file, bad or too deeply nested JSON, a missing
+        # key, a part not 3x3, a non-number, an integer past the float range
         raise ConfigError(f"cannot read an initial state from {spec}: "
                           f"{type(exc).__name__}: {exc}") from exc
-    if rho.shape != (3, 3) or not is_density_matrix(rho, herm_tol=1e-9):
+    if not is_density_matrix(rho, herm_tol=1e-9):
         raise ConfigError(f"initial state in {spec} is not a valid density matrix")
     return rho
 

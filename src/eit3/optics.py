@@ -108,7 +108,8 @@ class OpticalConstants:
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """A probe-detuning sweep as columns: one array per quantity, in Delta
-    order, so ``s.v_g[i]`` is the group velocity at ``s.delta[i]``.
+    order, so ``s.v_g[i]`` is the group velocity at ``s.delta[i]``.  Every
+    grid point has a row; a failed point's row is NaN but for ``delta``.
 
     ``alpha`` shares the dimensionless prefactor scale of ``n - 1``;
     ``v_g`` is in m/s and satisfies v_g = c / n_g exactly;
@@ -154,37 +155,32 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
           backend: str) -> tuple[Spectrum, list[tuple[float, Exception]]]:
     """Uniform probe-detuning sweep with group quantities attached.
 
-    Returns ``(spectrum, failures)``: one :class:`Spectrum`, a column per
-    quantity in Delta order, and the ordered (delta, error) list of the
-    points whose solve failed, empty when every point solves.
+    Returns ``(spectrum, failures)``: a :class:`Spectrum` of ``points`` rows
+    in Delta order, and the ordered (delta, error) list of the points whose
+    solve failed, empty when every point solves.
     n, alpha and n_g read 2 Re and 2 Im of the probe coherence, which are
     Tr[rho lam_r] and Tr[rho lam_i] since every solved state is exactly
     Hermitian; n_g and v_g use central differences on the grid (one-sided
     at the two endpoints, flagged via ``edge_stencil``).
-    The states are the (N, 3, 3) block of :func:`eit3.steady.solve_grid`
-    (``backend`` "numeric": batched Liouvillian stacks, "analytic": the
-    closed forms), which the state columns view when every point solves.
-    A grid that is not strictly increasing, or of more than MAX_POINTS
-    points, is a ValueError.  A failed point raises nothing: the Spectrum
-    holds the surviving rows, taken with one index, with every
-    ``edge_stencil`` set and the group quantities NaN, since the surviving
-    grid is broken.
+    The state columns view the (N, 3, 3) block of
+    :func:`eit3.steady.solve_grid` (``backend`` "numeric": batched
+    Liouvillian stacks, "analytic": the closed forms).  A grid that is not
+    strictly increasing, or of more than MAX_POINTS points, is a ValueError.
+    A failed point raises nothing: its row keeps its detuning and is NaN in
+    every other column, and the whole grid has ``edge_stencil`` set and NaN
+    group quantities, since the grid is broken.
     """
     if points < 3:
         raise ValueError(f"points must be >= 3, got {points}")
     deltas = _detunings(delta_min, delta_max, points)
     rho, failed = solve_grid(params, deltas, backend)
     failures = [(float(deltas[i]), exc) for i, exc in failed]
-    if failed:  # keep the surviving rows and their detunings
-        good = np.delete(np.arange(len(deltas)), [i for i, _ in failed])
-        rho, deltas = rho[good], deltas[good]
-
     pref = prefactor(k)
     pl, pu = params.config.probe_transition
     coherence = rho[:, LEVEL_INDEX[pl], LEVEL_INDEX[pu]]  # e.g. rho_13 at [2, 0]
     tr_re, tr_im = 2.0 * coherence.real, 2.0 * coherence.imag  # Tr[rho lam]
     edge = np.ones(len(deltas), dtype=bool)
-    if failures:  # the surviving grid is broken: no group quantities
+    if failures:  # the grid is broken: no group quantities
         n_g = v_g = np.full(len(deltas), math.nan)
     else:
         slope = np.gradient(tr_re, deltas[1] - deltas[0])  # one-sided at the ends

@@ -171,7 +171,7 @@ def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
     b = np.zeros(9, dtype=complex)
     b[trace_row] = 1.0
     rho = unvectorize(np.linalg.solve(bordered[ok], b))
-    block = np.full((len(M), 3, 3), np.nan, dtype=complex)
+    block = np.full((len(M), 3, 3), complex(np.nan, np.nan))
     # symmetrize away the solver's rounding-level Hermiticity defect
     block[ok] = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
     return block, [(i, _failure(finite[i], degenerate[i], cond[i]))
@@ -201,10 +201,13 @@ def solve_grid(params: SystemParams, deltas,
     (:func:`steady_states`), "analytic" the closed forms in one pass.  Each
     row, and each failure's error, is that of the one-point call
     ``steady_state(build_liouvillian(replace(params, delta_probe=d)))`` or
-    ``analytic_steady_state(replace(params, delta_probe=d))``, bit for bit.
+    ``analytic_steady_state(replace(params, delta_probe=d))``, bit for bit;
+    a non-finite d is that call's ValueError, before any point is solved.
     """
+    deltas = np.asarray(deltas, dtype=float)
+    if (bad := deltas[~np.isfinite(deltas)]).size:  # SystemParams' check
+        raise ValueError(f"delta_probe must be finite, got {bad[0]}")
     if backend == "numeric":
-        deltas = np.asarray(deltas, dtype=float)
         block = np.empty((len(deltas), 3, 3), dtype=complex)
         failures: list = []
         for start in range(0, len(deltas), _CHUNK):
@@ -213,7 +216,7 @@ def solve_grid(params: SystemParams, deltas,
             failures += [(start + i, exc) for i, exc in failed]
         return block, failures
     if backend == "analytic":
-        return _steady_state_rows(params, np.asarray(deltas, dtype=float).tolist())
+        return _steady_state_rows(params, deltas.tolist())
     raise ValueError(f"backend must be 'numeric' or 'analytic', got {backend!r}")
 
 

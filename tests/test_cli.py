@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +308,20 @@ def test_huge_integers_in_a_config_are_config_error(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("command", ["sweep", "steady", "darkstate", "evolve"])
+def test_deeply_nested_config_is_config_error(tmp_path, capsys, command):
+    # json.loads raises RecursionError on arrays nested past the recursion limit
+    argv = ["--t-end", "5"] if command == "evolve" else []
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(base_config(output={"path": "X", "format": "csv"}))
+                   .replace('"X"', "[" * 5000 + "]" * 5000), encoding="utf-8")
+    assert main([command, str(cfg), *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config is not valid JSON: ")
+    assert "RecursionError" not in err and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 OVERFLOWING_OPTICS = [
     {"n0": 1e21, "mu": 1e200, "omega_probe": 2.37e9},  # mu**2 raises
     {"n0": 1e300, "mu": 1e10, "omega_probe": 2.37e9},  # prefactor inf
@@ -439,6 +453,7 @@ def test_evolve_rho0_from_file(tmp_path):
     assert code == EXIT_OK
 
 
+GROUND = "[[0, 0, 0], [0, 0, 0], [0, 0, 1]]"
 NAN_STATE = ('{"rho_real": [[NaN, 0, 0], [0, 0.5, 0], [0, 0, 0.5]], '
              '"rho_imag": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}')
 
@@ -467,6 +482,18 @@ NAN_STATE = ('{"rho_real": [[NaN, 0, 0], [0, 0.5, 0], [0, 0, 0.5]], '
     ('{"rho_real": [[0, 0, 0], [0, 0, 0], [0, 0, 1]], "rho_imag": '
      '[[null, 0, 0], [0, 0, 0], [0, 0, 0]]}',
      "TypeError: rho_imag holds None, not a number"),
+    # a scalar or a row would broadcast to 3x3 in rho_real + 1j * rho_imag
+    pytest.param(f'{{"rho_real": {GROUND}, "rho_imag": 0}}',
+                 "ValueError: rho_imag has shape (), not (3, 3)", id="scalar"),
+    pytest.param(f'{{"rho_real": [0, 0, 1], "rho_imag": {GROUND}}}',
+                 "ValueError: rho_real has shape (3,), not (3, 3)", id="row"),
+    pytest.param(f'{{"rho_real": [{GROUND}], "rho_imag": {GROUND}}}',
+                 "ValueError: rho_real has shape (1, 3, 3), not (3, 3)",
+                 id="stacked"),
+    pytest.param(f'{{"rho_real": {GROUND}, "rho_imag": '
+                 f'{"[" * 5000 + "]" * 5000}}}',
+                 "RecursionError: maximum recursion depth exceeded",
+                 id="nested-5000-deep"),
 ])
 def test_evolve_bad_rho0_file_is_config_error(tmp_path, capsys, content, detail):
     state = tmp_path / "rho0.json"
@@ -670,17 +697,14 @@ def dumps_oracle(metadata, s, errors=None):
 
 
 def csv_oracle(metadata, s, errors=()):
-    """The bytes write_sweep_csv must produce, built row by row: repr of each
-    field, the error rows' nans merged in Delta order."""
+    """The bytes write_sweep_csv must produce, built row by row: the error
+    lines, then repr of each field of every row, failed or not."""
     lines = [f"# {key} = {value}" for key, value in metadata.items()]
     lines += [f"# error: delta={d!r} {msg}" for d, msg in errors]
     lines.append("delta_mhz,n,alpha,n_g,v_g_m_per_s,rho11,rho22,rho33,re_coh,im_coh")
-    rows = []
     for i in range(len(s.delta)):
         *reals, c, _ = point_values(s, i)
-        rows.append((reals[0], ",".join(repr(v) for v in reals + [c.real, c.imag])))
-    rows += [(d, ",".join([repr(d)] + ["nan"] * 9)) for d, _ in errors]
-    lines += [row for _, row in sorted(rows, key=lambda r: r[0])]
+        lines.append(",".join(repr(v) for v in reals + [c.real, c.imag]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -716,29 +740,52 @@ def test_csv_writer_matches_row_oracle_on_reference_sweeps(tmp_path, tag):
     assert out.read_bytes() == csv_oracle(metadata, s)
 
 
-def test_csv_writer_matches_row_oracle_with_interleaved_failures(tmp_path,
-                                                                 monkeypatch):
-    # points 1, 4, 7, ... fail: error rows sit between surviving rows
+def interleaved_failures(monkeypatch, points):
+    """The cascade reference sweep at ``points`` points with points 1, 4,
+    7, ... failing as a solver fails them (a nan+nanj row), and its errors
+    as cmd_sweep passes them to the writers."""
     original = eit3.optics.solve_grid
 
     def failing(params, deltas, backend):
         block, failures = original(params, deltas, backend)
         assert failures == []
-        block[1::3] = np.nan
+        block[1::3] = complex(math.nan, math.nan)
         return block, [(i, RuntimeError(f"injected {i}"))
                        for i in range(1, len(deltas), 3)]
     monkeypatch.setattr(eit3.optics, "solve_grid", failing)
     run = load_config(str(bundled_config_path("cascade")))
     s, failures = eit3.optics.sweep(run.params, run.optics, run.sweep_min,
-                                    run.sweep_max, 31, backend="numeric")
-    errors = [(d, f"{type(e).__name__}: {e}") for d, e in failures]
-    assert len(s.delta) == 21 and len(errors) == 10
+                                    run.sweep_max, points, backend="numeric")
+    monkeypatch.undo()
+    return run, s, [(d, f"{type(e).__name__}: {e}") for d, e in failures]
+
+
+def test_csv_writer_matches_row_oracle_with_interleaved_failures(tmp_path,
+                                                                 monkeypatch):
+    # points 1, 4, 7, ... fail: their rows sit between the solved ones
+    run, s, errors = interleaved_failures(monkeypatch, 31)
+    assert len(s.delta) == 31 and len(errors) == 10
     metadata = eit3.cli._metadata(run, "sweep")
     out = tmp_path / "out.csv"
     eit3.cli.write_sweep_csv(out, metadata, s, errors)
     assert out.read_bytes() == csv_oracle(metadata, s, errors)
+    # a failed row is its detuning and nine nans
+    lines = out.read_text(encoding="utf-8").splitlines()[-31:]
+    assert lines[1::3] == [",".join([repr(d)] + ["nan"] * 9) for d, _ in errors]
     _, rows, _ = read_sweep_csv(out)
+    assert [r["delta_mhz"] for r in rows] == s.delta.tolist()
     assert [math.isnan(r["n"]) for r in rows] == [i % 3 == 1 for i in range(31)]
+
+
+def test_json_writer_has_no_record_for_a_failed_point(tmp_path, monkeypatch):
+    run, s, errors = interleaved_failures(monkeypatch, 31)
+    solved = [i for i in range(31) if i % 3 != 1]
+    metadata = eit3.cli._metadata(run, "sweep")
+    out = tmp_path / "out.json"
+    eit3.cli.write_sweep_json(out, metadata, s, errors)
+    kept = eit3.optics.Spectrum(**{f.name: getattr(s, f.name)[solved]
+                                   for f in fields(eit3.optics.Spectrum)})
+    assert out.read_bytes() == dumps_oracle(metadata, kept, errors)
 
 
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])

@@ -233,7 +233,8 @@ def test_sweep_surfaces_per_point_failures():
     s, failures = sweep(p, k, -1.0, 1.0, 3, backend="numeric")
     assert [d for d, _ in failures] == [-1.0, 0.0, 1.0]
     assert all(isinstance(e, DegenerateNullSpaceError) for _, e in failures)
-    assert no_points(s)
+    assert s.delta.tolist() == [-1.0, 0.0, 1.0]
+    assert_failed_rows(s, range(3))
 
 
 def test_degenerate_sweep_fails_every_point_in_delta_order():
@@ -244,11 +245,23 @@ def test_degenerate_sweep_fails_every_point_in_delta_order():
                         backend="numeric")
     assert [d for d, _ in failures] == np.linspace(-1.0, 1.0, 300).tolist()
     assert all(isinstance(e, DegenerateNullSpaceError) for _, e in failures)
-    assert no_points(s)
+    assert s.delta.tolist() == np.linspace(-1.0, 1.0, 300).tolist()
+    assert_failed_rows(s, range(300))
 
 
-def no_points(s):
-    return all(len(getattr(s, f.name)) == 0 for f in fields(Spectrum))
+def assert_failed_rows(s, rows):
+    """Rows ``rows`` of the Spectrum are failed points: NaN in every column
+    but delta, in both parts of the coherence; every column has a row per
+    grid point and every edge_stencil is set."""
+    rows = list(rows)
+    for f in fields(Spectrum):
+        assert len(getattr(s, f.name)) == len(s.delta), f.name
+    for name in ("n", "alpha", "rho11", "rho22", "rho33"):
+        assert np.isnan(getattr(s, name)[rows]).all(), name
+    assert np.isnan(s.probe_coherence[rows].real).all()
+    assert np.isnan(s.probe_coherence[rows].imag).all()
+    assert np.isnan(s.n_g).all() and np.isnan(s.v_g).all()
+    assert s.edge_stencil.all()
 
 
 def test_sweep_argument_validation():
@@ -272,13 +285,14 @@ def test_sweep_rejects_repeated_detunings():
 
 
 def test_sweep_failures_keep_the_surviving_columns(monkeypatch):
-    # every third point fails: the record holds the others, in Delta order
+    # every third point fails, as the solvers fail one: a nan+nanj row.  The
+    # Spectrum keeps the grid, the others bit-equal to the clean sweep's
     original = eit3.optics.solve_grid
 
     def failing(params, deltas, backend):
         block, failures = original(params, deltas, backend)
         assert failures == []
-        block[1::3] = np.nan
+        block[1::3] = complex(np.nan, np.nan)
         return block, [(i, RuntimeError("injected"))
                        for i in range(1, len(deltas), 3)]
     monkeypatch.setattr(eit3.optics, "solve_grid", failing)
@@ -289,11 +303,10 @@ def test_sweep_failures_keep_the_surviving_columns(monkeypatch):
     assert full_failures == []
     kept = [0, 2, 3, 5, 6]
     assert [d for d, _ in failures] == [-2.0, 1.0]
-    for name in ("delta", "n", "alpha", "rho11", "rho22", "rho33",
-                 "probe_coherence"):
-        assert np.array_equal(getattr(s, name), getattr(full, name)[kept])
-    assert np.isnan(s.n_g).all() and np.isnan(s.v_g).all()
-    assert s.edge_stencil.tolist() == [True] * 5
+    assert s.delta.tobytes() == full.delta.tobytes()
+    for name in ("n", "alpha", "rho11", "rho22", "rho33", "probe_coherence"):
+        assert getattr(s, name)[kept].tobytes() == getattr(full, name)[kept].tobytes()
+    assert_failed_rows(s, [1, 4])
 
 
 @pytest.mark.parametrize("backend", ["numeric", "analytic"])
@@ -310,9 +323,15 @@ def test_sweep_without_failures_views_the_solved_block(monkeypatch, backend):
     s, failures = sweep(reference_params("vee"), optics_for("vee"), -3.0, 3.0,
                         7, backend=backend)
     assert failures == []
-    [block] = blocks
-    for name in ("rho11", "rho22", "rho33", "probe_coherence"):
-        assert np.shares_memory(getattr(s, name), block), name
+    # nor when points fail: every point of the undriven lambda system does
+    undriven = SystemParams(Configuration.LAMBDA, g_probe=0.0, g_pump=0.0,
+                            gamma_a=0.1, gamma_b=6.0)
+    failing, failures = sweep(undriven, optics_for("lambda"), -3.0, 3.0, 7,
+                              backend=backend)
+    assert len(failures) == 7
+    for spectrum, block in zip((s, failing), blocks, strict=True):
+        for name in ("rho11", "rho22", "rho33", "probe_coherence"):
+            assert np.shares_memory(getattr(spectrum, name), block), name
 
 
 def test_calibration_table_and_default_convention():

@@ -568,6 +568,13 @@ def test_analytic_grid_matches_the_per_point_composition(tag, grid, delta_pump):
               "wide": np.linspace(-1e77, 1e77, 2001),
               "nan": [np.nan, 1.0]}[grid]
     p = replace(reference_params(tag), delta_pump=delta_pump)
+    if grid == "nan":  # the one-point call's ValueError, on both backends
+        expected = composed_analytic(p, np.nan)
+        assert type(expected) is ValueError
+        for backend in ("numeric", "analytic"):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected))}$"):
+                solve_grid(p, deltas, backend)
+        return
     block, failures = solve_grid(p, deltas, "analytic")
     states = outcomes((block, failures))
     assert len(states) == len(deltas)
@@ -580,6 +587,23 @@ def test_analytic_grid_matches_the_per_point_composition(tag, grid, delta_pump):
     solved = [rho for rho in states if isinstance(rho, np.ndarray)]
     assert all(rho.base is not None and np.shares_memory(rho, block)
                for rho in solved)
+
+
+def test_failed_rows_are_nan_in_both_parts():
+    # not nan+0j: the CSV writer prints alpha and im_coh of a failed row
+    undriven = SystemParams(Configuration.LAMBDA, 0.0, 0.0, gamma_a=0.1,
+                            gamma_b=6.0)
+    good = reference_params("lambda")
+    stack = build_liouvillian_stack(good, [-1.0, 0.0, 1.0])
+    stack[1] = build_liouvillian(undriven).matrix
+    results = {"steady_states": steady_states(stack)}
+    for backend in ("numeric", "analytic"):
+        results[backend] = solve_grid(undriven, [-1.0, 0.0, 1.0], backend)
+    for name, (block, failures) in results.items():
+        failed = [i for i, _ in failures]
+        assert failed == ([1] if name == "steady_states" else [0, 1, 2]), name
+        assert np.isnan(block[failed].real).all(), name
+        assert np.isnan(block[failed].imag).all(), name
 
 
 @pytest.mark.parametrize("p", [
