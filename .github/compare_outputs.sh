@@ -17,16 +17,21 @@
 # whose points overflow the closed forms, fall to the denominator floor
 # (each message quoting its point's rate scale) or solve (at delta = 0),
 # so each writer sees failed points between solved ones from each
-# backend; 11-point backend-both csv and json sweeps with
+# backend; 11- and 2001-point backend-both csv and json sweeps with
 # every rate and the sweep range scaled by 1e-14, where the analytic
 # profile solves and the numeric check may fail (its file is complete, no
-# "partial output" line); `sweep TAG`;
+# "partial output" line); analytic csv sweeps one point below and at the
+# size from which the closed forms are evaluated over the whole grid at
+# once (eit3.analytic._GRID_PASS_POINTS, read from HEAD); 2001-point
+# analytic csv and json sweeps with g_probe = g_pump = 1e60, where a power
+# of the rates alone overflows a Python float and every point fails;
+# `sweep TAG`;
 # `steady` at --delta 0 and 2.5 with delta_pump 0 (the bundled config) and
 # 1.7 (backend both: the numeric block on stdout, the analytic error on
 # stderr); `darkstate` with delta_pump 0, and 1.7 on the numeric and both
 # backends; `steady` and `darkstate` on the undriven numeric and analytic
 # csv configs, whose solves fail (exit 2); `evolve TAG --t-end 500`.  Then
-# `calibrate`: 97 commands in all.  Both checkouts
+# `calibrate`: 115 commands in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -37,11 +42,14 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
 # the configs are written once, from HEAD's bundled ones, and shared
-python3 - "$head/src/eit3/configs" "$work" <<'EOF'
+python3 - "$head/src" "$work" <<'EOF'
 import json, sys
 from pathlib import Path
 
-bundled, work = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path.insert(0, sys.argv[1])
+from eit3.analytic import _GRID_PASS_POINTS
+
+bundled, work = Path(sys.argv[1]) / "eit3" / "configs", Path(sys.argv[2])
 (work / "configs").mkdir()
 commands = []
 
@@ -84,10 +92,17 @@ for tag in ("lambda", "cascade", "vee"):
              for fmt in ("csv", "json")]
     tiny = {name: doc[name] * 1e-14
             for name in ("g_probe", "g_pump", "gamma_a", "gamma_b")}
-    runs += [(f"{tag}-tiny-both-{fmt}",
-              {"backend": "both", "points": 11, "format": fmt, **tiny,
+    runs += [(f"{tag}-tiny-both-{points}-{fmt}",
+              {"backend": "both", "points": points, "format": fmt, **tiny,
                "range": {"min": doc["sweep"]["min"] * 1e-14,
                          "max": doc["sweep"]["max"] * 1e-14}})
+             for points in (11, 2001) for fmt in ("csv", "json")]
+    runs += [(f"{tag}-analytic-{points}-csv", {"backend": "analytic",
+                                               "points": points, "format": "csv"})
+             for points in (_GRID_PASS_POINTS - 1, _GRID_PASS_POINTS)]
+    runs += [(f"{tag}-huge-analytic-{fmt}", {"backend": "analytic",
+                                             "points": 2001, "format": fmt,
+                                             "g_probe": 1e60, "g_pump": 1e60})
              for fmt in ("csv", "json")]
     paths = {name: write(doc, name, change) for name, change in runs}
     commands += [f"{name} sweep {path}" for name, path in paths.items()]

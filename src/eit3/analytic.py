@@ -11,11 +11,20 @@ with the numeric null-space solver.
 
 These formulas assume the pump detuning is zero; the numeric solver covers
 the general case.
+
+A sweep of at least ``_GRID_PASS_POINTS`` detunings evaluates each term
+function once, on a :class:`_Grid` holding the whole grid, instead of once
+per point.  The grid's operators repeat CPython 3.10/3.11's float and
+complex arithmetic in float64 arrays, so each state is the per-point state
+bit for bit and the polynomials are written once.  CPython 3.14's C99
+Annex G mixed arithmetic would change those bytes;
+``test_grid_arithmetic_is_cpythons`` pins the interpreter's.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -236,27 +245,207 @@ def steady_state_terms(params: SystemParams) -> tuple:
                         params.rate_scale)
 
 
+class _Grid:
+    """A real or complex number at every point of a grid, whose operators
+    give the bytes CPython 3.10/3.11 gives on Python floats and complexes.
+
+    ``re`` and ``im`` are float64 arrays, or Python floats where a part is
+    the same at every point; ``im`` is None for a real number.  Each float
+    ``+``, ``-`` and ``*`` is one float64 ufunc call (nothing is fused into
+    an FMA); a real operand of a complex operation is ``(x, 0.0)``, as
+    CPython's ``to_complex`` makes it, and a product is ``_Py_c_prod``.
+    ``z ** k`` is ``c_powu``'s square-and-multiply from ``(1, 0)``, and
+    ``x ** k`` is Python's ``pow`` at each point, an ``OverflowError``
+    read as inf (numpy's ``**`` rounds differently).  Each power of one
+    number is computed once.  CPython 3.14's mixed real/complex arithmetic
+    (C99 Annex G) gives other bytes: ``test_grid_arithmetic_is_cpythons``
+    fails there.
+    """
+
+    __slots__ = ("re", "im", "_powers")
+
+    def __init__(self, re, im=None):
+        self.re, self.im = re, im
+        self._powers: dict = {}
+
+    # the left operand stays left, as in CPython: a NaN's payload can
+    # depend on the order
+    def __add__(self, other):
+        return _binary(_sum, self, other)
+
+    def __radd__(self, other):
+        return _binary(_sum, other, self)
+
+    def __sub__(self, other):
+        return _binary(_difference, self, other)
+
+    def __rsub__(self, other):
+        return _binary(_difference, other, self)
+
+    def __mul__(self, other):
+        return _binary(_product, self, other)
+
+    def __rmul__(self, other):
+        return _binary(_product, other, self)
+
+    def __neg__(self):
+        return _Grid(-self.re, None if self.im is None else -self.im)
+
+    def __pow__(self, k: int):
+        if k not in self._powers:
+            self._powers[k] = (_Grid(_float_power(self.re, k)) if self.im is None
+                               else _Grid(*_complex_power(self.re, self.im, k)))
+        return self._powers[k]
+
+
+def _parts(x) -> tuple:
+    if isinstance(x, _Grid):
+        return x.re, x.im
+    if isinstance(x, complex):
+        return x.real, x.imag
+    return float(x), None
+
+
+def _imag(part):
+    return 0.0 if part is None else part
+
+
+def _binary(operation, a, b) -> _Grid:
+    """``a op b``: the float operation on two real numbers, else the complex
+    one on both promoted to ``(x, 0.0)``."""
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
+    if ai is not None or bi is not None:
+        ai, bi = _imag(ai), _imag(bi)
+    return _Grid(*operation(ar, ai, br, bi))
+
+
+def _sum(ar, ai, br, bi) -> tuple:
+    return ar + br, None if ai is None else ai + bi
+
+
+def _difference(ar, ai, br, bi) -> tuple:
+    return ar - br, None if ai is None else ai - bi
+
+
+def _product(ar, ai, br, bi) -> tuple:
+    if ai is None:
+        return ar * br, None
+    return ar * br - ai * bi, ar * bi + ai * br  # _Py_c_prod
+
+
+def _power_or_inf(x: float, k: int) -> float:
+    try:
+        return x ** k
+    except OverflowError:
+        return math.inf
+
+
+def _float_power(x: np.ndarray, k: int) -> np.ndarray:
+    values = x.tolist()
+    try:
+        return np.array([v ** k for v in values])
+    except OverflowError:
+        return np.array([_power_or_inf(v, k) for v in values])
+
+
+def _complex_power(re, im, k: int) -> tuple:
+    # c_powu, without the square after the last bit
+    r, p = (1.0, 0.0), (re, im)
+    mask = 1
+    while True:
+        if k & mask:
+            r = _product(*r, *p)
+        mask <<= 1
+        if mask > k:
+            return r
+        p = _product(*p, *p)
+
+
+def _quotient(n, D) -> tuple:
+    """complex(n) / D for a finite nonzero D: CPython's _Py_c_quot with
+    b = (D, 0.0), which divides through by b.real."""
+    ar, ai = _parts(n)
+    ai = _imag(ai)
+    ratio = 0.0 / D
+    denom = D + 0.0 * ratio
+    return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+
+
+# grids of at least this many points are evaluated by _grid_pass; below it
+# the pass's fixed cost (~0.2-0.45 ms) outweighs the scalar loop's ~10-20 µs
+# a point (break-even measured at 22-30 points on the reference systems)
+_GRID_PASS_POINTS = 32
+
+
+def _grid_pass(params: SystemParams, rates: tuple, scale, pump,
+               deltas: np.ndarray, points: list, flat: np.ndarray) -> list:
+    """Write into ``flat`` the row of every point of ``deltas`` whose terms,
+    evaluated once over the whole grid, are finite and whose |D| is above
+    the floor; return the indices of the other points (all of them when a
+    power of the rates alone overflows a Python float), whose rows the
+    scalar loop overwrites with its state or NaN and its own error.  Every
+    kept row has the bytes of the scalar loop's."""
+    deg = _DEGREE[params.config]
+    with np.errstate(all="ignore"):  # inf and NaN leave the point to the loop
+        try:
+            D, *numerators = _TERMS[params.config](*rates, _Grid(deltas))
+        except OverflowError:  # a power of the rates alone: every point fails
+            return list(range(len(points)))
+        D = D.re
+        finite = np.isfinite(D)
+        for term in numerators:
+            for part in _parts(term):
+                if part is not None:
+                    finite &= np.isfinite(part)
+        # the floor test of _point_terms, point by point in Python floats
+        root, floor = 1 / deg, DENOMINATOR_FLOOR ** (1 / deg)
+        left = [i for i, (ok, b, d) in enumerate(zip(finite.tolist(), D.tolist(),
+                                                     points))
+                if not ok or abs(b) ** root <= floor * max(scale, abs(d), pump)]
+        r11, r22, r33, r12, r13, r23 = (_quotient(n, D) for n in numerators)
+    c23, c13, c12 = ((re, -im) for re, im in (r23, r13, r12))  # conjugates
+    for j, (re, im) in enumerate((r33, c23, c13, r23, r22, c12, r13, r12, r11)):
+        column = flat[:, j]
+        column.real, column.imag = re, im
+    return left
+
+
 def _steady_state_rows(params: SystemParams, deltas) -> tuple[np.ndarray, list]:
     """Closed-form steady states of ``params`` at the probe detunings
     ``deltas`` as one (N, 3, 3) block, and the failures in grid order as
     (index, error) pairs; the row of a failed point is NaN.  The rates are
     read once; each point gets the checks and messages of
     ``steady_state_terms(replace(params, delta_probe=d))`` and Python's
-    complex division by D.  The detunings are finite floats.
+    complex division by D.  ``deltas`` is a float ndarray of finite
+    detunings.
+
+    A grid of at least ``_GRID_PASS_POINTS`` points (and zero pump
+    detuning) first goes through :func:`_grid_pass`: the same term
+    functions, called once with the whole grid as a :class:`_Grid`, whose
+    arithmetic is CPython's.  The points it leaves, and every point of a
+    smaller grid, are solved one by one in Python floats, so a one-point
+    call pays nothing for the grid pass.  The rows and errors are the same
+    bytes either way.
     """
+    points = deltas.tolist()
     rates = _float_rates(params)
     # max over the rates first, then d and delta_pump: SystemParams.rate_scale
     scale = max(params.g_probe, params.g_pump, params.gamma_a, params.gamma_b)
     pump = abs(params.delta_pump)
-    block = np.full((len(deltas), 3, 3), complex(np.nan, np.nan))
+    block = np.empty((len(points), 3, 3), dtype=complex)
     flat = block.reshape(-1, 9)
     failures: list = []
-    for i, d in enumerate(deltas):
+    todo = range(len(points))
+    if len(points) >= _GRID_PASS_POINTS and params.delta_pump == 0.0:
+        todo = _grid_pass(params, rates, scale, pump, deltas, points, flat)
+    for i in todo:
+        d = points[i]
         try:
             D, *numerators = _point_terms(params, rates, float(d),
                                           max(scale, abs(d), pump))
         except (ValueError, DegenerateDenominatorError) as exc:
             failures.append((i, exc))
+            flat[i] = complex(np.nan, np.nan)
             continue
         # Python's complex division: numpy's multiplies by a reciprocal and
         # rounds differently
@@ -275,7 +464,8 @@ def analytic_steady_state(params: SystemParams) -> np.ndarray:
     division complex(n_kl) / D of :func:`steady_state_terms`' terms, and
     the errors are that function's.
     """
-    block, failures = _steady_state_rows(params, [params.delta_probe])
+    block, failures = _steady_state_rows(
+        params, np.array([params.delta_probe], dtype=float))
     if failures:
         raise failures[0][1]
     return block[0]

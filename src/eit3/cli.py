@@ -249,10 +249,11 @@ def _metadata(run: RunConfig, command: str) -> dict:
     }
 
 
-def _columns(points: Spectrum) -> dict[str, list]:
-    """The data columns of both writers, keyed and ordered as ``_COLUMNS``;
-    .tolist() hands out Python floats, whose repr the writers print."""
-    return {name: attrgetter(field)(points).tolist()
+def _columns(points: Spectrum, rows: slice = slice(None)) -> dict[str, list]:
+    """The data columns of both writers at ``rows``, keyed and ordered as
+    ``_COLUMNS``; .tolist() hands out Python floats, whose repr the writers
+    print."""
+    return {name: attrgetter(field)(points)[rows].tolist()
             for name, field in _COLUMNS.items()}
 
 
@@ -293,6 +294,9 @@ def read_sweep_csv(path) -> tuple[dict, list[dict], list[str]]:
 _RECORD_KEYS = sorted([*_COLUMNS, "edge_stencil"])
 _RECORD = "  {\n%s\n  }" % ",\n".join(f'   "{key}": %s' for key in _RECORD_KEYS)
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Spectrum rows formatted per write in write_sweep_json: a few MB of strings
+# at a time, where the whole document took ~2.5 KB of peak memory a point
+_WRITE_ROWS = 1024
 
 
 def _json_number(x: float) -> str:
@@ -311,21 +315,30 @@ def write_sweep_json(path: Path, metadata: dict, points: Spectrum,
     one, which took longer than the closed forms of an analytic sweep.  So
     only the small errors + metadata part goes through ``json.dumps``
     (string escaping unchanged); each record fills a fixed template whose
-    numbers are formatted as ``json`` formats them.
+    numbers are formatted as ``json`` formats them.  The records are
+    formatted and written ``_WRITE_ROWS`` Spectrum rows at a time, so the
+    document is never held whole.
     """
     head = json.dumps({"errors": [{"delta_mhz": d, "error": msg}
                                   for d, msg in (errors or [])],
                        "metadata": metadata}, indent=1, sort_keys=True)
-    columns = {name: list(map(_json_number, values))
-               for name, values in _columns(points).items()}
-    columns["edge_stencil"] = ["true" if e else "false"
-                               for e in points.edge_stencil.tolist()]
-    failed = np.isin(points.delta, [d for d, _ in errors or []])
-    records = ",\n".join(_RECORD % row for row in compress(zip(
-        *(columns[key] for key in _RECORD_KEYS)), (~failed).tolist()))
-    body = f"[\n{records}\n ]" if records else "[]"
-    # head ends in "\n}": reopen it for the last key, "records"
-    path.write_text(f'{head[:-2]},\n "records": {body}\n}}\n', encoding="utf-8")
+    kept = (~np.isin(points.delta, [d for d, _ in errors or []])).tolist()
+    with path.open("w", encoding="utf-8") as out:
+        # head ends in "\n}": reopen it for the last key, "records"
+        out.write(f'{head[:-2]},\n "records": ')
+        opening = "[\n"
+        for start in range(0, len(kept), _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            columns = {name: list(map(_json_number, values))
+                       for name, values in _columns(points, rows).items()}
+            columns["edge_stencil"] = ["true" if e else "false"
+                                       for e in points.edge_stencil[rows].tolist()]
+            records = ",\n".join(_RECORD % row for row in compress(zip(
+                *(columns[key] for key in _RECORD_KEYS)), kept[rows]))
+            if records:
+                out.write(opening + records)
+                opening = ",\n"
+        out.write("[]\n}\n" if opening == "[\n" else "\n ]\n}\n")
 
 
 def read_sweep_json(path) -> tuple[dict, list[dict], list[dict]]:

@@ -198,7 +198,10 @@ def solve_grid(params: SystemParams, deltas,
     failures in grid order.
 
     ``backend`` "numeric" solves Liouvillian stacks of 256 detunings
-    (:func:`steady_states`), "analytic" the closed forms in one pass.  Each
+    (:func:`steady_states`), "analytic" the closed forms in one pass: from
+    32 points (``analytic._GRID_PASS_POINTS``) one evaluation over the whole
+    grid in float64 arrays that repeat CPython's float and complex
+    arithmetic, below it one Python evaluation per point.  Each
     row, and each failure's error, is that of the one-point call
     ``steady_state(build_liouvillian(replace(params, delta_probe=d)))`` or
     ``analytic_steady_state(replace(params, delta_probe=d))``, bit for bit;
@@ -216,7 +219,7 @@ def solve_grid(params: SystemParams, deltas,
             failures += [(start + i, exc) for i, exc in failed]
         return block, failures
     if backend == "analytic":
-        return _steady_state_rows(params, deltas.tolist())
+        return _steady_state_rows(params, deltas)
     raise ValueError(f"backend must be 'numeric' or 'analytic', got {backend!r}")
 
 

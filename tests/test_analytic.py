@@ -1,6 +1,9 @@
 """Closed-form steady states: transcription guards and solver equivalence."""
 
+import math
+import operator
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from conftest import random_params
 
 from eit3.analytic import (
     _TERMS,
+    _Grid,
+    _quotient,
     ClosedFormOverflowError,
     DegenerateDenominatorError,
     PumpDetuningUnsupportedError,
@@ -218,3 +223,64 @@ def test_overflowing_product_raises_named_error():
                      gamma_a=1.0, gamma_b=1.0)
     with pytest.raises(ClosedFormOverflowError):
         steady_state_terms(p)
+
+
+# operands of the grid-arithmetic pin: signed zeros, infinities, NaN,
+# subnormals, 1e+-300 and plain values, as ints, floats and complexes
+PIN_REALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310,
+             1e300, -1e-300, 2.0, 3.0, -1.5, 2]
+PIN_COMPLEXES = [complex(math.inf, 0.0), complex(-0.0), complex(0.0, -0.0),
+                 complex(-0.0, -0.0), complex(1e300, -1e-300),
+                 complex(math.nan, 1.0), complex(5e-324, -math.inf),
+                 complex(-1.5, 2.5), 1j]
+PIN_OPERANDS = PIN_REALS + PIN_COMPLEXES
+
+
+def one_point(x):
+    """``x`` as a one-point _Grid."""
+    if isinstance(x, complex):
+        return _Grid(np.array([x.real]), np.array([x.imag]))
+    return _Grid(np.array([float(x)]))
+
+
+def scalar_bytes(x):
+    if isinstance(x, complex):
+        return "complex", np.array([x.real]).tobytes(), np.array([x.imag]).tobytes()
+    return "real", np.array([float(x)]).tobytes()
+
+
+def grid_bytes(g):
+    if g.im is None:
+        return "real", np.broadcast_to(g.re, 1).tobytes()
+    return ("complex", np.broadcast_to(g.re, 1).tobytes(),
+            np.broadcast_to(g.im, 1).tobytes())
+
+
+def test_grid_arithmetic_is_cpythons():
+    # every operator of the array number the closed forms run on over a
+    # grid gives the bytes of the Python scalar operation it copies; on an
+    # interpreter with C99 Annex G mixed real/complex arithmetic (CPython
+    # 3.14) this fails, and with it the grid pass's bitwise equality
+    assert math.isnan((complex(math.inf, 0.0) * 2.0).imag)  # (x, 0.0) promotion
+    assert math.copysign(1.0, (complex(-0.0) / 3.0).real) == 1.0  # +0j
+    with np.errstate(all="ignore"):
+        for op, a, b in product((operator.add, operator.sub, operator.mul),
+                                PIN_OPERANDS, PIN_OPERANDS):
+            expected = scalar_bytes(op(a, b))
+            for got in (op(one_point(a), b), op(a, one_point(b)),
+                        op(one_point(a), one_point(b))):
+                assert grid_bytes(got) == expected, (op, a, b)
+        for a in PIN_OPERANDS:
+            assert grid_bytes(-one_point(a)) == scalar_bytes(-a), a
+            for k in (2, 3, 4, 6):
+                got = one_point(a) ** k
+                try:
+                    expected = scalar_bytes(a ** k)
+                except OverflowError:  # read as a non-finite result
+                    assert not all(np.isfinite(part).all() for part in
+                                   (got.re, 0.0 if got.im is None else got.im))
+                    continue
+                assert grid_bytes(got) == expected, (a, k)
+            for D in (5e-324, -1e-310, 1e300, -1e-300, 2.0, 3.0, -1.5):
+                re, im = _quotient(one_point(a), np.array([D]))
+                assert grid_bytes(_Grid(re, im)) == scalar_bytes(complex(a) / D), (a, D)

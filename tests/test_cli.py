@@ -11,6 +11,7 @@ import pytest
 import eit3.cli
 import eit3.optics
 import eit3.steady
+from eit3.analytic import _GRID_PASS_POINTS
 from eit3.cli import (
     EXIT_CONFIG,
     EXIT_DISCREPANCY,
@@ -430,15 +431,25 @@ def test_evolve_bad_step_is_config_error(tmp_path, capsys, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_analytic_sweep_names_overflow(tmp_path, capsys):
+def assert_sweep_names_overflow(tmp_path, capsys, points):
     cfg = write_config(tmp_path, g_probe=1e60, g_pump=1e60, backend="analytic",
-                       sweep={"min": -1.0, "max": 1.0, "points": 3},
+                       sweep={"min": -1.0, "max": 1.0, "points": points},
                        output={"path": "huge.csv", "format": "csv"})
     assert main(["sweep", str(cfg)]) == EXIT_SOLVER
     assert "ClosedFormOverflow" in capsys.readouterr().err
     _, _, errors = read_sweep_csv(tmp_path / "huge.csv")
-    assert len(errors) == 3
+    assert len(errors) == points
     assert all("ClosedFormOverflowError: ClosedFormOverflow:" in e for e in errors)
+
+
+def test_analytic_sweep_names_overflow(tmp_path, capsys):
+    assert_sweep_names_overflow(tmp_path, capsys, 3)
+
+
+def test_analytic_grid_pass_sweep_names_overflow(tmp_path, capsys):
+    # evaluated over the whole grid at once, where g_probe**6 raises
+    # OverflowError for every point together
+    assert_sweep_names_overflow(tmp_path, capsys, _GRID_PASS_POINTS)
 
 
 def test_evolve_rho0_from_file(tmp_path):

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import outcomes, random_params, random_state
 
-from eit3.analytic import analytic_steady_state, steady_state_terms
+import eit3.analytic
+from eit3.analytic import _GRID_PASS_POINTS, analytic_steady_state, steady_state_terms
 from eit3.model import (
     DIAGONAL_VEC_INDICES,
     Configuration,
@@ -588,6 +589,63 @@ def test_analytic_grid_matches_the_per_point_composition(tag, grid, delta_pump):
     assert all(rho.base is not None and np.shares_memory(rho, block)
                for rho in solved)
 
+
+# detunings that the closed forms solve (0.0, -0.0, +-1e-300, +-5e-324),
+# overflow (+-1e77) or find degenerate (+-1e60: |D| below the floor)
+ADVERSARIAL_DELTAS = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324,
+                      1e77, -1e77, 1e60, -1e60]
+
+
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_analytic_grid_pass_matches_the_per_point_composition(tag, monkeypatch):
+    # on both sides of the size from which the terms are evaluated once over
+    # the whole grid: every state, error type and message of the grid is the
+    # one-point composition's, bit for bit
+    passes = []
+    original = eit3.analytic._grid_pass
+    monkeypatch.setattr(eit3.analytic, "_grid_pass",
+                        lambda *args: passes.append(1) or original(*args))
+    # (the 2001-point grid over +-1e77 is the wide grid of the test above)
+    p = reference_params(tag)
+    for n in (_GRID_PASS_POINTS - 1, _GRID_PASS_POINTS, 2001):
+        passes.clear()
+        deltas = np.concatenate([
+            ADVERSARIAL_DELTAS, np.linspace(-40.0, 40.0, n - len(ADVERSARIAL_DELTAS))])
+        states = outcomes(solve_grid(p, deltas, "analytic"))
+        assert len(passes) == (n >= _GRID_PASS_POINTS)
+        for d, rho in zip(deltas, states):
+            assert same_outcome(rho, composed_analytic(p, d)), (n, d)
+        assert {type(rho).__name__ for rho in states} == {
+            "ndarray", "ClosedFormOverflowError", "DegenerateDenominatorError"}
+
+
+def test_analytic_grid_pass_matches_on_random_rates():
+    # rates log-uniform over 1e-6..1e6 with 5% exact zeros, 64 detunings each
+    rng = np.random.default_rng(19)
+    configs = list(Configuration)
+    for k in range(99):
+        rates = 10.0 ** rng.uniform(-6.0, 6.0, 4) * (rng.random(4) >= 0.05)
+        p = SystemParams(configs[k % 3], *rates.tolist())
+        deltas = rng.choice([-1.0, 1.0], 64) * 10.0 ** rng.uniform(-6.0, 6.0, 64)
+        for d, rho in zip(deltas, outcomes(solve_grid(p, deltas, "analytic"))):
+            assert same_outcome(rho, composed_analytic(p, d)), (p, d)
+
+
+
+@pytest.mark.parametrize("rates", [
+    (1e60, 1e60, 6.0, 6.0), (1e52, 1.0, 1.0, 1.0), (1.0, 1e60, 1.0, 1.0),
+    (1.0, 1.0, 1e60, 1e60), (1e40, 1e40, 1.0, 1.0), (1e30, 1e30, 1e30, 1e30)])
+@pytest.mark.parametrize("config", list(Configuration))
+def test_analytic_grid_pass_matches_on_huge_rates(config, rates):
+    # a power of the rates alone raises OverflowError where a Python float
+    # passes 1e308 (lambda and cascade from g_probe = 1e52, vee from
+    # g_pump = 1e60): every point fails as in the one-point call
+    p = SystemParams(config, *rates)
+    for n in (_GRID_PASS_POINTS, 257):
+        deltas = np.concatenate([
+            ADVERSARIAL_DELTAS, np.linspace(-1e3, 1e3, n - len(ADVERSARIAL_DELTAS))])
+        for d, rho in zip(deltas, outcomes(solve_grid(p, deltas, "analytic"))):
+            assert same_outcome(rho, composed_analytic(p, d)), (n, d)
 
 def test_failed_rows_are_nan_in_both_parts():
     # not nan+0j: the CSV writer prints alpha and im_coh of a failed row
