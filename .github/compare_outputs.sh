@@ -25,13 +25,15 @@
 # once (eit3.analytic._GRID_PASS_POINTS, read from HEAD); 2001-point
 # analytic csv and json sweeps with g_probe = g_pump = 1e60, where a power
 # of the rates alone overflows a Python float and every point fails;
+# for lambda only, a numeric csv and an analytic json sweep at the point
+# cap (eit3.optics.MAX_POINTS, read from HEAD), ~98 chunks of each writer;
 # `sweep TAG`;
 # `steady` at --delta 0 and 2.5 with delta_pump 0 (the bundled config) and
 # 1.7 (backend both: the numeric block on stdout, the analytic error on
 # stderr); `darkstate` with delta_pump 0, and 1.7 on the numeric and both
 # backends; `steady` and `darkstate` on the undriven numeric and analytic
 # csv configs, whose solves fail (exit 2); `evolve TAG --t-end 500`.  Then
-# `calibrate`: 115 commands in all.  Both checkouts
+# `calibrate`: 117 commands in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -48,6 +50,7 @@ from pathlib import Path
 
 sys.path.insert(0, sys.argv[1])
 from eit3.analytic import _GRID_PASS_POINTS
+from eit3.optics import MAX_POINTS
 
 bundled, work = Path(sys.argv[1]) / "eit3" / "configs", Path(sys.argv[2])
 (work / "configs").mkdir()
@@ -104,6 +107,11 @@ for tag in ("lambda", "cascade", "vee"):
                                              "points": 2001, "format": fmt,
                                              "g_probe": 1e60, "g_pump": 1e60})
              for fmt in ("csv", "json")]
+    if tag == "lambda":
+        runs += [(f"{tag}-cap-{backend}-{fmt}", {"backend": backend,
+                                                 "points": MAX_POINTS,
+                                                 "format": fmt})
+                 for backend, fmt in (("numeric", "csv"), ("analytic", "json"))]
     paths = {name: write(doc, name, change) for name, change in runs}
     commands += [f"{name} sweep {path}" for name, path in paths.items()]
     detuned = {"numeric": paths[f"{tag}-pump-detuned"],

@@ -377,7 +377,7 @@ def _quotient(n, D) -> tuple:
 _GRID_PASS_POINTS = 32
 
 
-def _grid_pass(params: SystemParams, rates: tuple, scale, pump,
+def _grid_pass(params: SystemParams, rates: tuple, scale,
                deltas: np.ndarray, points: list, flat: np.ndarray) -> list:
     """Write into ``flat`` the row of every point of ``deltas`` whose terms,
     evaluated once over the whole grid, are finite and whose |D| is above
@@ -401,7 +401,7 @@ def _grid_pass(params: SystemParams, rates: tuple, scale, pump,
         root, floor = 1 / deg, DENOMINATOR_FLOOR ** (1 / deg)
         left = [i for i, (ok, b, d) in enumerate(zip(finite.tolist(), D.tolist(),
                                                      points))
-                if not ok or abs(b) ** root <= floor * max(scale, abs(d), pump)]
+                if not ok or abs(b) ** root <= floor * max(scale, abs(d))]
         r11, r22, r33, r12, r13, r23 = (_quotient(n, D) for n in numerators)
     c23, c13, c12 = ((re, -im) for re, im in (r23, r13, r12))  # conjugates
     for j, (re, im) in enumerate((r33, c23, c13, r23, r22, c12, r13, r12, r11)):
@@ -429,20 +429,18 @@ def _steady_state_rows(params: SystemParams, deltas) -> tuple[np.ndarray, list]:
     """
     points = deltas.tolist()
     rates = _float_rates(params)
-    # max over the rates first, then d and delta_pump: SystemParams.rate_scale
+    # max over the rates first, then d: SystemParams.rate_scale at delta_pump = 0
     scale = max(params.g_probe, params.g_pump, params.gamma_a, params.gamma_b)
-    pump = abs(params.delta_pump)
     block = np.empty((len(points), 3, 3), dtype=complex)
     flat = block.reshape(-1, 9)
     failures: list = []
     todo = range(len(points))
     if len(points) >= _GRID_PASS_POINTS and params.delta_pump == 0.0:
-        todo = _grid_pass(params, rates, scale, pump, deltas, points, flat)
+        todo = _grid_pass(params, rates, scale, deltas, points, flat)
     for i in todo:
         d = points[i]
         try:
-            D, *numerators = _point_terms(params, rates, float(d),
-                                          max(scale, abs(d), pump))
+            D, *numerators = _point_terms(params, rates, d, max(scale, abs(d)))
         except (ValueError, DegenerateDenominatorError) as exc:
             failures.append((i, exc))
             flat[i] = complex(np.nan, np.nan)

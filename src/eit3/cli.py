@@ -214,6 +214,8 @@ def load_config(path) -> RunConfig:
 
 
 def _resolve_output(path_str: str) -> Path:
+    if "\0" in path_str:  # a JSON "\u0000": the OS calls raise ValueError
+        raise ConfigError(f"output path must not contain NUL, got {path_str!r}")
     path = Path(path_str)
     if path.is_absolute():
         return path
@@ -249,22 +251,30 @@ def _metadata(run: RunConfig, command: str) -> dict:
     }
 
 
-def _columns(points: Spectrum, rows: slice = slice(None)) -> dict[str, list]:
-    """The data columns of both writers at ``rows``, keyed and ordered as
-    ``_COLUMNS``; .tolist() hands out Python floats, whose repr the writers
-    print."""
-    return {name: attrgetter(field)(points)[rows].tolist()
+# Spectrum rows formatted per write by both writers: a few MB of strings at a
+# time, where a whole CSV or JSON file costs ~1.2 or ~2.5 KB of peak memory a point
+_WRITE_ROWS = 1024
+
+
+def _columns(points: Spectrum, rows: slice) -> dict[str, list[str]]:
+    """The numbers of both writers at ``rows``, formatted once: per column,
+    keyed and ordered as ``_COLUMNS``, the repr of each Python float that
+    .tolist() hands out, which is also how ``json`` prints a finite float."""
+    return {name: list(map(repr, attrgetter(field)(points)[rows].tolist()))
             for name, field in _COLUMNS.items()}
 
 
 def write_sweep_csv(path: Path, metadata: dict, points: Spectrum,
                     errors: list[tuple[float, str]] | None = None) -> None:
-    """``#`` lines for metadata and errors, then a line per Spectrum row."""
-    lines = [f"# {key} = {value}" for key, value in metadata.items()]
-    lines += [f"# error: delta={d!r} {msg}" for d, msg in (errors or [])]
-    lines.append(CSV_HEADER)
-    lines += [",".join(map(repr, row)) for row in zip(*_columns(points).values())]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """``#`` lines for metadata and errors, the header, then a line per
+    Spectrum row, formatted and written ``_WRITE_ROWS`` rows at a time."""
+    with path.open("w", encoding="utf-8") as out:
+        out.writelines(f"# {key} = {value}\n" for key, value in metadata.items())
+        out.writelines(f"# error: delta={d!r} {msg}\n" for d, msg in errors or [])
+        out.write(CSV_HEADER + "\n")
+        for start in range(0, len(points.delta), _WRITE_ROWS):
+            columns = _columns(points, slice(start, start + _WRITE_ROWS))
+            out.writelines(",".join(row) + "\n" for row in zip(*columns.values()))
 
 
 def read_sweep_csv(path) -> tuple[dict, list[dict], list[str]]:
@@ -294,16 +304,6 @@ def read_sweep_csv(path) -> tuple[dict, list[dict], list[str]]:
 _RECORD_KEYS = sorted([*_COLUMNS, "edge_stencil"])
 _RECORD = "  {\n%s\n  }" % ",\n".join(f'   "{key}": %s' for key in _RECORD_KEYS)
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Spectrum rows formatted per write in write_sweep_json: a few MB of strings
-# at a time, where the whole document took ~2.5 KB of peak memory a point
-_WRITE_ROWS = 1024
-
-
-def _json_number(x: float) -> str:
-    # float.__repr__, not repr: json's floatstr bypasses a subclass's repr
-    # (np.float64's is "np.float64(...)")
-    text = float.__repr__(x)
-    return _JSON_NON_FINITE.get(text, text)
 
 
 def write_sweep_json(path: Path, metadata: dict, points: Spectrum,
@@ -315,9 +315,9 @@ def write_sweep_json(path: Path, metadata: dict, points: Spectrum,
     one, which took longer than the closed forms of an analytic sweep.  So
     only the small errors + metadata part goes through ``json.dumps``
     (string escaping unchanged); each record fills a fixed template whose
-    numbers are formatted as ``json`` formats them.  The records are
-    formatted and written ``_WRITE_ROWS`` Spectrum rows at a time, so the
-    document is never held whole.
+    numbers are ``_columns``' with json's spellings of nan and +-inf.  The
+    records are formatted and written ``_WRITE_ROWS`` Spectrum rows at a
+    time, so the document is never held whole.
     """
     head = json.dumps({"errors": [{"delta_mhz": d, "error": msg}
                                   for d, msg in (errors or [])],
@@ -329,8 +329,8 @@ def write_sweep_json(path: Path, metadata: dict, points: Spectrum,
         opening = "[\n"
         for start in range(0, len(kept), _WRITE_ROWS):
             rows = slice(start, start + _WRITE_ROWS)
-            columns = {name: list(map(_json_number, values))
-                       for name, values in _columns(points, rows).items()}
+            columns = {name: list(map(_JSON_NON_FINITE.get, texts, texts))
+                       for name, texts in _columns(points, rows).items()}
             columns["edge_stencil"] = ["true" if e else "false"
                                        for e in points.edge_stencil[rows].tolist()]
             records = ",\n".join(_RECORD % row for row in compress(zip(

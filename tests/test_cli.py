@@ -227,6 +227,27 @@ def test_unwritable_output_path_is_config_error(tmp_path, capsys, command,
     assert list((tmp_path / "adir").iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["sweep"], ["evolve", "--t-end", "1"]])
+@pytest.mark.parametrize("override", [False, True], ids=["config", "out"])
+def test_output_path_with_a_nul_is_config_error(tmp_path, capsys, command,
+                                                override):
+    # a JSON "\u0000" in output.path, or the same path given as --out: the OS
+    # calls raise ValueError, not OSError
+    path = "out\x00.csv"
+    cfg = write_config(tmp_path, backend="numeric",
+                       output={"path": "out.csv" if override else path,
+                               "format": "csv"})
+    argv = [command[0], str(cfg), *command[1:]]
+    if override:
+        argv += ["--out", path]
+    if command[0] == "evolve" and not override:
+        path = "out\x00.evolve.csv"  # the name evolve derives from output.path
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: output path must not contain NUL, got {path!r}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_unwritable_sweep_output_fails_before_solving(tmp_path, capsys,
                                                      monkeypatch):
     # undriven: every point would fail, and be reported, if it were solved
@@ -771,32 +792,70 @@ def interleaved_failures(monkeypatch, points):
     return run, s, [(d, f"{type(e).__name__}: {e}") for d, e in failures]
 
 
+# one chunk, and three chunks of the writers with failed rows on both sides
+# of each chunk boundary
+INTERLEAVED_POINTS = [31, 2 * eit3.cli._WRITE_ROWS + 1]
+
+
+@pytest.mark.parametrize("points", INTERLEAVED_POINTS)
 def test_csv_writer_matches_row_oracle_with_interleaved_failures(tmp_path,
-                                                                 monkeypatch):
+                                                                 monkeypatch,
+                                                                 points):
     # points 1, 4, 7, ... fail: their rows sit between the solved ones
-    run, s, errors = interleaved_failures(monkeypatch, 31)
-    assert len(s.delta) == 31 and len(errors) == 10
+    run, s, errors = interleaved_failures(monkeypatch, points)
+    assert len(s.delta) == points and len(errors) == len(range(1, points, 3))
     metadata = eit3.cli._metadata(run, "sweep")
     out = tmp_path / "out.csv"
     eit3.cli.write_sweep_csv(out, metadata, s, errors)
     assert out.read_bytes() == csv_oracle(metadata, s, errors)
     # a failed row is its detuning and nine nans
-    lines = out.read_text(encoding="utf-8").splitlines()[-31:]
+    lines = out.read_text(encoding="utf-8").splitlines()[-points:]
     assert lines[1::3] == [",".join([repr(d)] + ["nan"] * 9) for d, _ in errors]
     _, rows, _ = read_sweep_csv(out)
     assert [r["delta_mhz"] for r in rows] == s.delta.tolist()
-    assert [math.isnan(r["n"]) for r in rows] == [i % 3 == 1 for i in range(31)]
+    assert ([math.isnan(r["n"]) for r in rows]
+            == [i % 3 == 1 for i in range(points)])
 
 
-def test_json_writer_has_no_record_for_a_failed_point(tmp_path, monkeypatch):
-    run, s, errors = interleaved_failures(monkeypatch, 31)
-    solved = [i for i in range(31) if i % 3 != 1]
+@pytest.mark.parametrize("points", INTERLEAVED_POINTS)
+def test_json_writer_has_no_record_for_a_failed_point(tmp_path, monkeypatch,
+                                                      points):
+    run, s, errors = interleaved_failures(monkeypatch, points)
+    solved = [i for i in range(points) if i % 3 != 1]
     metadata = eit3.cli._metadata(run, "sweep")
     out = tmp_path / "out.json"
     eit3.cli.write_sweep_json(out, metadata, s, errors)
     kept = eit3.optics.Spectrum(**{f.name: getattr(s, f.name)[solved]
                                    for f in fields(eit3.optics.Spectrum)})
     assert out.read_bytes() == dumps_oracle(metadata, kept, errors)
+
+
+def wide_vee_failures(monkeypatch, points):
+    """The vee reference system swept over delta in [-1e77, 1e77] on the
+    closed forms: points that overflow or fall to the denominator floor
+    around the one that solves, at delta = 0."""
+    run = load_config(str(bundled_config_path("vee")))
+    s, failures = eit3.optics.sweep(run.params, run.optics, -1e77, 1e77,
+                                    points, backend="analytic")
+    return run, s, [(d, f"{type(e).__name__}: {e}") for d, e in failures]
+
+
+@pytest.mark.parametrize("failing", [interleaved_failures, wide_vee_failures],
+                         ids=["interleaved", "wide-vee"])
+@pytest.mark.parametrize("write", ["write_sweep_csv", "write_sweep_json"])
+def test_writer_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch,
+                                                      write, failing):
+    points = 2 * eit3.cli._WRITE_ROWS + 1
+    run, s, errors = failing(monkeypatch, points)
+    assert 0 < len(errors) < points
+    metadata = eit3.cli._metadata(run, "sweep")
+    out = tmp_path / "out"
+    written = set()
+    for rows in (1, 7, eit3.cli._WRITE_ROWS):
+        monkeypatch.setattr(eit3.cli, "_WRITE_ROWS", rows)
+        getattr(eit3.cli, write)(out, metadata, s, errors)
+        written.add(out.read_bytes())
+    assert len(written) == 1
 
 
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
