@@ -32,8 +32,13 @@
 # 1.7 (backend both: the numeric block on stdout, the analytic error on
 # stderr); `darkstate` with delta_pump 0, and 1.7 on the numeric and both
 # backends; `steady` and `darkstate` on the undriven numeric and analytic
-# csv configs, whose solves fail (exit 2); `evolve TAG --t-end 500`.  Then
-# `calibrate`: 117 commands in all.  Both checkouts
+# csv configs, whose solves fail (exit 2); `steady` at --delta 0 and 500
+# on the stiff csv and the 11-point tiny csv configs, one-matrix solves
+# that take the conditioning proof (stiff, delta 0) or the definition: a
+# DegenerateNullSpaceError (delta 500), the condition number in the
+# SingularSolveError message (lambda and cascade tiny) or a state solved
+# after both checks (vee tiny); `evolve TAG --t-end 500`.  Then
+# `calibrate`: 129 commands in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -129,6 +134,9 @@ for tag in ("lambda", "cascade", "vee"):
         commands += [f"steady-{tag}-{delta} steady {tag} --delta {delta}",
                      f"steady-{tag}-pump-detuned-{delta} steady "
                      f"{detuned['both']} --delta {delta}"]
+    commands += [f"steady-{name}-{delta} steady {paths[name]} --delta {delta}"
+                 for name in (f"{tag}-stiff-csv", f"{tag}-tiny-both-11-csv")
+                 for delta in ("0", "500")]
     commands.append(f"evolve-{tag} evolve {tag} --t-end 500")
 commands.append("calibrate calibrate")
 (work / "commands").write_text("\n".join(commands) + "\n", encoding="utf-8")

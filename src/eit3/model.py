@@ -246,12 +246,14 @@ def build_liouvillian_stack(params: SystemParams, delta_probe) -> np.ndarray:
     formed per slice from that slice's Hamiltonian and the
     detuning-independent dissipator is added once.  (Splitting L into
     L0 + Delta L1 would not be exact: (dp + dq) - dp and dq round
-    differently.)
+    differently.)  Entries that overflow read inf or NaN without a numpy
+    warning; the steady-state solve names them as non-finite.
     """
-    H = _hamiltonian_stack(params, delta_probe)
-    I3 = _I3[np.newaxis]
-    L = 1j * (_kron_stack(H.transpose(0, 2, 1), I3) - _kron_stack(I3, H))
-    L += build_dissipator(params).matrix
+    with np.errstate(all="ignore"):
+        H = _hamiltonian_stack(params, delta_probe)
+        I3 = _I3[np.newaxis]
+        L = 1j * (_kron_stack(H.transpose(0, 2, 1), I3) - _kron_stack(I3, H))
+        L += build_dissipator(params).matrix
     return L
 
 

@@ -5,11 +5,11 @@ generic (one-dimensional null space) case it is found by replacing the last
 population-derivative row of L -- the row generating d(rho_11)/dt -- with
 the trace constraint and solving the resulting linear system.  Two checks
 guard the solve.  One inverse of the bordered matrix proves both on nearly
-every matrix; the rest are decided by their definition, the condition
-number of the bordered matrix and the singular values of L.  The same
-solve serves one Liouvillian (:func:`steady_state`) and a stack of them
-(:func:`steady_states`); :func:`solve_grid` runs either backend over a
-probe-detuning grid.
+every matrix and gives its state; the rest are decided by their
+definition, the condition number of the bordered matrix and the singular
+values of L.  The same solve serves one Liouvillian (:func:`steady_state`)
+and a stack of them (:func:`steady_states`); :func:`solve_grid` runs
+either backend over a probe-detuning grid.
 """
 
 from __future__ import annotations
@@ -17,6 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+try:  # the inverse np.linalg.cond(B, "fro") forms, NaN for a singular B
+    from numpy.linalg import _umath_linalg
+    _umath_linalg.inv
+except (ImportError, AttributeError) as exc:
+    raise ImportError(
+        "eit3 needs numpy.linalg._umath_linalg.inv, the stacked inverse of "
+        f"np.linalg.cond, which this numpy {np.__version__} lacks") from exc
 
 from .analytic import _steady_state_rows
 from .model import (
@@ -54,6 +62,11 @@ MAX_STRIDE = 10**6
 # detunings per batched solve in solve_grid: bounds a sweep's working set
 # (building all 2001 points of a sweep at once costs ~8 MB of peak memory)
 _CHUNK = 256
+# the d(rho_11)/dt row of L, which the bordered matrix B replaces with the
+# trace constraint
+_TRACE_ROW = DIAGONAL_VEC_INDICES[-1]
+_TRACE_CONSTRAINT = np.zeros(9, dtype=complex)
+_TRACE_CONSTRAINT[list(DIAGONAL_VEC_INDICES)] = 1.0
 
 
 class DegenerateNullSpaceError(ValueError):
@@ -124,41 +137,41 @@ def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
     values at or below NULL_TOL * sigma_max) gives
     :class:`DegenerateNullSpaceError`; otherwise a condition number of the
     trace-bordered matrix B above COND_LIMIT, or non-finite entries, give
-    :class:`SingularSolveError`.  The matrices that pass are solved in one
-    batched call; per matrix, the arithmetic is that of a one-matrix stack.
+    :class:`SingularSolveError`.  Per matrix, the arithmetic is that of a
+    one-matrix stack.
 
-    One inverse per matrix proves both checks.  Let kappa_F = ||B||_F
-    ||B^-1||_F.  As ||.||_2 <= ||.||_F, cond(B) <= kappa_F and sigma_9(B) =
-    1 / ||B^-1||_2 >= ||B||_F / kappa_F.  A matrix with kappa_F <= 1e-2 *
-    COND_LIMIT and 6 * kappa_F * NULL_TOL * ||L||_F < ||B||_F is therefore
-    within the condition limit and has sigma_9(B) > 6 * NULL_TOL * ||L||_F.
-    B is L with one row replaced, so rank-one interlacing gives sigma_8(L)
-    >= sigma_9(B) > 6 * NULL_TOL * sigma_1(L): L has at most one null
-    direction.  The factors 1e-2 and 6 are margins for rounding: the
-    computed inverse has a relative error of about 9 eps kappa_F (2e-3 at
-    kappa_F = 1e12), and the SVD an absolute error of a few eps sigma_1.
-    kappa_F reads inf where B is exactly singular and NaN where L is not
-    finite, so those matrices go without the proof and the others in the
-    stack keep it.  Every other finite matrix is decided by the definition:
-    cond(B) from ``np.linalg.cond`` (the value in the error message) and
-    the null directions counted from the singular values of L.
+    One inverse per matrix proves both checks and gives the state.  Let
+    kappa_F = ||B||_F ||B^-1||_F.  As ||.||_2 <= ||.||_F, cond(B) <= kappa_F
+    and sigma_9(B) = 1 / ||B^-1||_2 >= ||B||_F / kappa_F.  A matrix with
+    kappa_F <= 1e-2 * COND_LIMIT and 6 * kappa_F * NULL_TOL * ||L||_F <
+    ||B||_F is therefore within the condition limit and has sigma_9(B) > 6 *
+    NULL_TOL * ||L||_F.  B is L with one row replaced, so rank-one
+    interlacing gives sigma_8(L) >= sigma_9(B) > 6 * NULL_TOL * sigma_1(L): L
+    has at most one null direction.  The factors 1e-2 and 6 are margins for
+    rounding: the computed inverse has a relative error of about 9 eps
+    kappa_F (2e-3 at kappa_F = 1e12), and the SVD an absolute error of a few
+    eps sigma_1.  The right-hand side of the trace-row system is the unit
+    vector of the trace row, so the state is that column of B^-1.  kappa_F
+    reads NaN or inf where B is exactly singular or L is not finite, so
+    those matrices go without the proof and the others in the stack keep
+    it.  A stack that is proved whole returns at once.  Otherwise every
+    other finite matrix is decided by the definition: cond(B) from
+    ``np.linalg.cond`` (the value in the error message) and the null
+    directions counted from the singular values of L.
     """
     M = np.asarray(matrices)
-    finite = np.isfinite(M).all(axis=(1, 2))
-    bordered = M.copy()
-    trace_row = DIAGONAL_VEC_INDICES[-1]  # d(rho_11)/dt row
-    bordered[:, trace_row, :] = 0.0
-    bordered[:, trace_row, list(DIAGONAL_VEC_INDICES)] = 1.0
-    # kappa_F from one inverse per matrix: inf where B is exactly singular,
-    # NaN where M is not finite
-    kappa = np.linalg.cond(bordered, "fro")
+    bordered = np.array(M, dtype=complex)
+    bordered[:, _TRACE_ROW] = _TRACE_CONSTRAINT
     with np.errstate(all="ignore"):
+        inverse, kappa, norm = _kappa_f(bordered)
         # NaN or inf where M is not finite or a norm overflows: no proof
-        frobenius = np.linalg.norm(M, axis=(1, 2))
         proved = ((kappa <= 1e-2 * COND_LIMIT)
-                  & (6.0 * kappa * NULL_TOL * frobenius
-                     < np.linalg.norm(bordered, axis=(1, 2))))
+                  & (6.0 * kappa * NULL_TOL * _frobenius(M) < norm))
+    if proved.all():
+        return _symmetrized(inverse[:, :, _TRACE_ROW]), []
+
     # the rest are decided by the definition: cond of B and L's SVD
+    finite = np.isfinite(M).all(axis=(1, 2))
     cond = np.zeros(len(M))  # proved rows are within the limit
     degenerate = np.zeros(len(M), dtype=bool)
     rows = np.flatnonzero(finite & ~proved)
@@ -167,15 +180,35 @@ def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
         sv = np.linalg.svd(M[rows], compute_uv=False)  # sigma_max first
         degenerate[rows] = (sv <= NULL_TOL * sv[:, :1]).sum(axis=1) > 1
     ok = finite & ~degenerate & (cond <= COND_LIMIT)
-
-    b = np.zeros(9, dtype=complex)
-    b[trace_row] = 1.0
-    rho = unvectorize(np.linalg.solve(bordered[ok], b))
     block = np.full((len(M), 3, 3), complex(np.nan, np.nan))
-    # symmetrize away the solver's rounding-level Hermiticity defect
-    block[ok] = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    block[ok] = _symmetrized(inverse[ok][:, :, _TRACE_ROW])
     return block, [(i, _failure(finite[i], degenerate[i], cond[i]))
                    for i, passed in enumerate(ok.tolist()) if not passed]
+
+
+def _kappa_f(bordered: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inverses of an (N, 9, 9) complex stack, NaN where LAPACK finds a
+    matrix singular, with kappa_F and ||B||_F per matrix: the inverse and
+    the arithmetic of ``np.linalg.cond(bordered, "fro")``, which reads inf
+    where this reads NaN for a finite matrix.  numpy warns of a singular
+    matrix or an overflow unless the caller ignores them with np.errstate,
+    as :func:`steady_states` does."""
+    inverse = _umath_linalg.inv(bordered, signature="D->D")
+    norm = _frobenius(bordered)
+    return inverse, norm * _frobenius(inverse), norm
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """||x||_F of each matrix of an (N, 9, 9) stack, in the operations of
+    ``np.linalg.norm(x, axis=(1, 2))``."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(1, 2)))
+
+
+def _symmetrized(vectors: np.ndarray) -> np.ndarray:
+    """The (N, 3, 3) states of (N, 9) solution vectors, with the solver's
+    rounding-level Hermiticity defect symmetrized away."""
+    rho = unvectorize(vectors)
+    return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
 
 
 def _failure(finite: bool, degenerate: bool, cond: float) -> ValueError:

@@ -6,9 +6,9 @@ The documents start from a small valid config and replace fields with
 wrong JSON types, huge integers (some past the float range, some past the
 4300 digits ``int()`` parses), subnormals, +-0, extreme and non-finite
 floats and nested junk.  Every run must end in a documented exit code
-(0-4) without a traceback; a nonzero exit must say why on stderr; and a
-second run of the same command must write the same data-file bytes.
-Valid sweeps are kept at 11 points or fewer.
+(0-4) without a traceback or a Python warning; a nonzero exit must say why
+on stderr; and a second run of the same command must write the same
+data-file bytes.  Valid sweeps are kept at 11 points or fewer.
 """
 
 import contextlib
@@ -16,6 +16,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,9 @@ CLI_SETTINGS = settings(derandomize=True, max_examples=120, deadline=None,
 # a line that says why a run failed: eit3's own, or argparse's usage error
 REASON = re.compile(r"^(config error|error|warning): |^eit3( \w+)?: error: ",
                     re.MULTILINE)
+# a Python warning as the interpreter prints it, e.g. numpy's
+# "RuntimeWarning: overflow encountered in multiply"
+WARNING = re.compile(r"\w+Warning: ")
 
 
 class Token(str):
@@ -189,14 +193,20 @@ def commands(draw, inputs: Path):
 
 def run(argv, output_dir: Path, monkeypatch):
     """main(argv) writing into ``output_dir``: (exit code, stderr, the data
-    files by path)."""
+    files by path).  Every warning raised is on stderr, as the interpreter
+    would print it outside the test run."""
     monkeypatch.setenv("EIT3_OUTPUT_DIR", str(output_dir))
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects an option value
             code = exc.code
+    for w in caught:
+        stderr.write(warnings.formatwarning(w.message, w.category, w.filename,
+                                            w.lineno, w.line))
     files = {path.relative_to(output_dir): path.read_bytes()
              for path in sorted(output_dir.rglob("*")) if path.is_file()}
     return code, stderr.getvalue(), files
@@ -214,9 +224,37 @@ def test_cli_survives_hostile_inputs(tmp_path, monkeypatch):
             code, stderr, files = run(argv, work / "first", monkeypatch)
             assert code in range(5), (argv, code, stderr)
             assert "Traceback" not in stderr, (argv, stderr)
+            assert not WARNING.search(stderr), (argv, stderr)
             if code:
                 assert REASON.search(stderr), (argv, code, stderr)
             again = run(argv, work / "second", monkeypatch)
             assert again[0] == code and again[2] == files, argv
 
     check()
+
+
+@pytest.mark.parametrize("command,code,reason", [
+    (["steady"], 2, "error: SingularSolveError: SingularSolve: Liouvillian "
+                    "has non-finite entries"),
+    (["darkstate"], 2, "error: SingularSolveError: SingularSolve: "
+                       "Liouvillian has non-finite entries"),
+    (["evolve", "--t-end=1"], 1, "config error: dt_max=5.88235e-310 us gives "
+                                 "a non-finite step count over t_end=1 us"),
+    (["sweep"], 2, "error: delta=-30 MHz: SingularSolveError: SingularSolve: "
+                   "Liouvillian has non-finite entries"),
+], ids=["steady", "darkstate", "evolve", "sweep"])
+def test_decay_rates_near_the_float_limit_give_the_named_error_alone(
+        tmp_path, monkeypatch, command, code, reason):
+    # decays of 1e308 and 1.7e308 overflow the Liouvillian build; the run
+    # reports the named error and nothing else on stderr
+    doc = {**BASE, "gamma_a": 1e308, "gamma_b": 1.7e308, "backend": "numeric"}
+    config = tmp_path / "config.json"
+    config.write_text(dump(doc), encoding="utf-8")
+    (tmp_path / "out").mkdir()
+    got, stderr, _ = run([command[0], str(config), *command[1:]],
+                         tmp_path / "out", monkeypatch)
+    assert got == code, stderr
+    assert stderr.splitlines()[0] == reason
+    assert not WARNING.search(stderr), stderr
+    assert all(REASON.search(line) or line.startswith("partial output")
+               for line in stderr.splitlines()), stderr

@@ -1,15 +1,18 @@
 """Null-space steady states and RK4 time evolution."""
 
+import importlib.util
 import re
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from conftest import outcomes, random_params, random_state
 
 import eit3.analytic
+import eit3.steady
 from eit3.analytic import _GRID_PASS_POINTS, analytic_steady_state, steady_state_terms
 from eit3.model import (
     DIAGONAL_VEC_INDICES,
@@ -30,6 +33,7 @@ from eit3.steady import (
     DegenerateNullSpaceError,
     SingularSolveError,
     StepTooLargeError,
+    _kappa_f,
     evolve,
     is_density_matrix,
     solve_grid,
@@ -92,20 +96,23 @@ def stiff_stacks(seed, lo, hi, sets=150, per_set=8):
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """The np.linalg.svd and np.linalg.cond calls, as (name, matrices,
-    further positional arguments)."""
+    """The np.linalg.svd, np.linalg.cond and np.linalg.solve calls and the
+    stacked inverses (numpy.linalg._umath_linalg.inv, which np.linalg.inv
+    and np.linalg.cond(..., "fro") call too), as (name, matrices, further
+    positional arguments)."""
     calls = []
 
-    def counting(name):
-        function = getattr(np.linalg, name)
+    def counting(namespace, name, label):
+        function = getattr(namespace, name)
 
         def call(a, *args, **kwargs):
-            calls.append((name, np.array(a), args))
+            calls.append((label, np.array(a), args))
             return function(a, *args, **kwargs)
-        return call
+        monkeypatch.setattr(namespace, name, call)
 
-    for name in ("svd", "cond"):
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    for name in ("svd", "cond", "solve"):
+        counting(np.linalg, name, name)
+    counting(_umath_linalg, "inv", "inv")
     return calls
 
 
@@ -340,11 +347,11 @@ def test_steady_states_attributes_each_failure_to_its_matrix(linalg_calls):
     broken = good.copy()
     broken[3, 5] = np.nan
     out = outcomes(steady_states(np.stack([good, undriven, rank8, broken, good])))
-    # one inverse of the bordered stack proves the good matrices; the two
-    # finite failures get the bordered matrix's condition number, then L's
-    # SVD, each in one call
+    # one inverse of the bordered stack proves and solves the good matrices;
+    # the two finite failures get the bordered matrix's condition number,
+    # then L's SVD, each in one call; nothing is solved a second time
     assert call_shapes(linalg_calls) == [
-        ("cond", (5, 9, 9), "fro"), ("cond", (2, 9, 9)), ("svd", (2, 9, 9))]
+        ("inv", (5, 9, 9)), ("cond", (2, 9, 9)), ("svd", (2, 9, 9))]
     assert np.array_equal(out[0], steady_state(build_liouvillian(p)))
     assert np.array_equal(out[4], out[0])
     assert isinstance(out[1], DegenerateNullSpaceError)
@@ -417,7 +424,11 @@ def test_stiff_stacks_match_the_two_svd_oracle(lo, hi, linalg_calls):
     for M in stiff_stacks(7, lo, hi):
         linalg_calls.clear()
         out = steady_states(M)
-        # the bordered matrices the proof left to the 2-norm condition number
+        # one inverse of the stack, then the 2-norm condition number and
+        # L's SVD of the matrices the proof left, and no solve
+        calls = [(name, len(a)) for name, a, args in linalg_calls]
+        assert calls[0] == ("inv", len(M))
+        assert [name for name, _ in calls] in (["inv"], ["inv", "cond", "svd"])
         fallback = [B for name, a, args in linalg_calls
                     if name == "cond" and not args for B in a]
         for Mi, ref in zip(M, match_oracle(M, out)):
@@ -503,11 +514,12 @@ def test_singular_and_non_finite_matrices_leave_the_proof_to_the_rest(linalg_cal
     infinite[0, 0] = np.inf
     stack = np.stack([good[0], singular, not_a_number, good[1], infinite,
                       good[2]])
+    linalg_calls.clear()
     out = steady_states(stack)
-    # only the singular matrix gets the bordered matrix's condition number,
-    # then L's SVD
+    # one inverse of the stack; only the singular matrix gets the bordered
+    # matrix's condition number, then L's SVD
     assert call_shapes(linalg_calls) == [
-        ("cond", (6, 9, 9), "fro"), ("cond", (1, 9, 9)), ("svd", (1, 9, 9))]
+        ("inv", (6, 9, 9)), ("cond", (1, 9, 9)), ("svd", (1, 9, 9))]
     refs = match_oracle(stack, out)
     assert [type(r).__name__ for r in refs] == [
         "ndarray", "DegenerateNullSpaceError", "SingularSolveError",
@@ -530,12 +542,55 @@ def test_tiny_rates_degenerate_null_space_is_found():
 
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
 def test_grid_solve_makes_one_inverse_per_chunk(tag, linalg_calls):
-    # one inverse proves both checks on every point of the reference grids:
-    # neither the bordered matrix's SVD nor L's is needed
+    # one inverse proves both checks on every point of the reference grids
+    # and gives the states: neither the bordered matrix's SVD nor L's is
+    # needed, nor a solve
     solve_grid(reference_params(tag), np.linspace(-40.0, 40.0, 601), "numeric")
     assert call_shapes(linalg_calls) == [
-        ("cond", (256, 9, 9), "fro"), ("cond", (256, 9, 9), "fro"),
-        ("cond", (89, 9, 9), "fro")]
+        ("inv", (256, 9, 9)), ("inv", (256, 9, 9)), ("inv", (89, 9, 9))]
+
+
+def test_kappa_f_and_the_state_are_cond_and_solve_bit_for_bit():
+    # steady_states reads kappa_F and the state from numpy's private stacked
+    # inverse, the one np.linalg.cond(B, "fro") forms.  Its kappa_F is
+    # cond's wherever cond's is finite, and the trace-row column of the
+    # inverse is np.linalg.solve's solution of B x = e_8, bit for bit.  The
+    # second equality is a property of the LAPACK build (the inverse is the
+    # same LU solve with the identity as right-hand side), not a numpy
+    # guarantee: on a build where it fails this test names it
+    row = DIAGONAL_VEC_INDICES[-1]
+    e_8 = np.eye(9, dtype=complex)[row]
+    grids = [build_liouvillian_stack(reference_params(tag),
+                                     np.linspace(-40.0, 40.0, 2001))
+             for tag in ("lambda", "cascade", "vee")]
+    seen = Counter()
+    for M in [*stiff_stacks(7, 1e-5, 1e5), *stiff_stacks(7, 1e-12, 1e-8),
+              *grids]:
+        B = np.stack([bordered(Mi) for Mi in M])
+        with np.errstate(all="ignore"):
+            inverse, kappa, norm = _kappa_f(B)
+        cond = np.linalg.cond(B, "fro")
+        finite = np.isfinite(cond)
+        assert kappa[finite].tobytes() == cond[finite].tobytes()
+        assert not np.isfinite(kappa[~finite]).any()
+        assert norm.tobytes() == np.linalg.norm(B, axis=(1, 2)).tobytes()
+        solvable = np.isfinite(inverse).all(axis=(1, 2))
+        x = np.linalg.solve(B[solvable], e_8)
+        assert inverse[solvable][:, :, row].tobytes() == x.tobytes()
+        for Bi in B[~solvable]:  # LAPACK's NaN inverse: an exactly singular B
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(Bi, e_8)
+        seen["finite"] += finite.sum()
+        seen["singular"] += (~solvable).sum()
+    assert seen["finite"] > 8000 and seen["singular"] > 0
+
+
+def test_a_numpy_without_the_stacked_inverse_fails_at_import(monkeypatch):
+    spec = importlib.util.spec_from_file_location("eit3.steady_without_inv",
+                                                  eit3.steady.__file__)
+    monkeypatch.delattr(_umath_linalg, "inv")
+    with pytest.raises(ImportError, match=r"numpy\.linalg\._umath_linalg\.inv"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def composed_analytic(p, d):
