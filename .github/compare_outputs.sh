@@ -25,6 +25,11 @@
 # once (eit3.analytic._GRID_PASS_POINTS, read from HEAD); 2001-point
 # analytic csv and json sweeps with g_probe = g_pump = 1e60, where a power
 # of the rates alone overflows a Python float and every point fails;
+# 11-point numeric csv sweeps with g_probe = -0.0 (the build's signed
+# zero) and with delta_pump = -1.7e308 over delta from 0 to 1.7e308, where
+# every point fails (exit 2, partial file): a DegenerateNullSpaceError at
+# delta 0, then the overflowing Liouvillian's SingularSolveError (lambda,
+# vee) or DegenerateNullSpaceError (cascade);
 # for lambda only, a numeric csv and an analytic json sweep at the point
 # cap (eit3.optics.MAX_POINTS, read from HEAD), ~98 chunks of each writer;
 # `sweep TAG`;
@@ -37,8 +42,10 @@
 # that take the conditioning proof (stiff, delta 0) or the definition: a
 # DegenerateNullSpaceError (delta 500), the condition number in the
 # SingularSolveError message (lambda and cascade tiny) or a state solved
-# after both checks (vee tiny); `evolve TAG --t-end 500`.  Then
-# `calibrate`: 129 commands in all.  Both checkouts
+# after both checks (vee tiny); `steady` on a numeric config with decays
+# gamma_a = 1e308 and gamma_b = 1.7e308, whose Liouvillian holds inf and
+# NaN (SingularSolveError, exit 2); `evolve TAG --t-end 500`.  Then
+# `calibrate`: 138 commands in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -112,6 +119,14 @@ for tag in ("lambda", "cascade", "vee"):
                                              "points": 2001, "format": fmt,
                                              "g_probe": 1e60, "g_pump": 1e60})
              for fmt in ("csv", "json")]
+    runs.append((f"{tag}-negative-zero-probe", {"backend": "numeric",
+                                                "points": 11, "format": "csv",
+                                                "g_probe": -0.0}))
+    runs.append((f"{tag}-overflowing-pump", {"backend": "numeric",
+                                             "points": 11, "format": "csv",
+                                             "delta_pump": -1.7e308,
+                                             "range": {"min": 0.0,
+                                                       "max": 1.7e308}}))
     if tag == "lambda":
         runs += [(f"{tag}-cap-{backend}-{fmt}", {"backend": backend,
                                                  "points": MAX_POINTS,
@@ -137,6 +152,12 @@ for tag in ("lambda", "cascade", "vee"):
     commands += [f"steady-{name}-{delta} steady {paths[name]} --delta {delta}"
                  for name in (f"{tag}-stiff-csv", f"{tag}-tiny-both-11-csv")
                  for delta in ("0", "500")]
+    overflowing_decays = write(doc, f"{tag}-overflowing-decays",
+                               {"backend": "numeric", "points": 11,
+                                "format": "csv", "gamma_a": 1e308,
+                                "gamma_b": 1.7e308})
+    commands.append(f"steady-{tag}-overflowing-decays steady "
+                    f"{overflowing_decays}")
     commands.append(f"evolve-{tag} evolve {tag} --t-end 500")
 commands.append("calibrate calibrate")
 (work / "commands").write_text("\n".join(commands) + "\n", encoding="utf-8")

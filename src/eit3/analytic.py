@@ -13,10 +13,11 @@ These formulas assume the pump detuning is zero; the numeric solver covers
 the general case.
 
 A sweep of at least ``_GRID_PASS_POINTS`` detunings evaluates each term
-function once, on a :class:`_Grid` holding the whole grid, instead of once
-per point.  The grid's operators repeat CPython 3.10/3.11's float and
-complex arithmetic in float64 arrays, so each state is the per-point state
-bit for bit and the polynomials are written once.  CPython 3.14's C99
+function once per slice of up to ``_GRID_CHUNK`` points, on a
+:class:`_Grid` holding the slice, instead of once per point.  The grid's
+operators repeat CPython 3.10/3.11's float and complex arithmetic in
+float64 arrays, so each state is the per-point state bit for bit and the
+polynomials are written once.  CPython 3.14's C99
 Annex G mixed arithmetic would change those bytes;
 ``test_grid_arithmetic_is_cpythons`` pins the interpreter's.
 """
@@ -375,12 +376,15 @@ def _quotient(n, D) -> tuple:
 # the pass's fixed cost (~0.2-0.45 ms) outweighs the scalar loop's ~10-20 µs
 # a point (break-even measured at 22-30 points on the reference systems)
 _GRID_PASS_POINTS = 32
+# _grid_pass takes at most this many points at a time, which bounds its
+# float64 temporaries; a 2001-point sweep is still one pass
+_GRID_CHUNK = 2048
 
 
 def _grid_pass(params: SystemParams, rates: tuple, scale,
                deltas: np.ndarray, points: list, flat: np.ndarray) -> list:
     """Write into ``flat`` the row of every point of ``deltas`` whose terms,
-    evaluated once over the whole grid, are finite and whose |D| is above
+    evaluated once over all of ``deltas``, are finite and whose |D| is above
     the floor; return the indices of the other points (all of them when a
     power of the rates alone overflows a Python float), whose rows the
     scalar loop overwrites with its state or NaN and its own error.  Every
@@ -421,11 +425,11 @@ def _steady_state_rows(params: SystemParams, deltas) -> tuple[np.ndarray, list]:
 
     A grid of at least ``_GRID_PASS_POINTS`` points (and zero pump
     detuning) first goes through :func:`_grid_pass`: the same term
-    functions, called once with the whole grid as a :class:`_Grid`, whose
-    arithmetic is CPython's.  The points it leaves, and every point of a
-    smaller grid, are solved one by one in Python floats, so a one-point
-    call pays nothing for the grid pass.  The rows and errors are the same
-    bytes either way.
+    functions, called once per slice of ``_GRID_CHUNK`` points with the
+    slice as a :class:`_Grid`, whose arithmetic is CPython's.  The points
+    it leaves, and every point of a smaller grid, are solved one by one in
+    Python floats, so a one-point call pays nothing for the grid pass.  The
+    rows and errors are the same bytes either way.
     """
     points = deltas.tolist()
     rates = _float_rates(params)
@@ -436,7 +440,11 @@ def _steady_state_rows(params: SystemParams, deltas) -> tuple[np.ndarray, list]:
     failures: list = []
     todo = range(len(points))
     if len(points) >= _GRID_PASS_POINTS and params.delta_pump == 0.0:
-        todo = _grid_pass(params, rates, scale, deltas, points, flat)
+        todo = [start + i for start in range(0, len(points), _GRID_CHUNK)
+                for i in _grid_pass(params, rates, scale,
+                                    deltas[start:start + _GRID_CHUNK],
+                                    points[start:start + _GRID_CHUNK],
+                                    flat[start:start + _GRID_CHUNK])]
     for i in todo:
         d = points[i]
         try:

@@ -231,9 +231,9 @@ def solve_grid(params: SystemParams, deltas,
     failures in grid order.
 
     ``backend`` "numeric" solves Liouvillian stacks of 256 detunings
-    (:func:`steady_states`), "analytic" the closed forms in one pass: from
-    32 points (``analytic._GRID_PASS_POINTS``) one evaluation over the whole
-    grid in float64 arrays that repeat CPython's float and complex
+    (:func:`steady_states`), "analytic" the closed forms: from 32 points
+    (``analytic._GRID_PASS_POINTS``) one evaluation per slice of up to
+    2,048 points in float64 arrays that repeat CPython's float and complex
     arithmetic, below it one Python evaluation per point.  Each
     row, and each failure's error, is that of the one-point call
     ``steady_state(build_liouvillian(replace(params, delta_probe=d)))`` or

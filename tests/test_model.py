@@ -193,13 +193,27 @@ def test_non_finite_parameters_rejected(name, bad):
         replace(p, **{name: bad})
 
 
-@pytest.mark.parametrize("zero_rate", [False, True])
-def test_dissipator_matches_kron_formula_bitwise(config, zero_rate):
-    # the per-channel superoperators are precomputed; the sum must be the
-    # np.kron formula evaluated afresh, bit for bit
-    p = reference_params(config)
-    if zero_rate:
-        p = replace(p, gamma_a=0.0)
+def _kron_hamiltonian(p):
+    """H_rot of p written out from build_hamiltonian_rwa's docstring: the
+    diagonal formulas in Python floats, each coupling added to a complex
+    zero on both entries of its transition."""
+    dp, dq = p.delta_probe, p.delta_pump
+    upper, middle = {Configuration.LAMBDA: (dp, dp - dq),
+                     Configuration.CASCADE: (dp + dq, dp),
+                     Configuration.VEE: (dp, dq)}[p.config]
+    H = np.zeros((3, 3), dtype=complex)
+    H[LEVEL_INDEX[3], LEVEL_INDEX[3]] = upper
+    H[LEVEL_INDEX[2], LEVEL_INDEX[2]] = middle
+    for (lower, up), g in ((p.config.probe_transition, p.g_probe),
+                           (p.config.pump_transition, p.g_pump)):
+        H[LEVEL_INDEX[up], LEVEL_INDEX[lower]] += g
+        H[LEVEL_INDEX[lower], LEVEL_INDEX[up]] += g
+    return H
+
+
+def _kron_dissipator(p):
+    """Zeros plus Gamma_kl (2 A* kron A - I kron A+A - (A+A)^T kron I) of
+    each nonzero channel, A = |l><k|, in channel order."""
     eye = np.eye(3, dtype=complex)
     expected = np.zeros((9, 9), dtype=complex)
     for channel, gamma in p.gammas.items():
@@ -212,7 +226,28 @@ def test_dissipator_matches_kron_formula_bitwise(config, zero_rate):
         expected += gamma * (2.0 * np.kron(A.conj(), A)
                              - np.kron(eye, AdA)
                              - np.kron(AdA.T, eye))
-    assert np.array_equal(build_dissipator(p).matrix, expected)
+    return expected
+
+
+def _kron_liouvillian(p):
+    """1j (kron(H^T, I) - kron(I, H)) plus the dissipator, by np.kron."""
+    eye = np.eye(3, dtype=complex)
+    H = _kron_hamiltonian(p)
+    with np.errstate(all="ignore"):
+        expected = 1j * (np.kron(H.T, eye) - np.kron(eye, H))
+        expected += _kron_dissipator(p)
+    return expected
+
+
+@pytest.mark.parametrize("zero_rate", [False, True])
+def test_dissipator_matches_kron_formula_bitwise(config, zero_rate):
+    # the per-channel superoperators are precomputed; the sum must be the
+    # np.kron formula evaluated afresh, bit for bit (tobytes: array_equal
+    # would let -0.0 pass for 0.0 and could never pass on NaN)
+    p = reference_params(config)
+    if zero_rate:
+        p = replace(p, gamma_a=0.0)
+    assert build_dissipator(p).matrix.tobytes() == _kron_dissipator(p).tobytes()
 
 
 @pytest.mark.parametrize("delta_pump", [0.0, 1.7])
@@ -225,11 +260,53 @@ def test_liouvillian_stack_matches_kron_formula(config, delta_pump):
     deltas = np.linspace(-40.0, 40.0, 61)
     stack = build_liouvillian_stack(p, deltas)
     assert stack.shape == (61, 9, 9)
-    eye = np.eye(3, dtype=complex)
     for d, L in zip(deltas, stack):
         q = replace(p, delta_probe=float(d))
-        H = build_hamiltonian_rwa(q)
-        expected = 1j * (np.kron(H.T, eye) - np.kron(eye, H))
-        expected += build_dissipator(q).matrix
-        assert np.array_equal(L, expected)
-        assert np.array_equal(L, build_liouvillian(q).matrix)
+        expected = _kron_liouvillian(q).tobytes()
+        assert L.tobytes() == expected
+        assert build_liouvillian(q).matrix.tobytes() == expected
+        assert build_hamiltonian_rwa(q).tobytes() == _kron_hamiltonian(q).tobytes()
+
+
+# parameter changes whose Liouvillians hold signed zeros, subnormals, inf or
+# NaN: -0.0 couplings, subnormal rates, dp +- dq past the float limit, and
+# decays whose products and sum overflow
+_HOSTILE = {
+    "negative-zero-couplings": dict(g_probe=-0.0, g_pump=-0.0),
+    "subnormal-rates": dict(g_probe=5e-324, g_pump=1e-300, gamma_a=5e-324,
+                            gamma_b=1e-300),
+    "pump-at-plus-limit": dict(delta_pump=1.7e308),
+    "pump-at-minus-limit": dict(delta_pump=-1.7e308),
+    "decays-at-limit": dict(gamma_a=1e308, gamma_b=1.7e308),
+    "huge-couplings": dict(g_probe=1e154, g_pump=1.7e308),
+}
+_HOSTILE_DELTAS = {
+    1: [-1.7e308],
+    5: [-0.0, 5e-324, 1e154, 1.7e308, -1.7e308],
+    256: ([-0.0, 0.0, 5e-324, -1e-300, 2.5, 1e154, 1e308, 1.7e308, -1.7e308]
+          + list(np.linspace(-40.0, 40.0, 247))),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_HOSTILE_DELTAS))
+@pytest.mark.parametrize("case", list(_HOSTILE))
+def test_liouvillian_build_matches_kron_formula_on_hostile_inputs(config, case, n):
+    # byte for byte, inf and NaN entries included, at the one-point size,
+    # a short stack and a full 256-point chunk
+    p = replace(reference_params(config), **_HOSTILE[case])
+    deltas = np.array(_HOSTILE_DELTAS[n])
+    stack = build_liouvillian_stack(p, deltas)
+    assert stack.shape == (n, 9, 9) and stack.dtype == complex
+    for d, L in zip(deltas, stack):
+        q = replace(p, delta_probe=float(d))
+        expected = _kron_liouvillian(q).tobytes()
+        assert L.tobytes() == expected
+        assert build_liouvillian(q).matrix.tobytes() == expected
+        # the dissipator's +0.0 entries hide a -0.0 coupling from L; H shows it
+        with np.errstate(all="ignore"):
+            H = build_hamiltonian_rwa(q)
+        assert H.tobytes() == _kron_hamiltonian(q).tobytes()
+    with np.errstate(all="ignore"):
+        assert build_dissipator(p).matrix.tobytes() == _kron_dissipator(p).tobytes()
+    if case.endswith("limit") and n == 256:  # the bytes compared hold inf or NaN
+        assert not np.isfinite(stack).all()

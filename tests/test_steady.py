@@ -654,8 +654,8 @@ ADVERSARIAL_DELTAS = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324,
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
 def test_analytic_grid_pass_matches_the_per_point_composition(tag, monkeypatch):
     # on both sides of the size from which the terms are evaluated once over
-    # the whole grid: every state, error type and message of the grid is the
-    # one-point composition's, bit for bit
+    # the grid (one slice up to _GRID_CHUNK points): every state, error type
+    # and message of the grid is the one-point composition's, bit for bit
     passes = []
     original = eit3.analytic._grid_pass
     monkeypatch.setattr(eit3.analytic, "_grid_pass",
@@ -672,6 +672,33 @@ def test_analytic_grid_pass_matches_the_per_point_composition(tag, monkeypatch):
             assert same_outcome(rho, composed_analytic(p, d)), (n, d)
         assert {type(rho).__name__ for rho in states} == {
             "ndarray", "ClosedFormOverflowError", "DegenerateDenominatorError"}
+
+
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_analytic_grid_bytes_do_not_depend_on_the_chunk_size(tag, monkeypatch):
+    # the grid pass runs on slices of _GRID_CHUNK points and offsets the
+    # indices it leaves to the per-point loop; adversarial detunings are
+    # spread over the grid and sit on both sides of the default boundary
+    chunk = eit3.analytic._GRID_CHUNK
+    deltas = np.linspace(-40.0, 40.0, chunk + 11)
+    for k, d in enumerate(ADVERSARIAL_DELTAS):
+        deltas[k * 211] = deltas[chunk - 5 + k] = d
+    p = reference_params(tag)
+    passes = []
+    original = eit3.analytic._grid_pass
+    monkeypatch.setattr(eit3.analytic, "_grid_pass",
+                        lambda *args: passes.append(1) or original(*args))
+    results = set()
+    for size in (1, 7, chunk):
+        passes.clear()
+        monkeypatch.setattr(eit3.analytic, "_GRID_CHUNK", size)
+        block, failures = solve_grid(p, deltas, "analytic")
+        assert len(passes) == -(-len(deltas) // size)
+        assert {type(e).__name__ for _, e in failures} == {
+            "ClosedFormOverflowError", "DegenerateDenominatorError"}
+        results.add((block.tobytes(),
+                     tuple((i, type(e), str(e)) for i, e in failures)))
+    assert len(results) == 1
 
 
 def test_analytic_grid_pass_matches_on_random_rates():
