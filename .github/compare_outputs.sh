@@ -44,8 +44,15 @@
 # SingularSolveError message (lambda and cascade tiny) or a state solved
 # after both checks (vee tiny); `steady` on a numeric config with decays
 # gamma_a = 1e308 and gamma_b = 1.7e308, whose Liouvillian holds inf and
-# NaN (SingularSolveError, exit 2); `evolve TAG --t-end 500`.  Then
-# `calibrate`: 138 commands in all.  Both checkouts
+# NaN (SingularSolveError, exit 2); `evolve TAG --t-end 500`; `evolve`
+# at --t-end 0.5 (one RK4 step per sample in every configuration), at
+# --t-end 0.609 (the last sample's time is t_end, not n_steps * h), at
+# --t-end 30 --delta 2.5 --rho0 mixed (a stride that does not divide the
+# step count: a shorter last power of the propagator), from a --rho0 file
+# with complex coherences, at --t-end 2 --dt 1e-6 (1,000 steps per
+# sample) and at --t-end 1e8 (above the cap on steps per sample: a config
+# error, exit 1), each into its own file.  Then `calibrate`: 156 commands
+# in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -67,6 +74,12 @@ from eit3.optics import MAX_POINTS
 bundled, work = Path(sys.argv[1]) / "eit3" / "configs", Path(sys.argv[2])
 (work / "configs").mkdir()
 commands = []
+# an initial state with complex coherences, for evolve --rho0
+coherent = work / "rho0-coherent.json"
+coherent.write_text(json.dumps({
+    "rho_real": [[0.5, 0.1, 0.05], [0.1, 0.3, 0.0], [0.05, 0.0, 0.2]],
+    "rho_imag": [[0.0, 0.2, -0.1], [-0.2, 0.0, 0.1], [0.1, -0.1, 0.0]]}),
+    encoding="utf-8")
 
 
 def write(doc, name, change):  # DOC with CHANGE applied, as configs/NAME.json
@@ -159,6 +172,15 @@ for tag in ("lambda", "cascade", "vee"):
     commands.append(f"steady-{tag}-overflowing-decays steady "
                     f"{overflowing_decays}")
     commands.append(f"evolve-{tag} evolve {tag} --t-end 500")
+    commands += [f"evolve-{tag}-{name} evolve {tag} {args} "
+                 f"--out evolve-{tag}-{name}.csv"
+                 for name, args in (
+                     ("stride-1", "--t-end 0.5"),
+                     ("short-last-step", "--t-end 0.609"),
+                     ("ragged-mixed", "--t-end 30 --delta 2.5 --rho0 mixed"),
+                     ("coherent", f"--t-end 500 --rho0 {coherent}"),
+                     ("fine-step", "--t-end 2 --dt 1e-6"),
+                     ("stride-cap", "--t-end 1e8"))]
 commands.append("calibrate calibrate")
 (work / "commands").write_text("\n".join(commands) + "\n", encoding="utf-8")
 EOF

@@ -215,9 +215,11 @@ def build_hamiltonian_rwa(params: SystemParams) -> np.ndarray:
         vee:     diag(D_13, D_12, 0)
 
     so that i[rho, H_rot] reproduces the coherent part of the optical Bloch
-    equations of the configuration.
+    equations of the configuration.  Entries that overflow read inf
+    without a numpy warning, as in :func:`build_liouvillian`.
     """
-    return _hamiltonian_rows(params, [params.delta_probe]).reshape(3, 3)
+    with np.errstate(all="ignore"):
+        return _hamiltonian_rows(params, [params.delta_probe]).reshape(3, 3)
 
 
 def _hamiltonian_rows(params: SystemParams, delta_probe) -> np.ndarray:
@@ -261,10 +263,12 @@ def build_dissipator(params: SystemParams) -> Liouvillian:
     For each permitted channel k->l with rate Gamma_kl and lowering operator
     A = |l><k| the contribution is Gamma_kl (2 A rho A+ - A+A rho - rho A+A):
     population 2 Gamma_kl rho_kk flows from level k to level l and every
-    coherence involving k decays at the total rate out of k.
+    coherence involving k decays at the total rate out of k.  Entries that
+    overflow read inf or NaN without a numpy warning.
     """
-    return Liouvillian(matrix=_dissipator(params),
-                       rate_scale=params.rate_scale)
+    with np.errstate(all="ignore"):
+        return Liouvillian(matrix=_dissipator(params),
+                           rate_scale=params.rate_scale)
 
 
 def build_liouvillian(params: SystemParams) -> Liouvillian:

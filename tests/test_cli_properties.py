@@ -242,7 +242,12 @@ def test_cli_survives_hostile_inputs(tmp_path, monkeypatch):
                                  "a non-finite step count over t_end=1 us"),
     (["sweep"], 2, "error: delta=-30 MHz: SingularSolveError: SingularSolve: "
                    "Liouvillian has non-finite entries"),
-], ids=["steady", "darkstate", "evolve", "sweep"])
+    # a step count within the cap: the NaN trajectory is integrated, then
+    # the steady solve names the non-finite Liouvillian
+    (["evolve", "--t-end=1e-300"], 2, "error: SingularSolveError: "
+                                      "SingularSolve: Liouvillian has "
+                                      "non-finite entries"),
+], ids=["steady", "darkstate", "evolve", "sweep", "evolve-integrated"])
 def test_decay_rates_near_the_float_limit_give_the_named_error_alone(
         tmp_path, monkeypatch, command, code, reason):
     # decays of 1e308 and 1.7e308 overflow the Liouvillian build; the run

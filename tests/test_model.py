@@ -1,6 +1,7 @@
 """Liouvillian assembly against the hand-transcribed Bloch equations."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -292,21 +293,25 @@ _HOSTILE_DELTAS = {
 @pytest.mark.parametrize("case", list(_HOSTILE))
 def test_liouvillian_build_matches_kron_formula_on_hostile_inputs(config, case, n):
     # byte for byte, inf and NaN entries included, at the one-point size,
-    # a short stack and a full 256-point chunk
+    # a short stack and a full 256-point chunk; every builder runs under its
+    # own np.errstate, so an entry that overflows raises no numpy warning
     p = replace(reference_params(config), **_HOSTILE[case])
     deltas = np.array(_HOSTILE_DELTAS[n])
-    stack = build_liouvillian_stack(p, deltas)
-    assert stack.shape == (n, 9, 9) and stack.dtype == complex
-    for d, L in zip(deltas, stack):
-        q = replace(p, delta_probe=float(d))
-        expected = _kron_liouvillian(q).tobytes()
-        assert L.tobytes() == expected
-        assert build_liouvillian(q).matrix.tobytes() == expected
-        # the dissipator's +0.0 entries hide a -0.0 coupling from L; H shows it
-        with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = build_liouvillian_stack(p, deltas)
+        assert stack.shape == (n, 9, 9) and stack.dtype == complex
+        for d, L in zip(deltas, stack):
+            q = replace(p, delta_probe=float(d))
+            expected = _kron_liouvillian(q).tobytes()
+            assert L.tobytes() == expected
+            assert build_liouvillian(q).matrix.tobytes() == expected
+            # the dissipator's +0.0 entries hide a -0.0 coupling from L; H
+            # shows it
             H = build_hamiltonian_rwa(q)
-        assert H.tobytes() == _kron_hamiltonian(q).tobytes()
+            assert H.tobytes() == _kron_hamiltonian(q).tobytes()
+        D = build_dissipator(p).matrix
     with np.errstate(all="ignore"):
-        assert build_dissipator(p).matrix.tobytes() == _kron_dissipator(p).tobytes()
+        assert D.tobytes() == _kron_dissipator(p).tobytes()
     if case.endswith("limit") and n == 256:  # the bytes compared hold inf or NaN
         assert not np.isfinite(stack).all()

@@ -120,6 +120,13 @@ def call_shapes(calls):
     return [(name, a.shape, *args) for name, a, args in calls]
 
 
+def rk4_propagator(L, h):
+    """The RK4 one-step propagator of L at step h, as evolve forms it."""
+    A = h * L.matrix
+    eye = np.eye(9, dtype=complex)
+    return eye + A @ (eye + (A / 2) @ (eye + (A / 3) @ (eye + A / 4)))
+
+
 def step_loop(L, rho0, t_end, dt_max, max_samples):
     """RK4 applied one step at a time, recording every stride-th state so
     that at most ``max_samples`` states are kept: the longhand reference for
@@ -127,9 +134,7 @@ def step_loop(L, rho0, t_end, dt_max, max_samples):
     Returns (times, states, n_steps, stride)."""
     n_steps = max(1, int(np.ceil(t_end / dt_max)))
     h = t_end / n_steps
-    A = h * L.matrix
-    eye = np.eye(9, dtype=complex)
-    phi = eye + A @ (eye + (A / 2) @ (eye + (A / 3) @ (eye + A / 4)))
+    phi = rk4_propagator(L, h)
     stride = max(1, -(-n_steps // (max_samples - 1)))
     x = vectorize(rho0)
     times = [0.0]
@@ -258,6 +263,90 @@ def test_strided_evolve_matches_step_loop(tag, t_end, step_factor,
     assert np.abs(traj.states - states).max() <= 1e-9
     trace = np.trace(traj.states, axis1=1, axis2=2)
     assert np.abs(trace - 1.0).max() <= 1e-9
+
+
+def strided_recursion(L, rho0, t_end, dt_max):
+    """evolve's strided recursion written out with lists: x = P @ x per
+    sample, a ragged last sample by phi**tail, the list stacked once.  The
+    bytewise reference for evolve's preallocated block.
+    Returns (times, states, stride)."""
+    n_steps = max(1, int(np.ceil(t_end / dt_max)))
+    stride = max(1, -(-n_steps // (MAX_SAMPLES - 1)))
+    h = t_end / n_steps
+    phi = rk4_propagator(L, h)
+    P = np.linalg.matrix_power(phi, stride)
+    x = vectorize(rho0)
+    times = [0.0]
+    samples = [x]
+    for k in range(stride, n_steps + 1, stride):
+        x = P @ x
+        times.append(t_end if k == n_steps else k * h)
+        samples.append(x)
+    if n_steps % stride:
+        x = np.linalg.matrix_power(phi, n_steps % stride) @ x
+        times.append(t_end)
+        samples.append(x)
+    return np.array(times), unvectorize(np.array(samples)), stride
+
+
+@pytest.mark.parametrize("t_end,step_factor,rho0", [
+    (2.0, 1, "upper"),
+    (3.0, 10, "upper"),    # ragged
+    (30.0, 1, "upper"),    # ragged, strides of 14 to 38
+    (0.609, 1, "upper"),   # cascade: n_steps * h != t_end
+    (0.5, 1, "upper"),     # stride 1 in every configuration
+    (30.0, 1, "random"),   # a full-rank state with complex coherences
+])
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_evolve_is_the_strided_recursion_byte_for_byte(rng, tag, t_end,
+                                                       step_factor, rho0):
+    # the preallocated block and P.dot give the times, states, shape and
+    # strides of the list recursion, to the bit
+    p = reference_params(tag, delta_probe=2.5)
+    L = build_liouvillian(p)
+    rho0 = (random_state(rng) if rho0 == "random"
+            else np.diag([0.0, 0.0, 1.0]).astype(complex))
+    dt_max = 0.1 / p.rate_scale / step_factor
+    times, states, stride = strided_recursion(L, rho0, t_end, dt_max)
+    if t_end == 0.5:
+        assert stride == 1
+    traj = evolve(L, rho0, t_end=t_end, dt_max=dt_max)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.times[-1] == t_end
+    assert traj.states.shape == states.shape
+    assert traj.states.strides == states.strides
+    assert traj.states.tobytes() == states.tobytes()
+
+
+def test_evolve_step_is_matmul_bit_for_bit(rng):
+    # evolve writes each sample by P.dot(x, out=row), not P @ x: numpy
+    # hands this (9, 9) @ (9,) complex product to the same BLAS zgemv either
+    # way.  That the two agree bit for bit, inf and NaN included, is a
+    # property of the BLAS build, not a numpy guarantee: on a build where
+    # they differ this test names it
+    propagators = []
+    for tag in ("lambda", "cascade", "vee"):
+        p = reference_params(tag, delta_probe=2.5)
+        phi = rk4_propagator(build_liouvillian(p), 0.1 / p.rate_scale)
+        propagators += [phi, np.linalg.matrix_power(phi, 105)]
+    propagators.append(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    hostile = propagators[-1].copy()
+    hostile[0, 0], hostile[4, 8] = np.inf, complex(np.nan, 1.0)
+    propagators.append(hostile)
+    vectors = [vectorize(random_state(rng)) for _ in range(8)]
+    vectors.append(rng.normal(size=9) * 1e300 + 1j * rng.normal(size=9))
+    for value in (np.inf, -np.inf, np.nan, complex(np.inf, -np.inf),
+                  complex(1.0, np.nan)):
+        x = vectorize(random_state(rng))
+        x[int(rng.integers(9))] = value
+        vectors.append(x)
+    block = np.empty((2, 9), dtype=complex)  # rows as in evolve's block
+    with np.errstate(all="ignore"):
+        for P in propagators:
+            for x in vectors:
+                block[0] = x
+                P.dot(block[0], out=block[1])
+                assert block[1].tobytes() == (P @ x).tobytes()
 
 
 def test_evolve_caps_the_steps_per_sample():
