@@ -8,7 +8,9 @@
 # a pull request as a git worktree, and the working tree).  The commands,
 # for each bundled configuration: 2001-point numeric|analytic|both x
 # csv|json sweeps; the same at 11 points with g_probe = g_pump = 0 (failing
-# points, partial files); a delta_pump = 1.7 numeric sweep; stiff
+# points, partial files); a delta_pump = 1.7 numeric sweep; 2001-point
+# numeric csv sweeps with gamma_a = 0 and with gamma_b = 0, each a
+# Liouvillian whose dissipator is the other decay channel's alone; stiff
 # 2001-point numeric csv and json sweeps (g_probe = g_pump = 1, both
 # decays 1e-8, delta from -1e3 to 1e3), whose chunks mix points solved on
 # the conditioning proof, points decided by the definition (cond of the
@@ -44,14 +46,16 @@
 # SingularSolveError message (lambda and cascade tiny) or a state solved
 # after both checks (vee tiny); `steady` on a numeric config with decays
 # gamma_a = 1e308 and gamma_b = 1.7e308, whose Liouvillian holds inf and
-# NaN (SingularSolveError, exit 2); `evolve TAG --t-end 500`; `evolve`
+# NaN (SingularSolveError, exit 2), and `evolve` on it at --t-end 1e-300
+# (a step count within the cap, the same SingularSolveError, exit 2);
+# `evolve TAG --t-end 500`; `evolve`
 # at --t-end 0.5 (one RK4 step per sample in every configuration), at
 # --t-end 0.609 (the last sample's time is t_end, not n_steps * h), at
 # --t-end 30 --delta 2.5 --rho0 mixed (a stride that does not divide the
 # step count: a shorter last power of the propagator), from a --rho0 file
 # with complex coherences, at --t-end 2 --dt 1e-6 (1,000 steps per
 # sample) and at --t-end 1e8 (above the cap on steps per sample: a config
-# error, exit 1), each into its own file.  Then `calibrate`: 156 commands
+# error, exit 1), each into its own file.  Then `calibrate`: 165 commands
 # in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
@@ -107,6 +111,9 @@ for tag in ("lambda", "cascade", "vee"):
              for fmt in ("csv", "json")]
     runs.append((f"{tag}-pump-detuned", {"backend": "numeric", "points": 2001,
                                          "format": "csv", "delta_pump": 1.7}))
+    runs += [(f"{tag}-{rate}-zero", {"backend": "numeric", "points": 2001,
+                                     "format": "csv", rate: 0.0})
+             for rate in ("gamma_a", "gamma_b")]
     runs += [(f"{tag}-stiff-{fmt}", {"backend": "numeric", "points": 2001,
                                      "format": fmt, "g_probe": 1.0,
                                      "g_pump": 1.0, "gamma_a": 1e-8,
@@ -171,6 +178,9 @@ for tag in ("lambda", "cascade", "vee"):
                                 "gamma_b": 1.7e308})
     commands.append(f"steady-{tag}-overflowing-decays steady "
                     f"{overflowing_decays}")
+    commands.append(f"evolve-{tag}-overflowing-decays evolve "
+                    f"{overflowing_decays} --t-end 1e-300 "
+                    f"--out evolve-{tag}-overflowing-decays.csv")
     commands.append(f"evolve-{tag} evolve {tag} --t-end 500")
     commands += [f"evolve-{tag}-{name} evolve {tag} {args} "
                  f"--out evolve-{tag}-{name}.csv"

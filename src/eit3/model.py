@@ -13,7 +13,9 @@ in microseconds.  The master equation is
     drho/dt = i [rho, H_rot] + sum_k Gamma_k (2 A_k rho A_k+ - A_k+ A_k rho
                                               - rho A_k+ A_k)
 
-with lowering operators A_k on the permitted decay channels.  With this
+with lowering operators A_k on the permitted decay channels: for Gamma_kl
+the SU(3) lowering operator |l><k| of the level pair (:mod:`eit3.su3`), T-
+for Gamma_32, U- for Gamma_21 and V- for Gamma_31.  With this
 (standard, trace-preserving) dissipator the equations of motion match the
 per-element optical Bloch equations transcribed in :func:`obe_rhs`, which is
 kept as a deliberately independent code path so the two can cross-check each
@@ -75,23 +77,6 @@ class Configuration(Enum):
     def pump_transition(self) -> tuple[int, int]:
         return {"lambda": (2, 3), "cascade": (2, 3), "vee": (1, 2)}[self.value]
 
-    @property
-    def decay_channels(self) -> tuple[str, str]:
-        """(gamma_a channel, gamma_b channel) as "kl" strings, decay k->l."""
-        return {
-            "lambda": ("31", "32"),
-            "cascade": ("21", "32"),
-            "vee": ("21", "31"),
-        }[self.value]
-
-
-# lowering operator for each decay channel k->l
-_LOWERING = {
-    "31": shift_operator("V", "minus"),
-    "32": shift_operator("T", "minus"),
-    "21": shift_operator("U", "minus"),
-}
-
 
 def _unit_dissipator(A: np.ndarray) -> np.ndarray:
     """Superoperator of 2 A rho A+ - A+A rho - rho A+A (unit rate)."""
@@ -101,12 +86,15 @@ def _unit_dissipator(A: np.ndarray) -> np.ndarray:
             - np.kron(AdA.T, _I3))
 
 
-# unit-rate dissipators of each configuration's (gamma_a, gamma_b) channels;
-# detuning- and rate-independent, so built once here instead of on every
-# Liouvillian
-_DISSIPATORS = {config: tuple(_unit_dissipator(_LOWERING[channel])
-                              for channel in config.decay_channels)
-                for config in Configuration}
+# unit-rate dissipators of each configuration's (gamma_a, gamma_b) channels,
+# from the lowering operators X- of their SU(3) families; detuning- and
+# rate-independent, so built once here instead of on every Liouvillian
+_DISSIPATORS = {
+    config: tuple(_unit_dissipator(shift_operator(family, "minus"))
+                  for family in families)
+    for config, families in {Configuration.LAMBDA: ("V", "T"),
+                             Configuration.CASCADE: ("U", "T"),
+                             Configuration.VEE: ("U", "V")}.items()}
 
 
 def _coupling_slots(config: Configuration) -> tuple:
@@ -139,9 +127,11 @@ class SystemParams:
     """Couplings, decays and detunings of one driven three-level system.
 
     ``gamma_a``/``gamma_b`` are the two permitted decay constants of the
-    configuration, in the order (Gamma_31, Gamma_32) for lambda,
-    (Gamma_21, Gamma_32) for cascade and (Gamma_21, Gamma_31) for vee;
-    spontaneous decay from lower to higher levels is structurally absent.
+    configuration, each the rate of one SU(3) lowering operator, in the
+    order (Gamma_31 of V-, Gamma_32 of T-) for lambda, (Gamma_21 of U-,
+    Gamma_32 of T-) for cascade and (Gamma_21 of U-, Gamma_31 of V-) for
+    vee; spontaneous decay from lower to higher levels is structurally
+    absent.
     Couplings, decay constants and detunings must be finite; couplings and
     decay constants must also be >= 0.
     A unique steady state additionally needs at least one positive decay
@@ -171,12 +161,6 @@ class SystemParams:
         """Largest rate entering the dynamics, in MHz."""
         return max(self.g_probe, self.g_pump, self.gamma_a, self.gamma_b,
                    abs(self.delta_probe), abs(self.delta_pump))
-
-    @property
-    def gammas(self) -> dict[str, float]:
-        """Decay rates keyed by channel "kl"."""
-        a, b = self.config.decay_channels
-        return {a: self.gamma_a, b: self.gamma_b}
 
 
 @dataclass(frozen=True)

@@ -275,13 +275,15 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float,
     ``@`` pays matmul's ufunc dispatch on each of ~2,000 sequential 9x9
     products, ``ndarray.dot`` goes to BLAS directly.  A ragged last sample
     is one ``phi**tail`` product.  The sample k steps in is at ``k * h``,
-    the last at ``t_end``.  A non-finite L gives NaN or inf states without
-    a numpy warning.  The scheme is the same RK4, but rounding in
-    phi**stride drifts the trace of a trajectory by 4.7e-14 to 1.03e-13 per
-    step of stride on the reference systems (the trace error is ~1e-11 at
-    the default step 0.1 / rate_scale and ~3e-8 at a 1000x finer step), so a
-    stride above MAX_STRIDE = 1e6, where the drift would pass 1e-7, raises
-    ``ValueError``.  So does a ``rho0`` that is not a finite (3, 3) array.
+    the last at ``t_end``.  A non-finite L is not integrated: every state
+    after ``rho0`` is NaN, as its propagator's powers would be.  A finite L
+    whose states overflow gives inf or NaN without a numpy warning.  The
+    scheme is the same RK4, but rounding in phi**stride drifts the trace of
+    a trajectory by 4.7e-14 to 1.03e-13 per step of stride on the reference
+    systems (the trace error is ~1e-11 at the default step 0.1 / rate_scale
+    and ~3e-8 at a 1000x finer step), so a stride above MAX_STRIDE = 1e6,
+    where the drift would pass 1e-7, raises ``ValueError``.  So does a
+    ``rho0`` that is not a finite (3, 3) array.
     """
     rho0 = np.asarray(rho0)
     if rho0.shape != (3, 3):
@@ -308,21 +310,23 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float,
             f"t_end={t_end:g} us at dt_max={dt_max:g} us takes {stride:.3g} RK4 "
             f"steps per recorded sample, above the cap of {MAX_STRIDE:.0e}")
     h = t_end / n_steps
-
-    eye = np.eye(9, dtype=complex)
-    with np.errstate(all="ignore"):  # a non-finite L: NaN states, no warning
-        A = h * L.matrix
-        # RK4 one-step propagator: I + A + A^2/2 + A^3/6 + A^4/24 (Horner form)
-        phi = eye + A @ (eye + (A / 2) @ (eye + (A / 3) @ (eye + A / 4)))
-        P = np.linalg.matrix_power(phi, stride)
-        full, tail = divmod(n_steps, stride)
-        states = np.empty((full + 1 + (tail > 0), 9), dtype=complex)
-        states[0] = vectorize(rho0)
-        step = P.dot  # P @ x's zgemv, without matmul's dispatch per call
-        for x, row in zip(states, states[1:full + 1]):
-            step(x, out=row)
-        if tail:
-            states[-1] = np.linalg.matrix_power(phi, tail) @ states[-2]
+    full, tail = divmod(n_steps, stride)
+    states = np.empty((full + 1 + (tail > 0), 9), dtype=complex)
+    states[0] = vectorize(rho0)
+    if np.isfinite(L.matrix).all():
+        eye = np.eye(9, dtype=complex)
+        with np.errstate(all="ignore"):  # inf or NaN states give no warning
+            A = h * L.matrix
+            # RK4 one-step propagator: I + A + A^2/2 + A^3/6 + A^4/24 (Horner)
+            phi = eye + A @ (eye + (A / 2) @ (eye + (A / 3) @ (eye + A / 4)))
+            P = np.linalg.matrix_power(phi, stride)
+            step = P.dot  # P @ x's zgemv, without matmul's dispatch per call
+            for x, row in zip(states, states[1:full + 1]):
+                step(x, out=row)
+            if tail:
+                states[-1] = np.linalg.matrix_power(phi, tail) @ states[-2]
+    else:  # NaN, as phi**stride would give, without forming phi**stride
+        states[1:] = complex(np.nan, np.nan)
     times = np.arange(0, stride * len(states), stride) * h  # k * h
     times[-1] = t_end
     return Trajectory(times=times, states=unvectorize(states))

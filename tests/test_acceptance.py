@@ -136,7 +136,7 @@ def test_criterion_4_vee_superposition():
     diff = float(np.abs(num - ana).max())
     ok_agree = diff <= 1e-8
 
-    g31 = params.gammas["31"]
+    g31 = params.gamma_b  # vee: (gamma_a, gamma_b) = (Gamma_21, Gamma_31)
     ratio = params.g_probe / g31
     worst_balance = 0.0
     ok_positive = True
@@ -156,7 +156,7 @@ def test_criterion_4_vee_superposition():
                and abs(theta - np.pi / 4) <= 0.15)
 
     saturation = params.g_pump ** 2 / (2 * params.g_pump ** 2
-                                       + params.gammas["21"] ** 2)
+                                       + params.gamma_a ** 2)
     ok_saturation = abs(r22 - saturation) <= 2e-3
 
     theta_star = float(np.arctan2(params.g_pump, params.g_probe))

@@ -242,8 +242,8 @@ def test_cli_survives_hostile_inputs(tmp_path, monkeypatch):
                                  "a non-finite step count over t_end=1 us"),
     (["sweep"], 2, "error: delta=-30 MHz: SingularSolveError: SingularSolve: "
                    "Liouvillian has non-finite entries"),
-    # a step count within the cap: the NaN trajectory is integrated, then
-    # the steady solve names the non-finite Liouvillian
+    # a step count within the cap: evolve returns NaN states without
+    # integrating them, then the steady solve names the non-finite Liouvillian
     (["evolve", "--t-end=1e-300"], 2, "error: SingularSolveError: "
                                       "SingularSolve: Liouvillian has "
                                       "non-finite entries"),

@@ -364,6 +364,47 @@ def test_evolve_caps_the_steps_per_sample():
                dt_max=dt_max)
 
 
+def _non_finite_liouvillian(case):
+    """(L, t_end) of a hostile case: decays at the float limit, whose L
+    holds inf and NaN, at a stride of ~850,000 steps per sample, or the
+    reference lambda L with one inf or NaN entry at stride 1."""
+    if case in ("lambda", "cascade", "vee"):
+        params = replace(reference_params(case), gamma_a=1e308,
+                         gamma_b=1.7e308)
+        return build_liouvillian(params), 1e-300
+    L = build_liouvillian(reference_params("lambda"))
+    matrix = L.matrix.copy()
+    matrix[3, 5] = {"inf": np.inf, "nan": np.nan}[case]
+    return replace(L, matrix=matrix), 1.0
+
+
+@pytest.mark.parametrize("case", ["lambda", "cascade", "vee", "inf", "nan"])
+def test_a_non_finite_liouvillian_is_not_integrated(monkeypatch, case):
+    # its propagator's powers are NaN: evolve writes NaN rows without
+    # forming them, at the recursion's times to the bit (the sign of a NaN
+    # the recursion forms is not pinned)
+    L, t_end = _non_finite_liouvillian(case)
+    rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    dt_max = 0.1 / L.rate_scale
+    with np.errstate(all="ignore"):
+        times, states, stride = strided_recursion(L, rho0, t_end, dt_max)
+    assert stride == (1 if case in ("inf", "nan") else 850_001)
+    calls = Counter()
+    matrix_power = np.linalg.matrix_power
+
+    def counting(a, n):
+        calls["matrix_power"] += 1
+        return matrix_power(a, n)
+    monkeypatch.setattr(np.linalg, "matrix_power", counting)
+    traj = evolve(L, rho0, t_end=t_end, dt_max=dt_max)
+    assert calls["matrix_power"] == 0
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.shape == states.shape
+    assert traj.states[0].tobytes() == rho0.tobytes()
+    for rows in (traj.states[1:], states[1:]):  # the recursion's are NaN too
+        assert np.isnan(rows.real).all() and np.isnan(rows.imag).all()
+
+
 def test_free_evolution_is_constant():
     zero = Liouvillian(matrix=np.zeros((9, 9), dtype=complex), rate_scale=0.0)
     rho0 = np.diag([0.2, 0.3, 0.5]).astype(complex)
