@@ -27,6 +27,12 @@
 # once (eit3.analytic._GRID_PASS_POINTS, read from HEAD); 2001-point
 # analytic csv and json sweeps with g_probe = g_pump = 1e60, where a power
 # of the rates alone overflows a Python float and every point fails;
+# 11- and 2001-point analytic csv sweeps (the per-point path and the grid
+# pass) over delta from 9.99e3 to 1.001e4 with g_probe = 1e-4, g_pump =
+# 1e4 and both decays 1e-4, where the closed forms cancel (lambda states
+# off by up to 8e-2 in trace), so any change in their order of operations
+# shows in the printed bits, and cascade and vee reach the denominator
+# floor at delta = 1e4 (exit 2, partial file);
 # 11-point numeric csv sweeps with g_probe = -0.0 (the build's signed
 # zero) and with delta_pump = -1.7e308 over delta from 0 to 1.7e308, where
 # every point fails (exit 2, partial file): a DegenerateNullSpaceError at
@@ -55,7 +61,7 @@
 # step count: a shorter last power of the propagator), from a --rho0 file
 # with complex coherences, at --t-end 2 --dt 1e-6 (1,000 steps per
 # sample) and at --t-end 1e8 (above the cap on steps per sample: a config
-# error, exit 1), each into its own file.  Then `calibrate`: 165 commands
+# error, exit 1), each into its own file.  Then `calibrate`: 171 commands
 # in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
@@ -139,6 +145,11 @@ for tag in ("lambda", "cascade", "vee"):
                                              "points": 2001, "format": fmt,
                                              "g_probe": 1e60, "g_pump": 1e60})
              for fmt in ("csv", "json")]
+    runs += [(f"{tag}-cancelling-analytic-{points}",
+              {"backend": "analytic", "points": points, "format": "csv",
+               "g_probe": 1e-4, "g_pump": 1e4, "gamma_a": 1e-4,
+               "gamma_b": 1e-4, "range": {"min": 9.99e3, "max": 1.001e4}})
+             for points in (11, 2001)]
     runs.append((f"{tag}-negative-zero-probe", {"backend": "numeric",
                                                 "points": 11, "format": "csv",
                                                 "g_probe": -0.0}))

@@ -5,7 +5,8 @@ the couplings, decay constants and probe detuning: every element is a
 numerator over one common real denominator D, with the three population
 numerators summing exactly to D (normalization is built into the formulas).
 The polynomials below are transcribed with their printed groupings and
-evaluated in double precision; transcription fidelity is guarded by two
+evaluated in double precision, each power of a name taken once into a
+local (``g13_4 = g13**4``); transcription fidelity is guarded by two
 independent tests, the numerator-sum identity and element-wise agreement
 with the numeric null-space solver.
 
@@ -60,124 +61,139 @@ class ClosedFormOverflowError(ValueError):
 
 def _lambda_terms(g13, g23, G31, G32, d):
     Gs = G31 + G32
-    D = (G32 * g13**6 + g23**2 * (G31 + 2 * G32) * g13**4
-         + ((2 * G31 + G32) * g23**4
-            + Gs * (2 * g23**2 + G32 * Gs) * d**2) * g13**2
-         + g23**2 * G31 * (g23**4 - 2 * d**2 * g23**2 + d**4 + Gs**2 * d**2))
-    n11 = g23**2 * (G31 * d**4
-                    + G31 * (g13**2 - 2 * g23**2 + Gs**2) * d**2
-                    + (g13**2 + g23**2) * (G32 * g13**2 + g23**2 * G31))
-    n22 = g13**2 * (G32 * g13**4 + g23**2 * Gs * g13**2
-                    + G32 * Gs**2 * d**2 + g23**2 * G32 * d**2 + g23**4 * G31)
-    n33 = g13**2 * g23**2 * Gs * d**2
-    n12 = -g13 * g23 * (G32 * g13**4
-                        + Gs * (g23**2 + 1j * G32 * d) * g13**2
-                        + g23**2 * G31 * (g23**2 + 1j * (Gs + 1j * d) * d))
-    n13 = g13 * g23**2 * d * (G32 * g13**2 + g23**2 * G31
-                              + 1j * G31 * (Gs + 1j * d) * d)
-    n23 = -g13**2 * g23 * d * (G31 * g23**2 + G32 * (g13**2 - 1j * Gs * d))
+    g13_2, g13_4, g13_6 = g13**2, g13**4, g13**6
+    g23_2, g23_4 = g23**2, g23**4
+    Gs_2 = Gs**2
+    d_2, d_4 = d**2, d**4
+    D = (G32 * g13_6 + g23_2 * (G31 + 2 * G32) * g13_4
+         + ((2 * G31 + G32) * g23_4
+            + Gs * (2 * g23_2 + G32 * Gs) * d_2) * g13_2
+         + g23_2 * G31 * (g23_4 - 2 * d_2 * g23_2 + d_4 + Gs_2 * d_2))
+    n11 = g23_2 * (G31 * d_4
+                   + G31 * (g13_2 - 2 * g23_2 + Gs_2) * d_2
+                   + (g13_2 + g23_2) * (G32 * g13_2 + g23_2 * G31))
+    n22 = g13_2 * (G32 * g13_4 + g23_2 * Gs * g13_2
+                   + G32 * Gs_2 * d_2 + g23_2 * G32 * d_2 + g23_4 * G31)
+    n33 = g13_2 * g23_2 * Gs * d_2
+    n12 = -g13 * g23 * (G32 * g13_4
+                        + Gs * (g23_2 + 1j * G32 * d) * g13_2
+                        + g23_2 * G31 * (g23_2 + 1j * (Gs + 1j * d) * d))
+    n13 = g13 * g23_2 * d * (G32 * g13_2 + g23_2 * G31
+                             + 1j * G31 * (Gs + 1j * d) * d)
+    n23 = -g13_2 * g23 * d * (G31 * g23_2 + G32 * (g13_2 - 1j * Gs * d))
     return D, n11, n22, n33, n12, n13, n23
 
 
 def _cascade_terms(g12, g23, G21, G32, d):
     Gs = G21 + G32
-    D = (2 * G21 * G32 * g12**6
-         + ((G21**2 + 4 * G32 * G21 + 2 * G32**2) * g23**2
-            + G21 * G32 * ((G21 + 2 * G32)**2 + d**2)) * g12**4
-         + ((2 * G21**2 + 3 * G32 * G21 + 2 * G32**2) * g23**4
-            + ((2 * G21**2 + 4 * G32 * G21 + G32**2) * d**2
-               + G32 * (4 * G21**3 + 7 * G32 * G21**2
-                        + 6 * G32**2 * G21 + 2 * G32**3)) * g23**2
-            + 2 * G21 * G32 * Gs * ((G21 + 2 * G32) * d**2
-                                    + G32 * (G21**2 + G32 * G21 + G32**2))) * g12**2
-         + G21 * Gs * (g23**2 + G32 * Gs)
-         * (g23**4 + 2 * (G21 * G32 - d**2) * g23**2
-            + (G21**2 + d**2) * (G32**2 + d**2)))
-    n11 = (G21 * G32 * g12**6
-           + G32 * (Gs * g23**2
-                    + G21 * (G21**2 + 2 * G32 * G21 + 2 * G32**2 + d**2)) * g12**4
-           + (G21**2 * g23**4
-              + ((G21**2 + 3 * G32 * G21 + G32**2) * d**2
-                 + G32 * (3 * G21**3 + 3 * G32 * G21**2
-                          + 2 * G32**2 * G21 + G32**3)) * g23**2
-              + G21 * G32 * Gs * ((G21 + 3 * G32) * d**2
-                                  + G32 * (2 * G21**2 + G32 * G21 + G32**2))) * g12**2
-           + G21 * Gs * (g23**2 + G32 * Gs)
-           * (g23**4 + 2 * (G21 * G32 - d**2) * g23**2
-              + (G21**2 + d**2) * (G32**2 + d**2)))
-    n22 = g12**2 * (G21 * G32 * g12**4
-                    + G32 * ((2 * G21 + G32) * g23**2 + 2 * G21 * G32 * Gs) * g12**2
-                    + Gs * (g23**2 + G32 * Gs)
-                    * (G32 * g23**2 + G21 * (G32**2 + d**2)))
-    n33 = g12**2 * g23**2 * Gs * (G21 * g12**2 + Gs * (g23**2 + G21 * G32))
-    n12 = 1j * g12 * (G21 * G32 * (G21 + 1j * d) * g12**4
-                      + G32 * ((2 * G21 + G32) * g23**2 + 2 * G21 * G32 * Gs)
-                      * (G21 + 1j * d) * g12**2
-                      + G21 * Gs * (g23**2 + G32 * Gs)
-                      * (g23**2 + (G21 + 1j * d) * (G32 + 1j * d))
+    g12_2, g12_4, g12_6 = g12**2, g12**4, g12**6
+    g23_2, g23_4 = g23**2, g23**4
+    G21_2, G21_3 = G21**2, G21**3
+    G32_2, G32_3 = G32**2, G32**3
+    d_2 = d**2
+    D = (2 * G21 * G32 * g12_6
+         + ((G21_2 + 4 * G32 * G21 + 2 * G32_2) * g23_2
+            + G21 * G32 * ((G21 + 2 * G32)**2 + d_2)) * g12_4
+         + ((2 * G21_2 + 3 * G32 * G21 + 2 * G32_2) * g23_4
+            + ((2 * G21_2 + 4 * G32 * G21 + G32_2) * d_2
+               + G32 * (4 * G21_3 + 7 * G32 * G21_2
+                        + 6 * G32_2 * G21 + 2 * G32_3)) * g23_2
+            + 2 * G21 * G32 * Gs * ((G21 + 2 * G32) * d_2
+                                    + G32 * (G21_2 + G32 * G21 + G32_2))) * g12_2
+         + G21 * Gs * (g23_2 + G32 * Gs)
+         * (g23_4 + 2 * (G21 * G32 - d_2) * g23_2
+            + (G21_2 + d_2) * (G32_2 + d_2)))
+    n11 = (G21 * G32 * g12_6
+           + G32 * (Gs * g23_2
+                    + G21 * (G21_2 + 2 * G32 * G21 + 2 * G32_2 + d_2)) * g12_4
+           + (G21_2 * g23_4
+              + ((G21_2 + 3 * G32 * G21 + G32_2) * d_2
+                 + G32 * (3 * G21_3 + 3 * G32 * G21_2
+                          + 2 * G32_2 * G21 + G32_3)) * g23_2
+              + G21 * G32 * Gs * ((G21 + 3 * G32) * d_2
+                                  + G32 * (2 * G21_2 + G32 * G21 + G32_2))) * g12_2
+           + G21 * Gs * (g23_2 + G32 * Gs)
+           * (g23_4 + 2 * (G21 * G32 - d_2) * g23_2
+              + (G21_2 + d_2) * (G32_2 + d_2)))
+    n22 = g12_2 * (G21 * G32 * g12_4
+                   + G32 * ((2 * G21 + G32) * g23_2 + 2 * G21 * G32 * Gs) * g12_2
+                   + Gs * (g23_2 + G32 * Gs)
+                   * (G32 * g23_2 + G21 * (G32_2 + d_2)))
+    n33 = g12_2 * g23_2 * Gs * (G21 * g12_2 + Gs * (g23_2 + G21 * G32))
+    n12 = 1j * g12 * (G21 * G32 * (G21 + 1j * d) * g12_4
+                      + G32 * ((2 * G21 + G32) * g23_2 + 2 * G21 * G32 * Gs)
+                      * (G21 + 1j * d) * g12_2
+                      + G21 * Gs * (g23_2 + G32 * Gs)
+                      * (g23_2 + (G21 + 1j * d) * (G32 + 1j * d))
                       * (G32 - 1j * d))
-    n13 = g12 * g23 * (G21 * G32 * g12**4
-                       + (-G32 * G21**3 + G32**3 * G21
-                          + g23**2 * (-G21**2 + G32 * G21 + G32**2)) * g12**2
-                       - G21 * Gs * (g23**2 + G32 * Gs)
-                       * (g23**2 + (G21 + 1j * d) * (G32 + 1j * d)))
-    n23 = 1j * g12**2 * g23 * Gs * (G21 * G32 * g12**2
-                                    + G32 * Gs * (g23**2 + G21 * G32)
-                                    + 1j * G21 * (g23**2 + G32 * Gs) * d)
+    n13 = g12 * g23 * (G21 * G32 * g12_4
+                       + (-G32 * G21_3 + G32_3 * G21
+                          + g23_2 * (-G21_2 + G32 * G21 + G32_2)) * g12_2
+                       - G21 * Gs * (g23_2 + G32 * Gs)
+                       * (g23_2 + (G21 + 1j * d) * (G32 + 1j * d)))
+    n23 = 1j * g12_2 * g23 * Gs * (G21 * G32 * g12_2
+                                   + G32 * Gs * (g23_2 + G21 * G32)
+                                   + 1j * G21 * (g23_2 + G32 * Gs) * d)
     return D, n11, n22, n33, n12, n13, n23
 
 
 def _vee_terms(g13, g12, G21, G31, d):
     Gs = G21 + G31
-    K = g13**2 + G21 * Gs
-    Q = K**2 + G21**2 * d**2
-    D = (2 * G21 * G31 * g12**6
-         + (2 * (G21**2 + G31 * G21 + G31**2) * g13**2
-            + G21 * G31 * ((G21 + 2 * G31)**2 - 4 * d**2)) * g12**4
-         + (2 * G21 * G31 * d**4
-            + ((G21**2 + 6 * G31 * G21 + 2 * G31**2) * g13**2
-               + 4 * G21 * G31**2 * Gs) * d**2
-            + 2 * (g13**2 + G31**2) * (G21**2 + G31 * G21 + G31**2) * K) * g12**2
-         + G21 * G31 * (2 * g13**2 + G31**2 + d**2) * Q)
-    n11 = (G21 * G31 * g12**6
-           + ((G21**2 + G31 * G21 + G31**2) * g13**2
-              + G21 * G31 * (G21**2 + 2 * G31 * G21 + 2 * G31**2 - 2 * d**2)) * g12**4
-           + ((G21**2 + G31 * G21 + G31**2) * g13**4
-              + (G21**4 + 2 * G31 * G21**3 + 4 * G31**2 * G21**2
-                 + 2 * G31**3 * G21 + G31**4
-                 + G31 * (2 * G21 + G31) * d**2) * g13**2
-              + G21 * G31 * (2 * G31 * G21**3 + (3 * G31**2 - d**2) * G21**2
-                             + 2 * G31 * (G31**2 + d**2) * G21
-                             + (G31**2 + d**2)**2)) * g12**2
-           + G21 * G31 * (g13**2 + G31**2 + d**2) * Q)
-    n22 = g12**2 * (G21 * G31 * g12**4
-                    + ((G21**2 + G31**2) * g13**2
-                       + 2 * G21 * G31 * (G31 * Gs - d**2)) * g12**2
-                    + G31 * (G21 * g13**4
-                             + (G21**3 + G31 * G21**2 + G31**2 * G21 + G31**3
-                                + (3 * G21 + G31) * d**2) * g13**2
-                             + G21 * (G31**2 + d**2) * (Gs**2 + d**2)))
-    n33 = g13**2 * (G21 * G31 * g12**4
-                    + ((G21**2 + G31**2) * g13**2
-                       + G21 * Gs * (G21**2 + G31**2 + d**2)) * g12**2
-                    + G21 * G31 * Q)
-    n12 = 1j * g12 * (G21**2 * G31 * g12**4
-                      + ((G21**3 + G31**2 * G21 + 2j * G31**2 * d) * g13**2
-                         + 2 * G21**2 * G31 * (G31 * Gs - d**2)) * g12**2
-                      + G21 * G31 * (g13**2 + G21 * (Gs - 1j * d))
-                      * ((G21 + 2j * d) * g13**2
-                         + (Gs + 1j * d) * (G31**2 + d**2)))
-    n13 = 1j * g13 * (G21 * G31 * (G31 - 1j * d) * g12**4
-                      + (1j * G21 * G31 * d**3 + G21 * G31 * Gs * d**2
-                         + 1j * (g13**2 + G21 * G31) * (G31**2 - G21**2) * d
-                         + G31 * (G21**2 + G31**2) * K) * g12**2
+    g13_2, g13_4 = g13**2, g13**4
+    g12_2, g12_4, g12_6 = g12**2, g12**4, g12**6
+    G21_2, G21_3, G21_4 = G21**2, G21**3, G21**4
+    G31_2, G31_3, G31_4 = G31**2, G31**3, G31**4
+    Gs_2 = Gs**2
+    d_2, d_3, d_4 = d**2, d**3, d**4
+    K = g13_2 + G21 * Gs
+    Q = K**2 + G21_2 * d_2
+    D = (2 * G21 * G31 * g12_6
+         + (2 * (G21_2 + G31 * G21 + G31_2) * g13_2
+            + G21 * G31 * ((G21 + 2 * G31)**2 - 4 * d_2)) * g12_4
+         + (2 * G21 * G31 * d_4
+            + ((G21_2 + 6 * G31 * G21 + 2 * G31_2) * g13_2
+               + 4 * G21 * G31_2 * Gs) * d_2
+            + 2 * (g13_2 + G31_2) * (G21_2 + G31 * G21 + G31_2) * K) * g12_2
+         + G21 * G31 * (2 * g13_2 + G31_2 + d_2) * Q)
+    n11 = (G21 * G31 * g12_6
+           + ((G21_2 + G31 * G21 + G31_2) * g13_2
+              + G21 * G31 * (G21_2 + 2 * G31 * G21 + 2 * G31_2 - 2 * d_2)) * g12_4
+           + ((G21_2 + G31 * G21 + G31_2) * g13_4
+              + (G21_4 + 2 * G31 * G21_3 + 4 * G31_2 * G21_2
+                 + 2 * G31_3 * G21 + G31_4
+                 + G31 * (2 * G21 + G31) * d_2) * g13_2
+              + G21 * G31 * (2 * G31 * G21_3 + (3 * G31_2 - d_2) * G21_2
+                             + 2 * G31 * (G31_2 + d_2) * G21
+                             + (G31_2 + d_2)**2)) * g12_2
+           + G21 * G31 * (g13_2 + G31_2 + d_2) * Q)
+    n22 = g12_2 * (G21 * G31 * g12_4
+                   + ((G21_2 + G31_2) * g13_2
+                      + 2 * G21 * G31 * (G31 * Gs - d_2)) * g12_2
+                   + G31 * (G21 * g13_4
+                            + (G21_3 + G31 * G21_2 + G31_2 * G21 + G31_3
+                               + (3 * G21 + G31) * d_2) * g13_2
+                            + G21 * (G31_2 + d_2) * (Gs_2 + d_2)))
+    n33 = g13_2 * (G21 * G31 * g12_4
+                   + ((G21_2 + G31_2) * g13_2
+                      + G21 * Gs * (G21_2 + G31_2 + d_2)) * g12_2
+                   + G21 * G31 * Q)
+    n12 = 1j * g12 * (G21_2 * G31 * g12_4
+                      + ((G21_3 + G31_2 * G21 + 2j * G31_2 * d) * g13_2
+                         + 2 * G21_2 * G31 * (G31 * Gs - d_2)) * g12_2
+                      + G21 * G31 * (g13_2 + G21 * (Gs - 1j * d))
+                      * ((G21 + 2j * d) * g13_2
+                         + (Gs + 1j * d) * (G31_2 + d_2)))
+    n13 = 1j * g13 * (G21 * G31 * (G31 - 1j * d) * g12_4
+                      + (1j * G21 * G31 * d_3 + G21 * G31 * Gs * d_2
+                         + 1j * (g13_2 + G21 * G31) * (G31_2 - G21_2) * d
+                         + G31 * (G21_2 + G31_2) * K) * g12_2
                       + G21 * G31 * (G31 + 1j * d) * Q)
-    n23 = g12 * g13 * (G21 * G31 * g12**4
-                       + ((G21**2 + G31**2) * g13**2
-                          + G21 * G31 * (G21**2 + 2 * G31 * G21
-                                         + (G31 + 1j * d)**2)) * g12**2
-                       + G21 * G31 * (g13**2 + G21 * (Gs + 1j * d))
-                       * (g13**2 + d**2 + G31 * Gs + 1j * G21 * d))
+    n23 = g12 * g13 * (G21 * G31 * g12_4
+                       + ((G21_2 + G31_2) * g13_2
+                          + G21 * G31 * (G21_2 + 2 * G31 * G21
+                                         + (G31 + 1j * d)**2)) * g12_2
+                       + G21 * G31 * (g13_2 + G21 * (Gs + 1j * d))
+                       * (g13_2 + d_2 + G31 * Gs + 1j * G21 * d))
     return D, n11, n22, n33, n12, n13, n23
 
 
@@ -189,6 +205,9 @@ _TERMS = {
 
 # common degree of D and of every numerator in the rates (g, Gamma, Delta)
 _DEGREE = {Configuration.LAMBDA: 7, Configuration.CASCADE: 8, Configuration.VEE: 8}
+# DENOMINATOR_FLOOR ** (1 / degree): the floor tests compare deg-th roots
+_FLOOR_ROOT = {config: DENOMINATOR_FLOOR ** (1 / deg)
+               for config, deg in _DEGREE.items()}
 
 
 def _point_terms(params: SystemParams, rates: tuple, delta: float,
@@ -213,7 +232,7 @@ def _point_terms(params: SystemParams, rates: tuple, delta: float,
     deg = _DEGREE[params.config]
     # compared as deg-th roots: rate_scale**deg overflows from a rate scale of
     # about 1e44, where the terms are still finite
-    if abs(D) ** (1 / deg) <= DENOMINATOR_FLOOR ** (1 / deg) * rate_scale:
+    if abs(D) ** (1 / deg) <= _FLOOR_ROOT[params.config] * rate_scale:
         raise DegenerateDenominatorError(
             f"DegenerateDenominator: |D| = {abs(D):.3e} underflows "
             f"{DENOMINATOR_FLOOR:g} * rate_scale**{deg}")
@@ -257,17 +276,18 @@ class _Grid:
     CPython's ``to_complex`` makes it, and a product is ``_Py_c_prod``.
     ``z ** k`` is ``c_powu``'s square-and-multiply from ``(1, 0)``, and
     ``x ** k`` is Python's ``pow`` at each point, an ``OverflowError``
-    read as inf (numpy's ``**`` rounds differently).  Each power of one
-    number is computed once.  CPython 3.14's mixed real/complex arithmetic
-    (C99 Annex G) gives other bytes: ``test_grid_arithmetic_is_cpythons``
-    fails there.
+    read as inf (numpy's ``**`` rounds differently).  Each ``**`` computes
+    anew, a Python ``pow`` loop over the grid for a real number, so the
+    term functions take each power of a name once, into a local
+    (``test_each_power_is_evaluated_once``).  CPython 3.14's mixed
+    real/complex arithmetic (C99 Annex G) gives other bytes:
+    ``test_grid_arithmetic_is_cpythons`` fails there.
     """
 
-    __slots__ = ("re", "im", "_powers")
+    __slots__ = ("re", "im")
 
     def __init__(self, re, im=None):
         self.re, self.im = re, im
-        self._powers: dict = {}
 
     # the left operand stays left, as in CPython: a NaN's payload can
     # depend on the order
@@ -293,10 +313,9 @@ class _Grid:
         return _Grid(-self.re, None if self.im is None else -self.im)
 
     def __pow__(self, k: int):
-        if k not in self._powers:
-            self._powers[k] = (_Grid(_float_power(self.re, k)) if self.im is None
-                               else _Grid(*_complex_power(self.re, self.im, k)))
-        return self._powers[k]
+        if self.im is None:
+            return _Grid(_float_power(self.re, k))
+        return _Grid(*_complex_power(self.re, self.im, k))
 
 
 def _parts(x) -> tuple:
@@ -402,7 +421,7 @@ def _grid_pass(params: SystemParams, rates: tuple, scale,
                 if part is not None:
                     finite &= np.isfinite(part)
         # the floor test of _point_terms, point by point in Python floats
-        root, floor = 1 / deg, DENOMINATOR_FLOOR ** (1 / deg)
+        root, floor = 1 / deg, _FLOOR_ROOT[params.config]
         left = [i for i, (ok, b, d) in enumerate(zip(finite.tolist(), D.tolist(),
                                                      points))
                 if not ok or abs(b) ** root <= floor * max(scale, abs(d))]

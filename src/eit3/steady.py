@@ -206,9 +206,16 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
 
 def _symmetrized(vectors: np.ndarray) -> np.ndarray:
     """The (N, 3, 3) states of (N, 9) solution vectors, with the solver's
-    rounding-level Hermiticity defect symmetrized away."""
-    rho = unvectorize(vectors)
-    return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    rounding-level Hermiticity defect symmetrized away: 0.5 (rho + rho^H)
+    built in one buffer.  ``vectors`` reshaped is rho transposed, so the
+    buffer starts as its conjugate, rho^H.  Each sum and product is that of
+    ``0.5 * (rho + rho.conj().transpose(0, 2, 1))`` with its operands
+    swapped, so the bytes are the same."""
+    transposed = vectors.reshape(-1, 3, 3)  # vec[3c + r] = rho[r, c]
+    rho = transposed.conj()
+    rho += transposed.swapaxes(1, 2)
+    rho *= 0.5
+    return rho
 
 
 def _failure(finite: bool, degenerate: bool, cond: float) -> ValueError:

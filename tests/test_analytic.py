@@ -284,3 +284,23 @@ def test_grid_arithmetic_is_cpythons():
             for D in (5e-324, -1e-310, 1e300, -1e-300, 2.0, 3.0, -1.5):
                 re, im = _quotient(one_point(a), np.array([D]))
                 assert grid_bytes(_Grid(re, im)) == scalar_bytes(complex(a) / D), (a, D)
+
+
+def test_each_power_is_evaluated_once(config, monkeypatch):
+    # _Grid keeps no cache of powers, so each distinct power of a number
+    # must be taken once by the term functions themselves: over a grid a
+    # repeated power of the detuning is one more Python pow per point
+    calls, operands = {}, []
+    power = _Grid.__pow__
+
+    def counted(self, k):
+        operands.append(self)  # alive to the end, so no id is reused
+        calls[id(self), k] = calls.get((id(self), k), 0) + 1
+        return power(self, k)
+
+    monkeypatch.setattr(_Grid, "__pow__", counted)
+    p = reference_params(config.value, delta_probe=2.5)
+    _TERMS[config](*map(one_point, (p.g_probe, p.g_pump, p.gamma_a,
+                                    p.gamma_b, p.delta_probe)))
+    assert calls
+    assert all(n == 1 for n in calls.values()), sorted(calls.values())
