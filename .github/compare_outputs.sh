@@ -24,7 +24,10 @@
 # profile solves and the numeric check may fail (its file is complete, no
 # "partial output" line); analytic csv sweeps one point below and at the
 # size from which the closed forms are evaluated over the whole grid at
-# once (eit3.analytic._GRID_PASS_POINTS, read from HEAD); 2001-point
+# once (eit3.analytic._GRID_PASS_POINTS, read from HEAD); analytic json
+# sweeps of one JSON writer slice and of one slice and one record
+# (eit3.cli._WRITE_ROWS and one more, read from HEAD), where the first
+# record's "[" and the separators of a streamed second slice meet; 2001-point
 # analytic csv and json sweeps with g_probe = g_pump = 1e60, where a power
 # of the rates alone overflows a Python float and every point fails;
 # 11- and 2001-point analytic csv sweeps (the per-point path and the grid
@@ -61,7 +64,7 @@
 # step count: a shorter last power of the propagator), from a --rho0 file
 # with complex coherences, at --t-end 2 --dt 1e-6 (1,000 steps per
 # sample) and at --t-end 1e8 (above the cap on steps per sample: a config
-# error, exit 1), each into its own file.  Then `calibrate`: 171 commands
+# error, exit 1), each into its own file.  Then `calibrate`: 177 commands
 # in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
@@ -79,6 +82,7 @@ from pathlib import Path
 
 sys.path.insert(0, sys.argv[1])
 from eit3.analytic import _GRID_PASS_POINTS
+from eit3.cli import _WRITE_ROWS
 from eit3.optics import MAX_POINTS
 
 bundled, work = Path(sys.argv[1]) / "eit3" / "configs", Path(sys.argv[2])
@@ -141,6 +145,10 @@ for tag in ("lambda", "cascade", "vee"):
     runs += [(f"{tag}-analytic-{points}-csv", {"backend": "analytic",
                                                "points": points, "format": "csv"})
              for points in (_GRID_PASS_POINTS - 1, _GRID_PASS_POINTS)]
+    runs += [(f"{tag}-analytic-{points}-json", {"backend": "analytic",
+                                                "points": points,
+                                                "format": "json"})
+             for points in (_WRITE_ROWS, _WRITE_ROWS + 1)]
     runs += [(f"{tag}-huge-analytic-{fmt}", {"backend": "analytic",
                                              "points": 2001, "format": fmt,
                                              "g_probe": 1e60, "g_pump": 1e60})

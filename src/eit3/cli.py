@@ -22,6 +22,7 @@ steady state (trajectory file still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -300,10 +301,29 @@ def read_sweep_csv(path) -> tuple[dict, list[dict], list[str]]:
 
 
 # one record as json.dumps(..., indent=1, sort_keys=True) lays it out at
-# depth 2: the keys in sorted order, numbers as floatstr writes them
+# depth 2, the keys in sorted order, numbers as floatstr writes them, split
+# at its 11 slots into 12 literal pieces; a record carries its separator
 _RECORD_KEYS = sorted([*_COLUMNS, "edge_stencil"])
-_RECORD = "  {\n%s\n  }" % ",\n".join(f'   "{key}": %s' for key in _RECORD_KEYS)
+_RECORD_PIECES = (",\n  {\n%s\n  }" % ",\n".join(
+    f'   "{key}": %s' for key in _RECORD_KEYS)).split("%s")
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_records(points: Spectrum, rows: slice, kept: list[bool]):
+    """The records of ``write_sweep_json`` for the kept Spectrum rows at
+    ``rows``, lazily."""
+    columns = _columns(points, rows)
+    for name, field in _COLUMNS.items():
+        if not np.isfinite(attrgetter(field)(points)[rows]).all():
+            texts = columns[name]
+            columns[name] = list(map(_JSON_NON_FINITE.get, texts, texts))
+    columns["edge_stencil"] = ["true" if e else "false"
+                               for e in points.edge_stencil[rows].tolist()]
+    parts = []
+    for piece, key in zip(_RECORD_PIECES, _RECORD_KEYS):
+        parts += repeat(piece), columns[key]
+    parts.append(repeat(_RECORD_PIECES[-1]))
+    return compress(map("".join, zip(*parts)), kept[rows])
 
 
 def write_sweep_json(path: Path, metadata: dict, points: Spectrum,
@@ -314,31 +334,30 @@ def write_sweep_json(path: Path, metadata: dict, points: Spectrum,
     With ``indent`` set, ``json`` drops its C encoder for the pure-Python
     one, which took longer than the closed forms of an analytic sweep.  So
     only the small errors + metadata part goes through ``json.dumps``
-    (string escaping unchanged); each record fills a fixed template whose
-    numbers are ``_columns``' with json's spellings of nan and +-inf.  The
-    records are formatted and written ``_WRITE_ROWS`` Spectrum rows at a
-    time, so the document is never held whole.
+    (string escaping unchanged).  Each record is one ``str.join`` of a fixed
+    template's literal pieces and ``_columns``' numbers, with json's
+    spellings of nan and +-inf in a column slice where ``np.isfinite``
+    finds one.  The numbers are formatted ``_WRITE_ROWS`` Spectrum rows at
+    a time and the records streamed to the file one by one, each after its
+    ",\\n" (the first after "[\\n"), so the document is never held whole.
     """
     head = json.dumps({"errors": [{"delta_mhz": d, "error": msg}
                                   for d, msg in (errors or [])],
                        "metadata": metadata}, indent=1, sort_keys=True)
     kept = (~np.isin(points.delta, [d for d, _ in errors or []])).tolist()
+    records = chain.from_iterable(
+        _json_records(points, slice(start, start + _WRITE_ROWS), kept)
+        for start in range(0, len(kept), _WRITE_ROWS))
     with path.open("w", encoding="utf-8") as out:
         # head ends in "\n}": reopen it for the last key, "records"
         out.write(f'{head[:-2]},\n "records": ')
-        opening = "[\n"
-        for start in range(0, len(kept), _WRITE_ROWS):
-            rows = slice(start, start + _WRITE_ROWS)
-            columns = {name: list(map(_JSON_NON_FINITE.get, texts, texts))
-                       for name, texts in _columns(points, rows).items()}
-            columns["edge_stencil"] = ["true" if e else "false"
-                                       for e in points.edge_stencil[rows].tolist()]
-            records = ",\n".join(_RECORD % row for row in compress(zip(
-                *(columns[key] for key in _RECORD_KEYS)), kept[rows]))
-            if records:
-                out.write(opening + records)
-                opening = ",\n"
-        out.write("[]\n}\n" if opening == "[\n" else "\n ]\n}\n")
+        first = next(records, None)
+        if first is None:
+            out.write("[]\n}\n")
+        else:
+            out.write("[\n" + first[2:])
+            out.writelines(records)
+            out.write("\n ]\n}\n")
 
 
 def read_sweep_json(path) -> tuple[dict, list[dict], list[dict]]:
@@ -592,6 +611,7 @@ def cmd_calibrate() -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eit3",

@@ -2,13 +2,16 @@
 
 import math
 import operator
+import random
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
 from conftest import random_params
+from exact_oracle import closed_form_state, closed_form_terms, exact_state
 
 from eit3.analytic import (
     _TERMS,
@@ -117,9 +120,9 @@ def test_assembly_divides_each_numerator_in_python(config):
         assert analytic_steady_state(pd).tobytes() == expected.tobytes()
 
 
-# max |rho - rho_50| over the nine entries, for the states at ORACLE_POINTS;
-# measured worst cases 2.8e-14 (lambda at the cancellation point),
-# 2.9e-15 and 9.8e-16 analytic, 5.0e-16, 2.4e-16 and 1.5e-16 numeric
+# max |rho - rho_exact| over the nine entries, for the states at
+# ORACLE_POINTS; measured worst cases 2.8e-14 (lambda at the cancellation
+# point), 2.9e-15 and 9.8e-16 analytic, 5.0e-16, 2.4e-16 and 1.5e-16 numeric
 ORACLE_BOUND = {
     "lambda": {"analytic": 5e-14, "numeric": 1e-15},
     "cascade": {"analytic": 6e-15, "numeric": 1e-15},
@@ -131,26 +134,37 @@ ORACLE_POINTS = [{"delta_probe": d} for d in (-30.0, -2.5, 0.0, 0.3, 2.5, 30.0)]
 ORACLE_POINTS.append({"g_pump": 105.0, "delta_probe": 104.9})
 
 
-def test_closed_forms_against_50_digit_oracle(config):
-    # the transcribed terms run unchanged on mpmath numbers: the same
-    # polynomials at 50 digits are the exact state of the float inputs
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 50
+def test_closed_forms_against_exact_oracle(config):
+    # the transcribed terms run unchanged on Gaussian rationals and equal,
+    # entry for entry, the exact solve of the master equation; the float
+    # states of both backends are measured against that exact state
     for point in ORACLE_POINTS:
         p = replace(reference_params(config.value), **point)
-        D, n11, n22, n33, n12, n13, n23 = _TERMS[config](*map(mpmath.mpf, (
-            p.g_probe, p.g_pump, p.gamma_a, p.gamma_b, p.delta_probe)))
-        assert abs((n11 + n22 + n33 - D) / D) <= 1e-45
-        exact = {(1, 1): n11 / D, (2, 2): n22 / D, (3, 3): n33 / D,
-                 (1, 2): n12 / D, (1, 3): n13 / D, (2, 3): n23 / D}
-        for (k, l), r in list(exact.items()):
-            exact[l, k] = mpmath.conj(r)
+        D, n11, n22, n33, *_ = closed_form_terms(p)
+        assert n11 + n22 + n33 == D
+        exact = exact_state(p)
+        assert closed_form_state(p) == exact, point
         states = {"analytic": analytic_steady_state(p),
                   "numeric": steady_state(build_liouvillian(p))}
         for backend, rho in states.items():
-            err = max(abs(complex(rho[LEVEL_INDEX[k], LEVEL_INDEX[l]]) - r)
+            err = max(r.distance(complex(rho[LEVEL_INDEX[k], LEVEL_INDEX[l]]))
                       for (k, l), r in exact.items())
             assert err <= ORACLE_BOUND[config.value][backend], (point, backend)
+
+
+def test_closed_forms_equal_the_exact_state_at_random_rationals(config):
+    # exact arithmetic at rational points no float holds: a wrong term of
+    # the polynomials passes such a draw with negligible probability
+    # (Schwartz-Zippel), whatever its size against the others
+    rng = random.Random(7)
+
+    def draw(low=1):
+        return Fraction(rng.randint(low, 10**6), rng.randint(1, 10**3))
+
+    for _ in range(10):
+        p = SystemParams(config, draw(), draw(), draw(), draw(),
+                         delta_probe=draw(-10**6))
+        assert closed_form_state(p) == exact_state(p), p
 
 
 def test_pump_detuning_rejected():

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: configs, exit codes, file formats, determinism."""
 
+import argparse
 import json
 import math
 from dataclasses import fields, replace
@@ -27,6 +28,7 @@ from eit3.cli import (
 from eit3.model import Configuration
 from eit3.optics import OpticalConstants
 from eit3.presets import REFERENCE_OMEGA_MHZ, reference_params
+from eit3.steady import STEP_SAFETY
 
 
 def base_config(**overrides):
@@ -900,16 +902,17 @@ def test_json_writer_matches_json_dumps_on_odd_values(tmp_path, rows, errors):
     assert out.read_bytes() == dumps_oracle(metadata, spectrum(rows), errors)
 
 
-def test_json_writer_matches_json_dumps_property(tmp_path):
+def check_json_writer_against_json_dumps(out, max_rows):
+    """write_sweep_json against dumps_oracle on up to ``max_rows`` rows of
+    any floats, NaN and the infinities included."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    out = tmp_path / "out.json"
 
     @hypothesis.settings(derandomize=True, max_examples=200, deadline=None,
                          database=None)
     @hypothesis.given(st.lists(st.tuples(st.lists(st.floats(), min_size=10,
                                                   max_size=10),
-                                         st.booleans()), max_size=4))
+                                         st.booleans()), max_size=max_rows))
     def check(rows):
         s = spectrum([(values[:8], complex(values[8], values[9]), edge)
                       for values, edge in rows])
@@ -917,6 +920,79 @@ def test_json_writer_matches_json_dumps_property(tmp_path):
         assert out.read_bytes() == dumps_oracle({"command": "sweep"}, s)
 
     check()
+
+
+def test_json_writer_matches_json_dumps_property(tmp_path):
+    check_json_writer_against_json_dumps(tmp_path / "out.json", 4)
+
+
+@pytest.mark.parametrize("write_rows", [1, 3])
+def test_json_writer_spells_non_finite_numbers_per_slice_property(
+        tmp_path, monkeypatch, write_rows):
+    # json's NaN and Infinity are spelled only in a column slice that holds
+    # one: with slices of 1 or 3 rows and up to 8 rows, slices with and
+    # without non-finite numbers alternate within one file
+    monkeypatch.setattr(eit3.cli, "_WRITE_ROWS", write_rows)
+    check_json_writer_against_json_dumps(tmp_path / "out.json", 8)
+
+
+def test_json_writer_spells_an_infinity_in_the_last_slice_only(tmp_path):
+    # every number finite but one v_g, in the one-row third slice
+    points = 2 * eit3.cli._WRITE_ROWS + 1
+    rows = [([float(i), 1.0 + i * 1e-9, i * 0.5, 1e12 + i, 3e8 / (1 + i),
+              0.9, 0.1 - i * 1e-6, -0.0], complex(i * 1e-3, -i * 1e-4), i % 2)
+            for i in range(points)]
+    rows[-1][0][4] = math.inf
+    s = spectrum(rows)
+    out = tmp_path / "out.json"
+    eit3.cli.write_sweep_json(out, {"command": "sweep"}, s)
+    assert out.read_bytes() == dumps_oracle({"command": "sweep"}, s)
+    text = out.read_text(encoding="utf-8")
+    assert text.count("Infinity") == 1 and "NaN" not in text
+    assert text.endswith('   "v_g_m_per_s": Infinity\n  }\n ]\n}\n')
+
+
+def test_the_parser_keeps_no_state_between_main_calls(tmp_path, capsys):
+    # one parser serves every main call of a process: an option given to one
+    # call must not carry over into the next, which takes its default
+    cfg = write_config(tmp_path, sweep={"min": -2.0, "max": 2.0, "points": 5},
+                       output={"path": "own.csv", "format": "csv"})
+    assert main(["sweep", str(cfg), "--out", "override.csv"]) == EXIT_OK
+    assert main(["sweep", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == (f"wrote {tmp_path / 'override.csv'}\n"
+                                       f"wrote {tmp_path / 'own.csv'}\n")
+
+    assert main(["steady", "lambda", "--delta", "2"]) == EXIT_OK
+    assert main(["steady", "lambda"]) == EXIT_OK
+    titles = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("steady state")]
+    assert [t.split(", ")[1] for t in titles] == ["delta_probe = 2 MHz",
+                                                   "delta_probe = 0 MHz"]
+
+    for name, step in (("fine", ["--dt", "1e-4"]), ("default", [])):
+        main(["evolve", "lambda", "--t-end", "0.01", *step,
+              "--out", f"{name}.csv"])
+    steps = [read_sweep_csv(tmp_path / f"{name}.csv")[0]["dt_max_us"]
+             for name in ("fine", "default")]
+    default = STEP_SAFETY / reference_params("lambda").rate_scale
+    assert steps == ["0.0001", repr(default)]
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    eit3.cli._build_parser.cache_clear()
+    assert main(["steady", "lambda"]) == EXIT_OK
+    assert "eit3" in built  # the parser and its subcommands' parsers
+    first_call = len(built)
+    assert main(["steady", "vee"]) == EXIT_OK
+    assert len(built) == first_call
 
 
 def test_output_dir_env_used(tmp_path):

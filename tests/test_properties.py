@@ -105,7 +105,7 @@ def test_closed_forms_agree_with_the_numeric_solve(config, data):
 
 # rates 1e4 and 1e-4 in MHz, probe detuned onto the pump resonance; the
 # closed forms miss the state by 8e-2, 1.6e-3 and 8e-3, the numeric solve by
-# at most 2e-10 (both against the terms evaluated with 80-digit mpmath)
+# at most 2e-10 (both against the exact state of exact_oracle.exact_state)
 PUMP_RESONANCE_CORNERS = [
     SystemParams(Configuration.LAMBDA, 1e-4, 1e4, 1e-4, 1e-4, delta_probe=1e4),
     SystemParams(Configuration.CASCADE, 1e-3, 1e4, 1e-4, 1e-4, delta_probe=1e4),
