@@ -41,6 +41,10 @@
 # every point fails (exit 2, partial file): a DegenerateNullSpaceError at
 # delta 0, then the overflowing Liouvillian's SingularSolveError (lambda,
 # vee) or DegenerateNullSpaceError (cascade);
+# 2001-point analytic csv and json sweeps with optics n0 = 1e-200, whose
+# alpha column prints three-digit exponents; a 2001-point analytic csv
+# sweep over delta from -2e-4 to 2e-4, whose detunings cross 0.0 and the
+# switch between repr's fixed (0.0001) and exponent (9.98e-05) forms;
 # for lambda only, a numeric csv and an analytic json sweep at the point
 # cap (eit3.optics.MAX_POINTS, read from HEAD), ~98 chunks of each writer;
 # `sweep TAG`;
@@ -63,9 +67,9 @@
 # --t-end 30 --delta 2.5 --rho0 mixed (a stride that does not divide the
 # step count: a shorter last power of the propagator), from a --rho0 file
 # with complex coherences, at --t-end 2 --dt 1e-6 (1,000 steps per
-# sample) and at --t-end 1e8 (above the cap on steps per sample: a config
-# error, exit 1), each into its own file.  Then `calibrate`: 177 commands
-# in all.  Both checkouts
+# sample), at --t-end 1e-3 (times such as 5e-07) and at --t-end 1e8
+# (above the cap on steps per sample: a config error, exit 1), each into
+# its own file.  Then `calibrate`: 189 commands in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -166,6 +170,14 @@ for tag in ("lambda", "cascade", "vee"):
                                              "delta_pump": -1.7e308,
                                              "range": {"min": 0.0,
                                                        "max": 1.7e308}}))
+    runs += [(f"{tag}-tiny-n0-analytic-{fmt}",
+              {"backend": "analytic", "points": 2001, "format": fmt,
+               "optics": dict(doc["optics"], n0=1e-200)})
+             for fmt in ("csv", "json")]
+    runs.append((f"{tag}-narrow-analytic", {"backend": "analytic",
+                                            "points": 2001, "format": "csv",
+                                            "range": {"min": -2e-4,
+                                                      "max": 2e-4}}))
     if tag == "lambda":
         runs += [(f"{tag}-cap-{backend}-{fmt}", {"backend": backend,
                                                  "points": MAX_POINTS,
@@ -209,6 +221,7 @@ for tag in ("lambda", "cascade", "vee"):
                      ("ragged-mixed", "--t-end 30 --delta 2.5 --rho0 mixed"),
                      ("coherent", f"--t-end 500 --rho0 {coherent}"),
                      ("fine-step", "--t-end 2 --dt 1e-6"),
+                     ("short", "--t-end 1e-3"),
                      ("stride-cap", "--t-end 1e8"))]
 commands.append("calibrate calibrate")
 (work / "commands").write_text("\n".join(commands) + "\n", encoding="utf-8")

@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._floatrepr import rows_text
 from .darkstate import dark_state_vector, estimate_mixing_angle, verify_dark_state
 from .model import Configuration, SystemParams, build_liouvillian
 from .optics import (
@@ -257,25 +258,23 @@ def _metadata(run: RunConfig, command: str) -> dict:
 _WRITE_ROWS = 1024
 
 
-def _columns(points: Spectrum, rows: slice) -> dict[str, list[str]]:
-    """The numbers of both writers at ``rows``, formatted once: per column,
-    keyed and ordered as ``_COLUMNS``, the repr of each Python float that
-    .tolist() hands out, which is also how ``json`` prints a finite float."""
-    return {name: list(map(repr, attrgetter(field)(points)[rows].tolist()))
-            for name, field in _COLUMNS.items()}
+def _columns(points: Spectrum, rows: slice) -> list[np.ndarray]:
+    """The data columns at ``rows``, in ``_COLUMNS`` order."""
+    return [attrgetter(field)(points)[rows] for field in _COLUMNS.values()]
 
 
 def write_sweep_csv(path: Path, metadata: dict, points: Spectrum,
                     errors: list[tuple[float, str]] | None = None) -> None:
     """``#`` lines for metadata and errors, the header, then a line per
-    Spectrum row, formatted and written ``_WRITE_ROWS`` rows at a time."""
+    Spectrum row, its numbers as ``repr`` prints them, formatted and
+    written ``_WRITE_ROWS`` rows at a time."""
     with path.open("w", encoding="utf-8") as out:
         out.writelines(f"# {key} = {value}\n" for key, value in metadata.items())
         out.writelines(f"# error: delta={d!r} {msg}\n" for d, msg in errors or [])
         out.write(CSV_HEADER + "\n")
         for start in range(0, len(points.delta), _WRITE_ROWS):
             columns = _columns(points, slice(start, start + _WRITE_ROWS))
-            out.writelines(",".join(row) + "\n" for row in zip(*columns.values()))
+            out.write(rows_text(np.column_stack(columns)))
 
 
 def read_sweep_csv(path) -> tuple[dict, list[dict], list[str]]:
@@ -312,11 +311,16 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _json_records(points: Spectrum, rows: slice, kept: list[bool]):
     """The records of ``write_sweep_json`` for the kept Spectrum rows at
     ``rows``, lazily."""
-    columns = _columns(points, rows)
-    for name, field in _COLUMNS.items():
-        if not np.isfinite(attrgetter(field)(points)[rows]).all():
-            texts = columns[name]
-            columns[name] = list(map(_JSON_NON_FINITE.get, texts, texts))
+    numbers = _columns(points, rows)
+    # one text line per column: the repr of each number, which is also how
+    # json prints a finite float
+    lines = rows_text(np.stack(numbers)).split("\n")
+    columns = {}
+    for name, line, column in zip(_COLUMNS, lines, numbers):
+        texts = line.split(",")
+        if not np.isfinite(column).all():
+            texts = list(map(_JSON_NON_FINITE.get, texts, texts))
+        columns[name] = texts
     columns["edge_stencil"] = ["true" if e else "false"
                                for e in points.edge_stencil[rows].tolist()]
     parts = []
@@ -335,11 +339,12 @@ def write_sweep_json(path: Path, metadata: dict, points: Spectrum,
     one, which took longer than the closed forms of an analytic sweep.  So
     only the small errors + metadata part goes through ``json.dumps``
     (string escaping unchanged).  Each record is one ``str.join`` of a fixed
-    template's literal pieces and ``_columns``' numbers, with json's
-    spellings of nan and +-inf in a column slice where ``np.isfinite``
-    finds one.  The numbers are formatted ``_WRITE_ROWS`` Spectrum rows at
-    a time and the records streamed to the file one by one, each after its
-    ",\\n" (the first after "[\\n"), so the document is never held whole.
+    template's literal pieces and the numbers' ``repr`` text, which
+    ``rows_text`` gives a column at a time, with json's spellings of nan
+    and +-inf in a column slice where ``np.isfinite`` finds one.  The
+    numbers are formatted ``_WRITE_ROWS`` Spectrum rows at a time and the
+    records streamed to the file one by one, each after its ",\\n" (the
+    first after "[\\n"), so the document is never held whole.
     """
     head = json.dumps({"errors": [{"delta_mhz": d, "error": msg}
                                   for d, msg in (errors or [])],
@@ -526,16 +531,17 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
     metadata["t_end_us"] = repr(t_end)
     metadata["dt_max_us"] = repr(dt)
     metadata["rho0"] = rho0_spec
-    lines = [f"# {k} = {v}" for k, v in metadata.items()]
-    lines.append("t_us,rho11,rho22,rho33,re_coh12,im_coh12,re_coh13,im_coh13,"
-                 "re_coh23,im_coh23,trace")
-    for t, rho in zip(traj.times, traj.states):
-        vals = (t, rho[2, 2].real, rho[1, 1].real, rho[0, 0].real,
-                rho[2, 1].real, rho[2, 1].imag, rho[2, 0].real, rho[2, 0].imag,
-                rho[1, 0].real, rho[1, 0].imag, np.trace(rho).real)
-        lines.append(",".join(repr(float(v)) for v in vals))
+    states = traj.states
+    block = np.column_stack([
+        traj.times, states[:, 2, 2].real, states[:, 1, 1].real,
+        states[:, 0, 0].real, states[:, 2, 1].real, states[:, 2, 1].imag,
+        states[:, 2, 0].real, states[:, 2, 0].imag, states[:, 1, 0].real,
+        states[:, 1, 0].imag, np.trace(states, axis1=1, axis2=2).real])
+    text = "".join(f"# {k} = {v}\n" for k, v in metadata.items())
+    text += ("t_us,rho11,rho22,rho33,re_coh12,im_coh12,re_coh13,im_coh13,"
+             "re_coh23,im_coh23,trace\n") + rows_text(block)
     with _writing(path):
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
     print(f"wrote {path}")
 
     if not np.isfinite(traj.final).all():  # NaN would pass the check below
