@@ -484,8 +484,9 @@ def _steady_state_rows(params: SystemParams, deltas) -> tuple[np.ndarray, list]:
 def analytic_steady_state(params: SystemParams) -> np.ndarray:
     """Full closed-form steady state assembled with rho_lk = conj(rho_kl).
 
-    The one-point case of the grid pass behind
-    ``solve_grid(params, deltas, "analytic")``: every entry is the Python
+    The per-point path of :func:`_steady_state_rows`, behind
+    ``solve_grid(params, deltas, "analytic")``, for one point (a grid pass
+    needs ``_GRID_PASS_POINTS``): every entry is the Python
     division complex(n_kl) / D of :func:`steady_state_terms`' terms, and
     the errors are that function's.
     """

@@ -305,22 +305,18 @@ def read_sweep_csv(path) -> tuple[dict, list[dict], list[str]]:
 _RECORD_KEYS = sorted([*_COLUMNS, "edge_stencil"])
 _RECORD_PIECES = (",\n  {\n%s\n  }" % ",\n".join(
     f'   "{key}": %s' for key in _RECORD_KEYS)).split("%s")
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_records(points: Spectrum, rows: slice, kept: list[bool]):
     """The records of ``write_sweep_json`` for the kept Spectrum rows at
     ``rows``, lazily."""
-    numbers = _columns(points, rows)
     # one text line per column: the repr of each number, which is also how
     # json prints a finite float
-    lines = rows_text(np.stack(numbers)).split("\n")
-    columns = {}
-    for name, line, column in zip(_COLUMNS, lines, numbers):
-        texts = line.split(",")
-        if not np.isfinite(column).all():
-            texts = list(map(_JSON_NON_FINITE.get, texts, texts))
-        columns[name] = texts
+    text = rows_text(np.stack(_columns(points, rows)))
+    if "n" in text:  # only nan, inf and -inf hold an n: spell them as json does
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    columns = {name: line.split(",")
+               for name, line in zip(_COLUMNS, text.split("\n"))}
     columns["edge_stencil"] = ["true" if e else "false"
                                for e in points.edge_stencil[rows].tolist()]
     parts = []
@@ -340,8 +336,8 @@ def write_sweep_json(path: Path, metadata: dict, points: Spectrum,
     only the small errors + metadata part goes through ``json.dumps``
     (string escaping unchanged).  Each record is one ``str.join`` of a fixed
     template's literal pieces and the numbers' ``repr`` text, which
-    ``rows_text`` gives a column at a time, with json's spellings of nan
-    and +-inf in a column slice where ``np.isfinite`` finds one.  The
+    ``rows_text`` gives a column at a time, nan and +-inf respelled as
+    json spells them in a slice whose text holds one.  The
     numbers are formatted ``_WRITE_ROWS`` Spectrum rows at a time and the
     records streamed to the file one by one, each after its ",\\n" (the
     first after "[\\n"), so the document is never held whole.
@@ -652,8 +648,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the options whose value is a number and may be negative
+_NUMBER_OPTIONS = ("--delta", "--t-end", "--dt")
+
+
+def _is_negative_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with a negative number after ``--delta``, ``--t-end`` or
+    ``--dt`` (or an abbreviation of one) joined to it by "=".  argparse
+    takes ``-1`` and ``-.5`` there as values but ``-1e3`` or ``-inf`` as an
+    option of their own; the "=" form takes any of them."""
+    args = list(argv)
+    i = 0
+    while i < len(args) - 1 and args[i] != "--":
+        option, value = args[i], args[i + 1]
+        if (len(option) > 2 and any(o.startswith(option) for o in _NUMBER_OPTIONS)
+                and _is_negative_number(value)):
+            args[i:i + 2] = [f"{option}={value}"]
+        i += 1
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "calibrate":
             return cmd_calibrate()

@@ -145,10 +145,44 @@ def test_non_finite_config_rejected(tmp_path, capsys, backend, field, overrides)
     ["steady", "lambda", "--delta", "nan"],
     ["evolve", "lambda", "--delta", "inf", "--t-end", "1"],
     ["evolve", "lambda", "--t-end", "nan"],
+    ["steady", "lambda", "--delta", "-inf"],
+    ["evolve", "lambda", "--t-end", "1", "--dt", "-inf"],
 ])
 def test_non_finite_options_rejected(argv, capsys):
     assert main(argv) == EXIT_CONFIG
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1e3", "-2.5E+1", "-1_000"])
+def test_steady_takes_a_negative_delta_in_any_form(value, capsys):
+    # argparse reads "-1e3" after an option as an option of its own unless
+    # it is joined by "="; both spellings give the same run
+    assert main(["steady", "vee", "--delta", value]) == EXIT_OK
+    spaced = capsys.readouterr()
+    assert main(["steady", "vee", f"--delta={value}"]) == EXIT_OK
+    assert capsys.readouterr() == spaced
+    assert f"delta_probe = {float(value):g} MHz" in spaced.out
+
+
+@pytest.mark.parametrize("argv,joined,code", [
+    (["--t-end", "1", "--delta", "-2.5e1"], ["--t-end", "1", "--delta=-2.5e1"],
+     EXIT_OK),
+    (["--del", "-2.5e1", "--t", "1"], ["--del=-2.5e1", "--t", "1"], EXIT_OK),
+    (["--t-end", "1", "--dt", "-1e-3"], ["--t-end", "1", "--dt=-1e-3"],
+     EXIT_CONFIG),
+    (["--t-end", "-1e0"], ["--t-end=-1e0"], EXIT_CONFIG),
+])
+def test_evolve_takes_negative_options_in_any_form(tmp_path, capsys, argv,
+                                                   joined, code):
+    runs = []
+    for options in (argv, joined):
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "vee", *options, "--out", str(out)]) == code
+        runs.append((capsys.readouterr(),
+                     out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    assert (runs[0][1] is None) == (code == EXIT_CONFIG)
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -176,6 +210,16 @@ def test_missing_field_rejected(tmp_path, capsys):
      "field output.path must name a file, got ''"),
     ({"output": {"path": ".", "format": "json"}},
      "field output.path must name a file, got '.'"),
+    ({"output": {"path": "out.xml", "format": "xml"}},
+     "field output.format must be csv or json, got 'xml'"),
+    ({"sweep": {"min": -1.0, "max": 1.0, "points": 2}},
+     "field sweep.points must be an integer >= 3, got 2"),
+    ({"sweep": {"min": -1.0, "max": 1.0, "points": 2.5}},
+     "field sweep.points must be an integer >= 3, got 2.5"),
+    ({"sweep": {"min": -1.0, "max": 1.0, "points": True}},
+     "field sweep.points must be an integer >= 3, got True"),
+    ({"sweep": {"min": 1.0, "max": 1.0, "points": 5}},
+     "field sweep.min must be below sweep.max"),
 ])
 def test_malformed_section_is_config_error(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
@@ -197,6 +241,20 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, content, error):
     assert main(["sweep", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot read config file {cfg}: {error}: ")
+
+
+@pytest.mark.parametrize("document,message", [
+    (None, "config file not found: {cfg}"),
+    ("[]", "config must be a JSON object"),
+])
+def test_config_that_is_no_object_is_config_error(tmp_path, capsys, document,
+                                                  message):
+    cfg = tmp_path / "run.json"
+    if document is not None:
+        cfg.write_text(document, encoding="utf-8")
+    assert main(["sweep", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
+    assert list(tmp_path.iterdir()) == ([] if document is None else [cfg])
 
 
 def test_evolve_output_path_without_a_file_name_is_config_error(tmp_path, capsys):
@@ -620,6 +678,15 @@ def test_darkstate_vee_reports_small_angle(capsys):
     out = capsys.readouterr().out
     theta = float(out.split("theta =")[1].split()[0])
     assert abs(theta - 0.040014) <= 1e-4
+
+
+def test_darkstate_names_an_undefined_mixing_angle(tmp_path, capsys):
+    # weak fields leave the vee's dark pair |2>,|3> almost empty: no angle
+    cfg = write_config(tmp_path, config="vee", g_probe=1e-4, g_pump=1e-4,
+                       gamma_a=1.0, gamma_b=1.0, backend="analytic")
+    assert main(["darkstate", str(cfg)]) == EXIT_SOLVER
+    assert capsys.readouterr() == ("", "error: UndefinedAngleError: UndefinedAngle: "
+                                       "dark pair |2>,|3> holds 2.00e-08 population\n")
 
 
 def test_bundled_metadata_pins_constants(tmp_path):
