@@ -61,7 +61,10 @@
 # gamma_a = 1e308 and gamma_b = 1.7e308, whose Liouvillian holds inf and
 # NaN (SingularSolveError, exit 2), and `evolve` on it at --t-end 1e-300
 # (a step count within the cap, the same SingularSolveError, exit 2);
-# `evolve TAG --t-end 500`; `evolve`
+# negative option values given as separate words: `steady TAG` at --delta
+# -1e3, --del -2.5e1 (an abbreviated option) and --delta -inf (a config
+# error, exit 1), and `evolve TAG --t-end 1 --delta -2.5e1` into its own
+# file; `evolve TAG --t-end 500`; `evolve`
 # at --t-end 0.5 (one RK4 step per sample in every configuration), at
 # --t-end 0.609 (the last sample's time is t_end, not n_steps * h), at
 # --t-end 30 --delta 2.5 --rho0 mixed (a stride that does not divide the
@@ -69,7 +72,7 @@
 # with complex coherences, at --t-end 2 --dt 1e-6 (1,000 steps per
 # sample), at --t-end 1e-3 (times such as 5e-07) and at --t-end 1e8
 # (above the cap on steps per sample: a config error, exit 1), each into
-# its own file.  Then `calibrate`: 189 commands in all.  Both checkouts
+# its own file.  Then `calibrate`: 201 commands in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -212,6 +215,14 @@ for tag in ("lambda", "cascade", "vee"):
     commands.append(f"evolve-{tag}-overflowing-decays evolve "
                     f"{overflowing_decays} --t-end 1e-300 "
                     f"--out evolve-{tag}-overflowing-decays.csv")
+    # negative option values, spaced and in exponent form (-1e3 alone
+    # would read as an option), abbreviated, and -inf (a config error)
+    commands += [f"steady-{tag}-{name} steady {tag} {args}"
+                 for name, args in (("negative", "--delta -1e3"),
+                                    ("negative-abbreviated", "--del -2.5e1"),
+                                    ("negative-inf", "--delta -inf"))]
+    commands.append(f"evolve-{tag}-negative evolve {tag} --t-end 1 "
+                    f"--delta -2.5e1 --out evolve-{tag}-negative.csv")
     commands.append(f"evolve-{tag} evolve {tag} --t-end 500")
     commands += [f"evolve-{tag}-{name} evolve {tag} {args} "
                  f"--out evolve-{tag}-{name}.csv"

@@ -13,10 +13,13 @@ rejected.  Data rows never contain timestamps and metadata carries a SHA-256
 hash of the config, so identical configs produce byte-identical output.
 Relative output paths resolve against $EIT3_OUTPUT_DIR when set.
 
-Exit codes: 0 success; 1 invalid config or integrator step; 2 solver
-failure (partial sweep output is retained with error rows); 3 numeric vs
-analytic backend discrepancy above 1e-6; 4 evolution did not reach the
-steady state (trajectory file still written).
+Exit codes: 0 success; 1 invalid config, option value or integrator step,
+its stderr line starting "config error: "; 2 solver failure, its line
+starting "error: " (partial sweep output is retained with error rows); 3
+numeric vs analytic backend discrepancy above 1e-6; 4 evolution did not
+reach the steady state (trajectory file still written).  argparse usage
+errors (an unknown option, a value that is not a number) also exit 2; they
+print a "usage:" line first, which tells them from solver failures.
 """
 
 from __future__ import annotations
@@ -49,14 +52,7 @@ from .optics import (
     prefactor,
     sweep,
 )
-from .steady import (
-    STEP_SAFETY,
-    StepTooLargeError,
-    evolve,
-    is_density_matrix,
-    solve_grid,
-    steady_state,
-)
+from .steady import STEP_SAFETY, evolve, is_density_matrix, solve_grid
 from .presets import REFERENCE_VG_NM_PER_S, bundled_config_path
 
 __all__ = [
@@ -509,16 +505,13 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
         dt = STEP_SAFETY / params.rate_scale if params.rate_scale else math.inf
     try:  # before the steady solve: a bad step is a config error whatever L is
         traj = evolve(L, rho0, t_end=t_end, dt_max=dt)
-    except StepTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:  # non-positive t_end or dt, or too many steps
+    except ValueError as exc:  # t_end or dt <= 0, StepTooLargeError, too many steps
         raise ConfigError(str(exc)) from exc
-    try:
-        target = steady_state(L)
-    except Exception as exc:
+    block, failures = solve_grid(run.params, [delta], "numeric")
+    for _, exc in failures:  # one point: at most one failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    target = block[0]
 
     default = Path(run.output_path).with_suffix(".evolve.csv").name
     path = _resolve_output(out_override or default)
@@ -570,7 +563,7 @@ def cmd_darkstate(run: RunConfig) -> int:
     pops = (float(rho[2, 2].real), float(rho[1, 1].real), float(rho[0, 0].real))
     try:
         theta = estimate_mixing_angle(pops, run.params.config)
-    except Exception as exc:
+    except ValueError as exc:  # populations not summing to 1, UndefinedAngleError
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     print(f"configuration: {run.params.config.value}")
@@ -686,11 +679,10 @@ def main(argv: list[str] | None = None) -> int:
         if cfg in ("lambda", "cascade", "vee"):  # bundled reference configs
             cfg = str(bundled_config_path(cfg))
         run = load_config(cfg)
-        for option in ("delta", "t_end", "dt"):
-            value = getattr(args, option, None)
+        for option in _NUMBER_OPTIONS:
+            value = getattr(args, option[2:].replace("-", "_"), None)
             if value is not None and not math.isfinite(value):
-                raise ConfigError(f"option --{option.replace('_', '-')} must be "
-                                  f"finite, got {value!r}")
+                raise ConfigError(f"option {option} must be finite, got {value!r}")
         if args.command == "sweep":
             return cmd_sweep(run, args.out)
         if args.command == "steady":

@@ -65,8 +65,8 @@ _UNIT = {"plain_mhz": 1e6, "two_pi_mhz": 2 * math.pi * 1e6}
 ANGULAR_CONVENTIONS = tuple(_UNIT)
 # calibration_table()["chosen"]; a test recomputes it
 CALIBRATED_CONVENTION = "two_pi_mhz"
-# grid points a sweep takes at most: 50x the bundled 2001-point grids, checked
-# before the grid is allocated
+# grid points a sweep takes at most: 50x the 2001-point reference grids (the
+# bundled configs have 201 points), checked before the grid is allocated
 MAX_POINTS = 10**5
 
 @dataclass(frozen=True)

@@ -654,6 +654,69 @@ def test_evolve_all_zero_config_fails_in_the_solver(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+# one row per kind of failure: the config written to DIR/run.json (None: no
+# config), the command, its exit code and the start of its first stderr line.
+# A config error's line starts "config error: ", a solver failure's "error: ";
+# an argparse usage error exits 2 too, and prints a "usage:" line first
+UNDRIVEN = base_config(g_probe=0.0, g_pump=0.0, backend="numeric")
+OVERFLOWING_DECAYS = base_config(gamma_a=1e308, gamma_b=1.7e308,
+                                 backend="numeric")
+
+
+@pytest.mark.parametrize("config,argv,code,first_line", [
+    pytest.param("not json", ["sweep", "DIR/run.json"], EXIT_CONFIG,
+                 "config error: config is not valid JSON: ", id="invalid-json"),
+    pytest.param(base_config(pump_power=3.0), ["sweep", "DIR/run.json"],
+                 EXIT_CONFIG, "config error: unknown field(s) {pump_power}",
+                 id="unknown-key"),
+    pytest.param(None, ["steady", "lambda", "--delta", "inf"], EXIT_CONFIG,
+                 "config error: option --delta must be finite, got inf",
+                 id="delta-inf"),
+    pytest.param(None, ["evolve", "lambda", "--t-end", "1", "--dt", "0.5"],
+                 EXIT_CONFIG, "config error: StepTooLarge: dt_max=0.5 us "
+                 "exceeds the stability bound", id="step-above-the-bound"),
+    pytest.param(None, ["evolve", "lambda", "--t-end", "1e8"], EXIT_CONFIG,
+                 "config error: t_end=1e+08 us at dt_max=", id="stride-cap"),
+    pytest.param(None, ["evolve", "lambda", "--t-end", "5", "--rho0",
+                        "DIR/missing.json"], EXIT_CONFIG,
+                 "config error: cannot read an initial state from "
+                 "DIR/missing.json: FileNotFoundError", id="missing-rho0"),
+    pytest.param(UNDRIVEN, ["steady", "DIR/run.json"], EXIT_SOLVER,
+                 "error: DegenerateNullSpaceError: ", id="undriven-steady"),
+    pytest.param(OVERFLOWING_DECAYS, ["evolve", "DIR/run.json", "--t-end",
+                                      "1e-300"], EXIT_SOLVER,
+                 "error: SingularSolveError: SingularSolve: Liouvillian has "
+                 "non-finite entries", id="overflowing-decays-evolve"),
+    pytest.param(None, ["steady", "lambda", "--delta", "abc"], None, "usage: ",
+                 id="usage-delta-not-a-number"),
+    pytest.param(None, ["steady", "lambda", "--delta", "-abc"], None, "usage: ",
+                 id="usage-delta-dash-not-a-number"),
+    pytest.param(None, ["evolve", "vee", "--t-end", "1", "--d", "-1e3"], None,
+                 "usage: ", id="usage-ambiguous-abbreviation"),
+])
+def test_each_failure_kind_has_its_exit_code_and_first_line(
+        tmp_path, capsys, config, argv, code, first_line):
+    if config is not None:
+        text = config if isinstance(config, str) else json.dumps(config)
+        (tmp_path / "run.json").write_text(text, encoding="utf-8")
+    argv = [arg.replace("DIR", str(tmp_path)) for arg in argv]
+    if code is None:  # argparse's usage error
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_SOLVER == 2
+        last = f"eit3 {argv[0]}: error: "
+    else:
+        assert main(argv) == code
+        last = None
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(first_line.replace("DIR", str(tmp_path))), lines
+    if last is not None:
+        assert lines[-1].startswith(last), lines
+    # no data file: the run failed before writing one
+    written = ["run.json"] if config is not None else []
+    assert [path.name for path in tmp_path.iterdir()] == written
+
+
 def test_darkstate_lambda(capsys):
     assert main(["darkstate", "lambda"]) == EXIT_OK
     out = capsys.readouterr().out
