@@ -407,7 +407,10 @@ def _grid_pass(params: SystemParams, rates: tuple, scale,
     the floor; return the indices of the other points (all of them when a
     power of the rates alone overflows a Python float), whose rows the
     scalar loop overwrites with its state or NaN and its own error.  Every
-    kept row has the bytes of the scalar loop's."""
+    kept row has the bytes of the scalar loop's.  The floor test is one
+    array comparison with a relative margin of 1e-9; only the points that
+    fail it, or sit within the margin, take the scalar loop's test in
+    Python floats, so a point is kept exactly when that test keeps it."""
     deg = _DEGREE[params.config]
     with np.errstate(all="ignore"):  # inf and NaN leave the point to the loop
         try:
@@ -420,11 +423,17 @@ def _grid_pass(params: SystemParams, rates: tuple, scale,
             for part in _parts(term):
                 if part is not None:
                     finite &= np.isfinite(part)
-        # the floor test of _point_terms, point by point in Python floats
+        # the floor test of _point_terms: the limit is its product bit for
+        # bit, but numpy's power and C's pow differ by a few ulp, so only a
+        # point clearing the limit by the 1e-9 margin is kept here; the
+        # others retake the test in Python floats (not numpy scalars, whose
+        # ** rounds differently)
         root, floor = 1 / deg, _FLOOR_ROOT[params.config]
-        left = [i for i, (ok, b, d) in enumerate(zip(finite.tolist(), D.tolist(),
-                                                     points))
-                if not ok or abs(b) ** root <= floor * max(scale, abs(d))]
+        limit = floor * np.maximum(scale, np.abs(deltas))
+        kept = finite & (np.abs(D) ** root > limit * (1 + 1e-9))
+        left = [i for i in np.flatnonzero(~kept).tolist()
+                if not finite[i]
+                or abs(float(D[i])) ** root <= floor * max(scale, abs(points[i]))]
         r11, r22, r33, r12, r13, r23 = (_quotient(n, D) for n in numerators)
     c23, c13, c12 = ((re, -im) for re, im in (r23, r13, r12))  # conjugates
     for j, (re, im) in enumerate((r33, c23, c13, r23, r22, c12, r13, r12, r11)):

@@ -14,6 +14,7 @@ either backend over a probe-detuning grid.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,12 +279,13 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float,
     phi**stride, formed once by repeated squaring, so a sample costs one
     matrix-vector product whatever the step count.  The samples are the
     rows of one preallocated (samples, 9) block, each written in place from
-    the one before by the bound ``P.dot(x, out=row)``.  That is the BLAS
-    zgemv of ``P @ x``, so the same bits, at about half the cost per call:
-    ``@`` pays matmul's ufunc dispatch on each of ~2,000 sequential 9x9
-    products, ``ndarray.dot`` goes to BLAS directly.  A ragged last sample
-    is one ``phi**tail`` product.  The sample k steps in is at ``k * h``,
-    the last at ``t_end``.  A non-finite L is not integrated: every state
+    the one before by ``P.dot(x, row)`` (``out`` passed by position),
+    mapped in C over a list of the rows, so no Python loop step runs per
+    sample.  That is the BLAS zgemv of ``P @ x``, so the same bits, at
+    about half the cost per call: ``@`` pays matmul's ufunc dispatch on
+    each of ~2,000 sequential 9x9 products, ``ndarray.dot`` goes to BLAS
+    directly.  A ragged last sample is one ``phi**tail`` product.  The
+    sample k steps in is at ``k * h``, the last at ``t_end``.  A non-finite L is not integrated: every state
     after ``rho0`` is NaN, as its propagator's powers would be.  A finite L
     whose states overflow gives inf or NaN without a numpy warning.  The
     scheme is the same RK4, but rounding in phi**stride drifts the trace of
@@ -328,9 +330,10 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float,
             # RK4 one-step propagator: I + A + A^2/2 + A^3/6 + A^4/24 (Horner)
             phi = eye + A @ (eye + (A / 2) @ (eye + (A / 3) @ (eye + A / 4)))
             P = np.linalg.matrix_power(phi, stride)
-            step = P.dot  # P @ x's zgemv, without matmul's dispatch per call
-            for x, row in zip(states, states[1:full + 1]):
-                step(x, out=row)
+            # P @ x's zgemv without matmul's dispatch per call; listing the
+            # rows first spares the map an array iteration per sample
+            rows = list(states[:full + 1])
+            collections.deque(map(P.dot, rows, rows[1:]), maxlen=0)
             if tail:
                 states[-1] = np.linalg.matrix_power(phi, tail) @ states[-2]
     else:  # NaN, as phi**stride would give, without forming phi**stride

@@ -46,8 +46,11 @@ def systems(draw, config, decades, pump_detuned):
 
 
 def solve(params, backend):
-    """The state of ``params``; a degenerate null space is outside the
-    domain of every property (the solve is right to refuse it)."""
+    """The state of ``params``; a draw the numeric solve reports as a
+    degenerate null space is discarded.  Not every such refusal is right:
+    a stiff system can have a unique state and still read as degenerate
+    (ROADMAP item 6, pinned by a strict xfail in test_steady.py), so these
+    properties do not cover such draws."""
     [rho] = outcomes(solve_grid(params, [params.delta_probe], backend))
     assume(not isinstance(rho, DegenerateNullSpaceError))
     if isinstance(rho, Exception):

@@ -1,6 +1,7 @@
 """Null-space steady states and RK4 time evolution."""
 
 import importlib.util
+import math
 import re
 from collections import Counter
 from dataclasses import replace
@@ -10,10 +11,16 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from conftest import outcomes, random_params, random_state
+from exact_oracle import exact_state
 
 import eit3.analytic
 import eit3.steady
-from eit3.analytic import _GRID_PASS_POINTS, analytic_steady_state, steady_state_terms
+from eit3.analytic import (
+    _GRID_PASS_POINTS,
+    DegenerateDenominatorError,
+    analytic_steady_state,
+    steady_state_terms,
+)
 from eit3.model import (
     DIAGONAL_VEC_INDICES,
     Configuration,
@@ -40,6 +47,7 @@ from eit3.steady import (
     steady_state,
     steady_states,
 )
+from eit3.su3 import LEVEL_INDEX
 
 
 def bordered(M):
@@ -319,11 +327,11 @@ def test_evolve_is_the_strided_recursion_byte_for_byte(rng, tag, t_end,
 
 
 def test_evolve_step_is_matmul_bit_for_bit(rng):
-    # evolve writes each sample by P.dot(x, out=row), not P @ x: numpy
-    # hands this (9, 9) @ (9,) complex product to the same BLAS zgemv either
-    # way.  That the two agree bit for bit, inf and NaN included, is a
-    # property of the BLAS build, not a numpy guarantee: on a build where
-    # they differ this test names it
+    # evolve writes each sample by P.dot(x, row), out passed by position as
+    # in its map over the rows, not by P @ x: numpy hands this (9, 9) @ (9,)
+    # complex product to the same BLAS zgemv either way.  That the two agree
+    # bit for bit, inf and NaN included, is a property of the BLAS build,
+    # not a numpy guarantee: on a build where they differ this test names it
     propagators = []
     for tag in ("lambda", "cascade", "vee"):
         p = reference_params(tag, delta_probe=2.5)
@@ -345,7 +353,7 @@ def test_evolve_step_is_matmul_bit_for_bit(rng):
         for P in propagators:
             for x in vectors:
                 block[0] = x
-                P.dot(block[0], out=block[1])
+                P.dot(block[0], block[1])
                 assert block[1].tobytes() == (P @ x).tobytes()
 
 
@@ -670,6 +678,23 @@ def test_tiny_rates_degenerate_null_space_is_found():
         steady_state(L)
 
 
+@pytest.mark.xfail(strict=True, raises=DegenerateNullSpaceError,
+                   reason="ROADMAP item 6: NULL_TOL compares L's raw singular "
+                          "values, so this stiff system with a unique state "
+                          "reads as degenerate")
+@pytest.mark.parametrize("config", list(Configuration))
+def test_stiff_system_with_a_unique_state_is_solved(config):
+    # the byte guard's stiff system (g = 1, decays 1e-8) at delta 500: the
+    # exact state is unique, and the closed forms match it to 1e-16
+    p = SystemParams(config, 1.0, 1.0, gamma_a=1e-8, gamma_b=1e-8,
+                     delta_probe=500.0)
+    rho = steady_state(build_liouvillian(p))
+    exact = exact_state(p)
+    err = max(r.distance(complex(rho[LEVEL_INDEX[k], LEVEL_INDEX[l]]))
+              for (k, l), r in exact.items())
+    assert err <= 1e-9
+
+
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
 def test_grid_solve_makes_one_inverse_per_chunk(tag, linalg_calls):
     # one inverse proves both checks on every point of the reference grids
@@ -842,6 +867,36 @@ def test_analytic_grid_pass_matches_on_random_rates():
         for d, rho in zip(deltas, outcomes(solve_grid(p, deltas, "analytic"))):
             assert same_outcome(rho, composed_analytic(p, d)), (p, d)
 
+
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_analytic_grid_floor_decision_where_the_array_test_defers(tag, monkeypatch):
+    # the grid pass keeps a point by one array comparison only when
+    # |D|**(1/deg) clears the floor by a relative 1e-9; the others retake
+    # the test in Python floats.  With the floor at the median of the
+    # grid's ratios |D|**(1/deg) / max(scale, |d|) (about half the points
+    # fail), at one point's own ratio and one ulp either side of it, every
+    # state, error and message is the one-point composition's, which reads
+    # the patched floor too
+    p = reference_params(tag)
+    deltas = np.linspace(-40.0, 40.0, 2001)
+    root = 1 / eit3.analytic._DEGREE[p.config]
+    scale = max(p.g_probe, p.g_pump, p.gamma_a, p.gamma_b)
+    ratios = [abs(steady_state_terms(replace(p, delta_probe=d))[0]) ** root
+              / max(scale, abs(d)) for d in deltas.tolist()]
+    own = ratios[700]
+    floors = {"median": sorted(ratios)[len(ratios) // 2], "own": own,
+              "below": math.nextafter(own, 0.0),
+              "above": math.nextafter(own, math.inf)}
+    for name, floor in floors.items():
+        monkeypatch.setitem(eit3.analytic._FLOOR_ROOT, p.config, floor)
+        states = outcomes(solve_grid(p, deltas, "analytic"))
+        for d, rho in zip(deltas, states):
+            assert same_outcome(rho, composed_analytic(p, d)), (name, d)
+        failed = [isinstance(rho, DegenerateDenominatorError) for rho in states]
+        if name == "median":
+            assert 0.4 < sum(failed) / len(failed) < 0.6
+        if name == "above":  # floor * max(scale, |d|) >= |D|**(1/deg) there
+            assert failed[700]
 
 
 @pytest.mark.parametrize("rates", [
