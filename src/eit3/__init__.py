@@ -9,7 +9,7 @@ velocity, populations and dark-state mixing angles across detuning sweeps.
 __version__ = "0.1.0"
 
 from .model import Configuration, SystemParams, Liouvillian  # noqa: F401
-from .model import build_hamiltonian_rwa, build_dissipator, build_liouvillian, obe_rhs  # noqa: F401
+from .model import build_hamiltonian_rwa, build_liouvillian, obe_rhs  # noqa: F401
 from .steady import steady_state, evolve, Trajectory  # noqa: F401
 from .analytic import analytic_steady_state, steady_state_terms  # noqa: F401
 from .optics import (  # noqa: F401

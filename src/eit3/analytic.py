@@ -50,8 +50,9 @@ class PumpDetuningUnsupportedError(ValueError):
     """Closed forms are only available for zero pump detuning."""
 
 
-class DegenerateDenominatorError(ZeroDivisionError):
-    """Common denominator underflows (no unique stationary state)."""
+class DegenerateDenominatorError(ZeroDivisionError, ValueError):
+    """Common denominator underflows (no unique stationary state); a
+    ValueError, as every eit3 solver error is."""
 
 
 class ClosedFormOverflowError(ValueError):
@@ -477,7 +478,7 @@ def _steady_state_rows(params: SystemParams, deltas) -> tuple[np.ndarray, list]:
         d = points[i]
         try:
             D, *numerators = _point_terms(params, rates, d, max(scale, abs(d)))
-        except (ValueError, DegenerateDenominatorError) as exc:
+        except ValueError as exc:
             failures.append((i, exc))
             flat[i] = complex(np.nan, np.nan)
             continue

@@ -52,7 +52,7 @@ from .optics import (
     prefactor,
     sweep,
 )
-from .steady import STEP_SAFETY, evolve, is_density_matrix, solve_grid
+from .steady import STEP_SAFETY, evolve, is_density_matrix, solve_grid, steady_states
 from .presets import REFERENCE_VG_NM_PER_S, bundled_config_path
 
 __all__ = [
@@ -74,6 +74,9 @@ EXIT_NOT_CONVERGED = 4
 
 OUTPUT_DIR_ENV = "EIT3_OUTPUT_DIR"
 BACKEND_AGREEMENT_TOL = 1e-6
+# the backends each config value runs, in order; the last one is reported
+_BACKENDS = {"numeric": ("numeric",), "analytic": ("analytic",),
+             "both": ("numeric", "analytic")}
 
 # the data columns in file order: the name in the file, the Spectrum field
 _COLUMNS = {"delta_mhz": "delta", "n": "n", "alpha": "alpha", "n_g": "n_g",
@@ -189,7 +192,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"optics: {exc}")
 
     backend = _require(raw, "backend", "")
-    if backend not in ("numeric", "analytic", "both"):
+    if not isinstance(backend, str) or backend not in _BACKENDS:  # [] is unhashable
         raise ConfigError(f"field backend must be numeric/analytic/both, got {backend!r}")
 
     out = _require(raw, "output", "")
@@ -381,12 +384,12 @@ def cmd_sweep(run: RunConfig, out_override: str | None = None) -> int:
         path.open("a", encoding="utf-8").close()  # "a": nothing truncated yet
 
     grid = (run.sweep_min, run.sweep_max, run.sweep_points)
-    spectrum, failures = sweep(run.params, run.optics, *grid, backend=(
-        "analytic" if run.backend == "both" else run.backend))
+    *checks, written = _BACKENDS[run.backend]
+    spectrum, failures = sweep(run.params, run.optics, *grid, backend=written)
     errors = [(d, f"{type(e).__name__}: {e}") for d, e in failures]
     disc = 0.0
-    if run.backend == "both" and not failures:
-        b, failures = sweep(run.params, run.optics, *grid, backend="numeric")
+    if checks and not failures:
+        b, failures = sweep(run.params, run.optics, *grid, backend=checks[0])
         if not failures:
             # on the dimensionless density-matrix scale (as for `steady`)
             a = spectrum
@@ -438,9 +441,8 @@ def _format_rho(rho: np.ndarray) -> str:
 def cmd_steady(run: RunConfig, delta: float) -> int:
     print(f"steady state ({run.params.config.value}, delta_probe = {delta:g} MHz, "
           f"delta_pump = {run.params.delta_pump:g} MHz)")
-    backends = ("numeric", "analytic") if run.backend == "both" else (run.backend,)
     states = {}
-    for backend in backends:
+    for backend in _BACKENDS[run.backend]:
         block, failures = solve_grid(run.params, [delta], backend)
         for _, exc in failures:  # one point: at most one failure
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -507,11 +509,10 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
         traj = evolve(L, rho0, t_end=t_end, dt_max=dt)
     except ValueError as exc:  # t_end or dt <= 0, StepTooLargeError, too many steps
         raise ConfigError(str(exc)) from exc
-    block, failures = solve_grid(run.params, [delta], "numeric")
-    for _, exc in failures:  # one point: at most one failure
+    (target,), failures = steady_states(L.matrix[np.newaxis])
+    for _, exc in failures:  # one matrix: at most one failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    target = block[0]
 
     default = Path(run.output_path).with_suffix(".evolve.csv").name
     path = _resolve_output(out_override or default)
@@ -546,9 +547,8 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
 
 
 def cmd_darkstate(run: RunConfig) -> int:
-    backends = ("numeric", "analytic") if run.backend == "both" else (run.backend,)
     states = {}
-    for backend in backends:
+    for backend in _BACKENDS[run.backend]:
         block, failures = solve_grid(run.params, [0.0], backend)
         for _, exc in failures:  # one point: at most one failure
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -559,7 +559,7 @@ def cmd_darkstate(run: RunConfig) -> int:
         if disc > BACKEND_AGREEMENT_TOL:
             print(f"error: backend discrepancy {disc:.3e}", file=sys.stderr)
             return EXIT_DISCREPANCY
-    rho = states[backends[-1]]
+    rho = states[backend]  # the last backend's
     pops = (float(rho[2, 2].real), float(rho[1, 1].real), float(rho[0, 0].real))
     try:
         theta = estimate_mixing_angle(pops, run.params.config)

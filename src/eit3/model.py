@@ -50,7 +50,6 @@ __all__ = [
     "vectorize",
     "unvectorize",
     "build_hamiltonian_rwa",
-    "build_dissipator",
     "build_liouvillian",
     "build_liouvillian_stack",
     "obe_rhs",
@@ -232,27 +231,15 @@ def _hamiltonian_rows(params: SystemParams, delta_probe) -> np.ndarray:
 
 def _dissipator(params: SystemParams) -> np.ndarray:
     """The 9x9 dissipator matrix: zeros plus each nonzero channel's
-    Gamma_kl times its unit superoperator, in channel order."""
+    Gamma_kl times its unit superoperator, in channel order.  Entries that
+    overflow read inf or NaN, with a numpy warning unless the caller
+    ignores it, as :func:`build_liouvillian_stack` does."""
     D = np.zeros((9, 9), dtype=complex)
     for gamma, unit in zip((params.gamma_a, params.gamma_b),
                            _DISSIPATORS[params.config]):
         if gamma != 0.0:
             D += gamma * unit
     return D
-
-
-def build_dissipator(params: SystemParams) -> Liouvillian:
-    """Lindblad dissipator as a superoperator.
-
-    For each permitted channel k->l with rate Gamma_kl and lowering operator
-    A = |l><k| the contribution is Gamma_kl (2 A rho A+ - A+A rho - rho A+A):
-    population 2 Gamma_kl rho_kk flows from level k to level l and every
-    coherence involving k decays at the total rate out of k.  Entries that
-    overflow read inf or NaN without a numpy warning.
-    """
-    with np.errstate(all="ignore"):
-        return Liouvillian(matrix=_dissipator(params),
-                           rate_scale=params.rate_scale)
 
 
 def build_liouvillian(params: SystemParams) -> Liouvillian:

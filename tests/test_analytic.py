@@ -1,7 +1,9 @@
 """Closed-form steady states: transcription guards and solver equivalence."""
 
+import importlib
 import math
 import operator
+import pkgutil
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -13,7 +15,9 @@ import pytest
 from conftest import random_params
 from exact_oracle import closed_form_state, closed_form_terms, exact_state
 
+import eit3
 from eit3.analytic import (
+    _GRID_PASS_POINTS,
     _TERMS,
     _Grid,
     _quotient,
@@ -24,6 +28,7 @@ from eit3.analytic import (
     steady_state_terms,
 )
 from eit3.model import Configuration, SystemParams, build_liouvillian
+from eit3.optics import OpticalConstants, sweep
 from eit3.presets import reference_params
 from eit3.steady import is_density_matrix, steady_state
 from eit3.su3 import LEVEL_INDEX
@@ -183,6 +188,28 @@ def test_degenerate_denominator():
     # all rates zero: D = 0 at a zero rate scale
     with pytest.raises(DegenerateDenominatorError):
         analytic_steady_state(SystemParams(Configuration.LAMBDA, 0.0, 0.0, 0.0, 0.0))
+
+
+def test_every_eit3_error_is_a_value_error():
+    # one base for every error class a module exports, so a caller catches
+    # ValueError alone; DegenerateDenominatorError stays a ZeroDivisionError
+    modules = [importlib.import_module(f"eit3.{info.name}")
+               for info in pkgutil.iter_modules(eit3.__path__)]
+    errors = {obj for module in modules for name in getattr(module, "__all__", ())
+              if isinstance(obj := getattr(module, name), type)
+              and issubclass(obj, BaseException)}
+    assert DegenerateDenominatorError in errors and len(errors) >= 9  # today's nine
+    assert [e.__name__ for e in errors if not issubclass(e, ValueError)] == []
+    assert issubclass(DegenerateDenominatorError, ZeroDivisionError)
+    # an undriven sweep still lists the error at each point, on the
+    # per-point path and in the grid pass
+    p = SystemParams(Configuration.LAMBDA, 0.0, 0.0, gamma_a=0.1, gamma_b=6.0)
+    k = OpticalConstants(omega_probe=2.37e9)
+    for points in (3, _GRID_PASS_POINTS):
+        spectrum, failures = sweep(p, k, -1.0, 1.0, points, backend="analytic")
+        assert [d for d, _ in failures] == spectrum.delta.tolist()
+        assert all(type(exc) is DegenerateDenominatorError for _, exc in failures)
+        assert np.isnan(spectrum.rho11).all()
 
 
 # degree of D, and of every numerator, in the rates (g, Gamma, Delta)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import eit3.cli
+import eit3.model
 import eit3.optics
 import eit3.steady
 from eit3.analytic import _GRID_PASS_POINTS
@@ -25,7 +26,7 @@ from eit3.cli import (
     read_sweep_csv,
     read_sweep_json,
 )
-from eit3.model import Configuration
+from eit3.model import Configuration, build_liouvillian
 from eit3.optics import OpticalConstants
 from eit3.presets import REFERENCE_OMEGA_MHZ, reference_params
 from eit3.steady import STEP_SAFETY
@@ -220,6 +221,13 @@ def test_missing_field_rejected(tmp_path, capsys):
      "field sweep.points must be an integer >= 3, got True"),
     ({"sweep": {"min": 1.0, "max": 1.0, "points": 5}},
      "field sweep.min must be below sweep.max"),
+    # a list or object is unhashable: the same error, not a TypeError
+    ({"backend": "Both"}, "field backend must be numeric/analytic/both, got 'Both'"),
+    ({"backend": ["both"]},
+     "field backend must be numeric/analytic/both, got ['both']"),
+    ({"backend": {"both": 1}},
+     "field backend must be numeric/analytic/both, got {'both': 1}"),
+    ({"backend": None}, "field backend must be numeric/analytic/both, got None"),
 ])
 def test_malformed_section_is_config_error(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
@@ -447,6 +455,36 @@ def test_evolve_converges_and_conserves_trace(tmp_path, capsys):
     assert max(abs(t - 1.0) for t in traces) <= 1e-9
     times = [float(l.split(",")[0]) for l in lines[1:]]
     assert times[0] == 0.0 and times[-1] == 500.0
+
+
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_evolve_builds_one_liouvillian(tmp_path, capsys, monkeypatch, tag):
+    # the steady target is solved on the Liouvillian evolve integrates: one
+    # build, counted in both namespaces that hold the builder, and the file
+    # holds that Liouvillian's trajectory, every number read back exactly
+    params = reference_params(tag, delta_probe=2.5)
+    dt = STEP_SAFETY / params.rate_scale
+    traj = eit3.steady.evolve(build_liouvillian(params), np.diag([0, 0, 1.0]),
+                              500.0, dt)
+    s = traj.states
+    expected = np.column_stack([
+        traj.times, s[:, 2, 2].real, s[:, 1, 1].real, s[:, 0, 0].real,
+        s[:, 2, 1].real, s[:, 2, 1].imag, s[:, 2, 0].real, s[:, 2, 0].imag,
+        s[:, 1, 0].real, s[:, 1, 0].imag, np.trace(s, axis1=1, axis2=2).real])
+    builds = []
+    for module in (eit3.model, eit3.steady):
+        def counted(*args, _build=module.build_liouvillian_stack):
+            builds.append(args)
+            return _build(*args)
+        monkeypatch.setattr(module, "build_liouvillian_stack", counted)
+    out = tmp_path / "traj.csv"
+    code = main(["evolve", tag, "--delta", "2.5", "--t-end", "500",
+                 "--out", str(out)])
+    assert code == EXIT_OK and len(builds) == 1
+    rows = [[float(x) for x in line.split(",")]
+            for line in out.read_text().splitlines()
+            if not line.startswith(("#", "t_us"))]
+    assert np.array(rows).tobytes() == expected.tobytes()
 
 
 def test_evolve_short_run_warns(tmp_path, capsys):
