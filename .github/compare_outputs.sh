@@ -15,6 +15,10 @@
 # decays 1e-8, delta from -1e3 to 1e3), whose chunks mix points solved on
 # the conditioning proof, points decided by the definition (cond of the
 # bordered matrix and the SVD of L) and DegenerateNullSpaceError points;
+# 2001-point numeric csv sweeps over delta from -150 to 150, whose blocks
+# of 64 points mix points proved by the inverse of the block's centre
+# matrix (solved for the state alone) with points that take their own
+# inverse;
 # 2001-point analytic csv and json sweeps over delta from -1e77 to 1e77,
 # whose points overflow the closed forms, fall to the denominator floor
 # (each message quoting its point's rate scale) or solve (at delta = 0),
@@ -72,7 +76,7 @@
 # with complex coherences, at --t-end 2 --dt 1e-6 (1,000 steps per
 # sample), at --t-end 1e-3 (times such as 5e-07) and at --t-end 1e8
 # (above the cap on steps per sample: a config error, exit 1), each into
-# its own file.  Then `calibrate`: 201 commands in all.  Both checkouts
+# its own file.  Then `calibrate`: 204 commands in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -137,6 +141,10 @@ for tag in ("lambda", "cascade", "vee"):
                                      "gamma_b": 1e-8,
                                      "range": {"min": -1e3, "max": 1e3}})
              for fmt in ("csv", "json")]
+    runs.append((f"{tag}-wide-numeric", {"backend": "numeric", "points": 2001,
+                                         "format": "csv",
+                                         "range": {"min": -150.0,
+                                                   "max": 150.0}}))
     runs += [(f"{tag}-wide-analytic-{fmt}", {"backend": "analytic",
                                              "points": 2001, "format": fmt,
                                              "range": {"min": -1e77,

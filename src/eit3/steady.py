@@ -4,12 +4,14 @@ The steady state is the unit-trace null vector of the Liouvillian.  For the
 generic (one-dimensional null space) case it is found by replacing the last
 population-derivative row of L -- the row generating d(rho_11)/dt -- with
 the trace constraint and solving the resulting linear system.  Two checks
-guard the solve.  One inverse of the bordered matrix proves both on nearly
-every matrix and gives its state; the rest are decided by their
-definition, the condition number of the bordered matrix and the singular
-values of L.  The same solve serves one Liouvillian (:func:`steady_state`)
-and a stack of them (:func:`steady_states`); :func:`solve_grid` runs
-either backend over a probe-detuning grid.
+guard the solve.  In a stack, the inverse of one anchor matrix per block
+of 64 proves both checks on its neighbours too, which are then solved for
+the state alone; a matrix no anchor proves is proved by its own inverse,
+which also gives its state, or decided by the definition: the condition
+number of the bordered matrix and the singular values of L.  The same
+solve serves one Liouvillian (:func:`steady_state`) and a stack of them
+(:func:`steady_states`); :func:`solve_grid` runs either backend over a
+probe-detuning grid.
 """
 
 from __future__ import annotations
@@ -19,13 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # the inverse np.linalg.cond(B, "fro") forms, NaN for a singular B
+try:
     from numpy.linalg import _umath_linalg
-    _umath_linalg.inv
-except (ImportError, AttributeError) as exc:
-    raise ImportError(
-        "eit3 needs numpy.linalg._umath_linalg.inv, the stacked inverse of "
-        f"np.linalg.cond, which this numpy {np.__version__} lacks") from exc
+except ImportError:
+    _umath_linalg = None
+# the stacked inverse np.linalg.cond(B, "fro") forms, NaN for a singular B,
+# and the stacked one-vector solve of np.linalg.solve(B, b)
+for _gufunc, _role in (("inv", "stacked inverse of np.linalg.cond"),
+                       ("solve1", "stacked solve of np.linalg.solve")):
+    if not hasattr(_umath_linalg, _gufunc):
+        raise ImportError(
+            f"eit3 needs numpy.linalg._umath_linalg.{_gufunc}, the {_role}, "
+            f"which this numpy {np.__version__} lacks")
 
 from .analytic import _steady_state_rows
 from .model import (
@@ -63,11 +70,18 @@ MAX_STRIDE = 10**6
 # detunings per batched solve in solve_grid: bounds a sweep's working set
 # (building all 2001 points of a sweep at once costs ~8 MB of peak memory)
 _CHUNK = 256
+# matrices per anchor in steady_states: only the centre matrix of each block
+# of this many consecutive matrices is inverted, and its inverse bounds the
+# conditioning of the others
+_ANCHOR_BLOCK = 64
 # the d(rho_11)/dt row of L, which the bordered matrix B replaces with the
 # trace constraint
 _TRACE_ROW = DIAGONAL_VEC_INDICES[-1]
 _TRACE_CONSTRAINT = np.zeros(9, dtype=complex)
 _TRACE_CONSTRAINT[list(DIAGONAL_VEC_INDICES)] = 1.0
+# the right-hand side of the trace-row system: the unit vector of the trace row
+_UNIT_TRACE = np.zeros(9, dtype=complex)
+_UNIT_TRACE[_TRACE_ROW] = 1.0
 
 
 class DegenerateNullSpaceError(ValueError):
@@ -138,36 +152,128 @@ def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
     values at or below NULL_TOL * sigma_max) gives
     :class:`DegenerateNullSpaceError`; otherwise a condition number of the
     trace-bordered matrix B above COND_LIMIT, or non-finite entries, give
-    :class:`SingularSolveError`.  Per matrix, the arithmetic is that of a
-    one-matrix stack.
+    :class:`SingularSolveError`.  Per matrix, the outcome, and the state
+    bit for bit, are those of a one-matrix stack.
 
-    One inverse per matrix proves both checks and gives the state.  Let
-    kappa_F = ||B||_F ||B^-1||_F.  As ||.||_2 <= ||.||_F, cond(B) <= kappa_F
-    and sigma_9(B) = 1 / ||B^-1||_2 >= ||B||_F / kappa_F.  A matrix with
-    kappa_F <= 1e-2 * COND_LIMIT and 6 * kappa_F * NULL_TOL * ||L||_F <
+    A bound kappa on cond(B) proves both checks.  As sigma_9(B) = 1 /
+    ||B^-1||_2 and ||.||_2 <= ||.||_F, a kappa of the form ||B||_F times a
+    bound on ||B^-1||_2 also gives sigma_9(B) >= ||B||_F / kappa.  A matrix
+    with kappa <= 1e-2 * COND_LIMIT and 6 * kappa * NULL_TOL * ||L||_F <
     ||B||_F is therefore within the condition limit and has sigma_9(B) > 6 *
     NULL_TOL * ||L||_F.  B is L with one row replaced, so rank-one
-    interlacing gives sigma_8(L) >= sigma_9(B) > 6 * NULL_TOL * sigma_1(L): L
-    has at most one null direction.  The factors 1e-2 and 6 are margins for
-    rounding: the computed inverse has a relative error of about 9 eps
-    kappa_F (2e-3 at kappa_F = 1e12), and the SVD an absolute error of a few
-    eps sigma_1.  The right-hand side of the trace-row system is the unit
-    vector of the trace row, so the state is that column of B^-1.  kappa_F
-    reads NaN or inf where B is exactly singular or L is not finite, so
-    those matrices go without the proof and the others in the stack keep
-    it.  A stack that is proved whole returns at once.  Otherwise every
-    other finite matrix is decided by the definition: cond(B) from
+    interlacing gives sigma_8(L) >= sigma_9(B) > 6 * NULL_TOL * sigma_1(L):
+    L has at most one null direction.  The factors 1e-2 and 6 are margins
+    for rounding: the computed inverse has a relative error of about 9 eps
+    kappa_F (2e-3 at kappa_F = 1e12), and the SVD an absolute error of a
+    few eps sigma_1.
+
+    The bound comes from one inverse per block of 64 consecutive matrices
+    (``_ANCHOR_BLOCK``).  The anchor, the block's centre matrix B_a, gets
+    its inverse X_a and kappa_F = ||B_a||_F ||X_a||_F, its own bound.  Its
+    neighbours B_j are B_a + E_j.  With rho_j = ||diag(E_j) X_a||_F +
+    ||offdiag(E_j)||_F ||X_a||_F >= ||E_j X_a||_2, B_j = (I + E_j X_a) B_a,
+    and for rho_j < 1 the Banach lemma (Higham 2002, ch. 7) bounds
+    ||B_j^-1||_2 <= ||X_a||_2 / (1 - rho_j), so kappa-hat_j = ||B_j||_F
+    ||X_a||_F / (1 - rho_j) >= cond(B_j).  Along a probe-detuning grid only
+    the diagonal moves, so offdiag(E_j) is 0; the bound holds for any
+    stack.  An anchor whose kappa_F is at most 1e-2 * COND_LIMIT lends X_a
+    to the neighbours with rho_j <= 1/2, each proved by its kappa-hat in
+    the two inequalities above; the anchor itself by its kappa_F.  The
+    rounding stays inside the same margins: X_a is within 2e-3 of the
+    inverse, which moves rho_j, ||X_a||_F and, with 1 - rho_j >= 1/2, the
+    factor 1 / (1 - rho_j) by under 1%.  A NaN or inf anywhere leaves a
+    matrix unproved.
+
+    The right-hand side of the trace-row system is e_8, the unit vector of
+    the trace row.  A proved matrix is solved for the state alone, by
+    numpy's stacked ``solve1``, at about half the cost of an inverse.  On
+    this LAPACK build its result is the trace-row column of B^-1 bit for
+    bit (a property of the build, not a numpy guarantee, which
+    ``test_kappa_f_and_the_state_are_cond_and_solve_bit_for_bit`` names), so
+    the state does not depend on which proof a matrix took.  A stack that
+    is proved whole returns at once.  The others, and every matrix of a
+    one-matrix stack (its own anchor), take their own inverse: its kappa_F
+    proves them, and its trace-row column is the state.  kappa_F reads NaN
+    or inf where B is exactly singular or L is not finite.  Every other
+    finite matrix is decided by the definition: cond(B) from
     ``np.linalg.cond`` (the value in the error message) and the null
-    directions counted from the singular values of L.
+    directions counted from the singular values of L.  So the proofs
+    decide no outcome: each is the definition's.
     """
     M = np.asarray(matrices)
     bordered = np.array(M, dtype=complex)
     bordered[:, _TRACE_ROW] = _TRACE_CONSTRAINT
+    if len(M) < 2:  # its own anchor
+        return _decided(M, bordered)
+    proved, _ = _anchored(M, bordered)
+    if proved.all():
+        return _symmetrized(_solve(bordered)), []
+    if not proved.any():
+        return _decided(M, bordered)
+    rest = np.flatnonzero(~proved)
+    block = np.empty((len(M), 3, 3), dtype=complex)
+    block[proved] = _symmetrized(_solve(bordered[proved]))
+    block[rest], failed = _decided(M[rest], bordered[rest])
+    return block, [(int(rest[i]), exc) for i, exc in failed]
+
+
+def _anchored(M: np.ndarray,
+              bordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of a stack of two or more that its anchors prove, and
+    each one's bound on cond(B): an anchor's kappa_F, the others'
+    kappa-hat (see :func:`steady_states`).  A matrix whose rho-hat is NaN,
+    inf or above 1/2 is not proved."""
+    n = len(M)
+    starts = range(0, n, _ANCHOR_BLOCK)
+    sizes = [min(_ANCHOR_BLOCK, n - start) for start in starts]
+    anchors = [start + size // 2 for start, size in zip(starts, sizes)]
+    owner = np.repeat(np.arange(len(anchors)), sizes)  # each matrix's block
+    with np.errstate(all="ignore"):  # NaN and inf leave a matrix unproved
+        inverse, kappa, norm = _kappa_f(bordered[anchors])
+        rows = (inverse.conj() * inverse).real.sum(axis=2)  # ||X_a[i]||^2
+        spread = np.sqrt(rows.sum(axis=1))[owner]  # ||X_a||_F
+        # B_j - B_a: its diagonal scales the rows of X_a, its other
+        # entries count by their Frobenius norm
+        shift = np.repeat(bordered[anchors], sizes, axis=0)
+        np.subtract(bordered, shift, out=shift)
+        diagonal = shift.reshape(n, 81)[:, ::10]
+        rho = np.sqrt(np.einsum("ij,ij->i", (diagonal.conj() * diagonal).real,
+                                rows[owner]))
+        diagonal[...] = 0.0
+        rho += _norm(shift) * spread
+        norm_b = _norm(bordered)
+        bound = norm_b * spread / (1.0 - rho)
+        proved = ((kappa <= 1e-2 * COND_LIMIT)[owner] & (rho <= 0.5)
+                  & _within(bound, _norm(M), norm_b))
+        # each anchor by its own kappa_F, as in a one-matrix stack
+        bound[anchors] = kappa
+        proved[anchors] = _within(kappa, _frobenius(M[anchors]), norm)
+    return proved, bound
+
+
+def _within(bound: np.ndarray, norm_l: np.ndarray,
+            norm_b: np.ndarray) -> np.ndarray:
+    """Where a bound on cond(B) proves both checks of :func:`steady_states`,
+    given ||L||_F and ||B||_F; never where any of them is NaN."""
+    return ((bound <= 1e-2 * COND_LIMIT)
+            & (6.0 * bound * NULL_TOL * norm_l < norm_b))
+
+
+def _solve(bordered: np.ndarray) -> np.ndarray:
+    """The (N, 9) solutions of B x = e_8, the trace row's unit vector, for an
+    (N, 9, 9) stack of trace-bordered matrices: ``np.linalg.solve(B, e_8)``
+    without its checks, NaN where LAPACK finds a matrix singular."""
+    return _umath_linalg.solve1(bordered, _UNIT_TRACE, signature="DD->D")
+
+
+def _decided(M: np.ndarray,
+             bordered: np.ndarray) -> tuple[np.ndarray, list]:
+    """:func:`steady_states` with one inverse per matrix: each matrix's own
+    kappa_F proves it or the definition decides it."""
     with np.errstate(all="ignore"):
         inverse, kappa, norm = _kappa_f(bordered)
         # NaN or inf where M is not finite or a norm overflows: no proof
-        proved = ((kappa <= 1e-2 * COND_LIMIT)
-                  & (6.0 * kappa * NULL_TOL * _frobenius(M) < norm))
+        proved = _within(kappa, _frobenius(M), norm)
     if proved.all():
         return _symmetrized(inverse[:, :, _TRACE_ROW]), []
 
@@ -193,7 +299,7 @@ def _kappa_f(bordered: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the arithmetic of ``np.linalg.cond(bordered, "fro")``, which reads inf
     where this reads NaN for a finite matrix.  numpy warns of a singular
     matrix or an overflow unless the caller ignores them with np.errstate,
-    as :func:`steady_states` does."""
+    as its callers do."""
     inverse = _umath_linalg.inv(bordered, signature="D->D")
     norm = _frobenius(bordered)
     return inverse, norm * _frobenius(inverse), norm
@@ -203,6 +309,13 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     """||x||_F of each matrix of an (N, 9, 9) stack, in the operations of
     ``np.linalg.norm(x, axis=(1, 2))``."""
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(1, 2)))
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """||x||_F of each matrix of an (N, 9, 9) stack, for a complex stack in
+    one pass and no temporary; rounded unlike :func:`_frobenius`."""
+    parts = np.ascontiguousarray(x, dtype=complex).view(float).reshape(len(x), -1)
+    return np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
 
 def _symmetrized(vectors: np.ndarray) -> np.ndarray:

@@ -40,6 +40,8 @@ from eit3.steady import (
     DegenerateNullSpaceError,
     SingularSolveError,
     StepTooLargeError,
+    _ANCHOR_BLOCK,
+    _anchored,
     _kappa_f,
     evolve,
     is_density_matrix,
@@ -104,10 +106,11 @@ def stiff_stacks(seed, lo, hi, sets=150, per_set=8):
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """The np.linalg.svd, np.linalg.cond and np.linalg.solve calls and the
+    """The np.linalg.svd, np.linalg.cond and np.linalg.solve calls, the
     stacked inverses (numpy.linalg._umath_linalg.inv, which np.linalg.inv
-    and np.linalg.cond(..., "fro") call too), as (name, matrices, further
-    positional arguments)."""
+    and np.linalg.cond(..., "fro") call too) and the stacked one-vector
+    solves (_umath_linalg.solve1, which np.linalg.solve(B, b) calls for a
+    vector b), as (name, matrices, further positional arguments)."""
     calls = []
 
     def counting(namespace, name, label):
@@ -121,11 +124,16 @@ def linalg_calls(monkeypatch):
     for name in ("svd", "cond", "solve"):
         counting(np.linalg, name, name)
     counting(_umath_linalg, "inv", "inv")
+    counting(_umath_linalg, "solve1", "solve1")
     return calls
 
 
 def call_shapes(calls):
-    return [(name, a.shape, *args) for name, a, args in calls]
+    """(name, shape of the matrices, further arguments), an array argument
+    by its shape."""
+    return [(name, a.shape, *(np.shape(x) if isinstance(x, np.ndarray) else x
+                              for x in args))
+            for name, a, args in calls]
 
 
 def rk4_propagator(L, h):
@@ -485,11 +493,13 @@ def test_steady_states_attributes_each_failure_to_its_matrix(linalg_calls):
     broken = good.copy()
     broken[3, 5] = np.nan
     out = outcomes(steady_states(np.stack([good, undriven, rank8, broken, good])))
-    # one inverse of the bordered stack proves and solves the good matrices;
-    # the two finite failures get the bordered matrix's condition number,
-    # then L's SVD, each in one call; nothing is solved a second time
+    # the stack's anchor, its centre matrix, is singular and proves nothing;
+    # then one inverse of the whole stack proves and solves the good
+    # matrices, and the two finite failures get the bordered matrix's
+    # condition number, then L's SVD, each in one call
     assert call_shapes(linalg_calls) == [
-        ("inv", (5, 9, 9)), ("cond", (2, 9, 9)), ("svd", (2, 9, 9))]
+        ("inv", (1, 9, 9)), ("inv", (5, 9, 9)), ("cond", (2, 9, 9)),
+        ("svd", (2, 9, 9))]
     assert np.array_equal(out[0], steady_state(build_liouvillian(p)))
     assert np.array_equal(out[4], out[0])
     assert isinstance(out[1], DegenerateNullSpaceError)
@@ -553,24 +563,32 @@ def match_oracle(stack, out):
 
 @pytest.mark.parametrize("lo,hi", [(1e-5, 1e5), (1e-12, 1e-8)])
 def test_stiff_stacks_match_the_two_svd_oracle(lo, hi, linalg_calls):
-    # the batched solve decides both checks from one inverse where it can
-    # prove them, else from the bordered matrix's condition number and L's
-    # SVD; the oracle from the two SVDs: states bit for bit, errors by type
-    # and message; tiny rates put the condition number near COND_LIMIT,
-    # where the SVD's rounding is largest
+    # the batched solve decides both checks from the anchor's inverse, or
+    # from a matrix's own inverse where it can prove them, else from the
+    # bordered matrix's condition number and L's SVD; the oracle from the
+    # two SVDs: states bit for bit, errors by type and message; tiny rates
+    # put the condition number near COND_LIMIT, where the SVD's rounding is
+    # largest
     outcomes = Counter()
     for M in stiff_stacks(7, lo, hi):
         linalg_calls.clear()
         out = steady_states(M)
-        # one inverse of the stack, then the 2-norm condition number and
-        # L's SVD of the matrices the proof left, and no solve
+        # the anchor's inverse; then a one-vector solve of the matrices it
+        # proves and an inverse of the others, then the 2-norm condition
+        # number and L's SVD of the matrices neither proof clears
         calls = [(name, len(a)) for name, a, args in linalg_calls]
-        assert calls[0] == ("inv", len(M))
-        assert [name for name, _ in calls] in (["inv"], ["inv", "cond", "svd"])
+        assert calls[0] == ("inv", 1)
+        assert [name for name, _ in calls] in (
+            ["inv", "solve1"], ["inv", "inv"], ["inv", "inv", "cond", "svd"],
+            ["inv", "solve1", "inv"], ["inv", "solve1", "inv", "cond", "svd"])
+        anchored = [B for name, a, args in linalg_calls
+                    if name == "solve1" for B in a]
         fallback = [B for name, a, args in linalg_calls
                     if name == "cond" and not args for B in a]
         for Mi, ref in zip(M, match_oracle(M, out)):
-            path = ("fallback" if any(np.array_equal(bordered(Mi), B)
+            path = ("anchored" if any(np.array_equal(bordered(Mi), B)
+                                      for B in anchored) else
+                    "fallback" if any(np.array_equal(bordered(Mi), B)
                                       for B in fallback) else "proof")
             outcomes[path] += 1
             outcomes[path, type(ref).__name__] += 1
@@ -586,10 +604,11 @@ def test_stiff_stacks_match_the_two_svd_oracle(lo, hi, linalg_calls):
     if lo < 1e-8:
         assert outcomes["ndarray", True] > 0
         assert outcomes["SingularSolveError", True] > 0
-    # kappa_F falls on both sides of 1e-2 * COND_LIMIT, and both the proof
-    # and the SVD fallback decide points
+    # kappa_F falls on both sides of 1e-2 * COND_LIMIT, and the anchors,
+    # each matrix's own proof and the SVD fallback all decide points
     assert outcomes["kappa_F within the margin", True] > 0
     assert outcomes["kappa_F within the margin", False] > 0
+    assert outcomes["anchored"] > 0
     assert outcomes["proof"] > 0
     assert outcomes["fallback"] > 0
     # the stiff matrices that pass without the proof are solved after both
@@ -654,10 +673,13 @@ def test_singular_and_non_finite_matrices_leave_the_proof_to_the_rest(linalg_cal
                       good[2]])
     linalg_calls.clear()
     out = steady_states(stack)
-    # one inverse of the stack; only the singular matrix gets the bordered
-    # matrix's condition number, then L's SVD
+    # the anchor (good[1], the centre) proves itself alone: its neighbours
+    # are other systems, too far from it for its inverse to bound; they get
+    # one inverse, and only the singular matrix the bordered matrix's
+    # condition number, then L's SVD
     assert call_shapes(linalg_calls) == [
-        ("inv", (6, 9, 9)), ("cond", (1, 9, 9)), ("svd", (1, 9, 9))]
+        ("inv", (1, 9, 9)), ("solve1", (1, 9, 9), (9,)), ("inv", (5, 9, 9)),
+        ("cond", (1, 9, 9)), ("svd", (1, 9, 9))]
     refs = match_oracle(stack, out)
     assert [type(r).__name__ for r in refs] == [
         "ndarray", "DegenerateNullSpaceError", "SingularSolveError",
@@ -696,13 +718,103 @@ def test_stiff_system_with_a_unique_state_is_solved(config):
 
 
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
-def test_grid_solve_makes_one_inverse_per_chunk(tag, linalg_calls):
-    # one inverse proves both checks on every point of the reference grids
-    # and gives the states: neither the bordered matrix's SVD nor L's is
-    # needed, nor a solve
-    solve_grid(reference_params(tag), np.linspace(-40.0, 40.0, 601), "numeric")
+def test_grid_solve_inverts_one_anchor_per_block(tag, linalg_calls):
+    # the inverse of each block's centre matrix proves both checks on every
+    # point of the 2001-point reference grids (seven chunks of 256 points,
+    # four blocks each, and one of 209, in four blocks), and each chunk's
+    # states are one stacked solve for e_8: neither the bordered matrix's
+    # SVD nor L's is needed
+    solve_grid(reference_params(tag), np.linspace(-40.0, 40.0, 2001), "numeric")
     assert call_shapes(linalg_calls) == [
-        ("inv", (256, 9, 9)), ("inv", (256, 9, 9)), ("inv", (89, 9, 9))]
+        *[("inv", (4, 9, 9)), ("solve1", (256, 9, 9), (9,))] * 7,
+        ("inv", (4, 9, 9)), ("solve1", (209, 9, 9), (9,))]
+    # a one-point solve is its own anchor: one inverse, and nothing else
+    linalg_calls.clear()
+    steady_state(build_liouvillian(reference_params(tag)))
+    assert call_shapes(linalg_calls) == [("inv", (1, 9, 9))]
+
+
+def reference_grids(half_width=40.0, tags=("lambda", "cascade", "vee")):
+    """The Liouvillian stacks of the reference systems on 2001 detunings."""
+    return [build_liouvillian_stack(reference_params(tag),
+                                    np.linspace(-half_width, half_width, 2001))
+            for tag in tags]
+
+
+def anchor_proof(M):
+    """The matrices of stack M that its anchors prove, each checked against
+    the definitions: cond(B) within COND_LIMIT, at most one singular value
+    of L at or below NULL_TOL * sigma_max, and kappa_F(B) (a bound on cond
+    the Banach lemma also gives) within the returned bound, to the 1e-2
+    that the anchor's rounding may take of it."""
+    B = np.stack([bordered(Mi) for Mi in M])
+    proved, bound = _anchored(M, B)
+    for Bi, Mi, b in zip(B[proved], M[proved], bound[proved]):
+        assert np.linalg.cond(Bi) <= COND_LIMIT
+        sv = np.linalg.svd(Mi, compute_uv=False)
+        assert (sv <= NULL_TOL * sv.max()).sum() <= 1
+        assert np.linalg.cond(Bi, "fro") <= b * (1 + 1e-2)
+    return proved
+
+
+def test_anchored_proof_is_sound_and_solves_to_the_oracle():
+    # every matrix an anchor's inverse proves passes both checks by their
+    # definitions, and the solve's states and failures are the one-matrix
+    # oracle's bit for bit, on stiff random stacks (eight detunings per
+    # parameter set, one block each) and on the whole reference grids
+    seen = Counter()
+    for M in [*stiff_stacks(7, 1e-5, 1e5), *stiff_stacks(7, 1e-12, 1e-8),
+              *reference_grids()]:
+        proved = anchor_proof(M)
+        match_oracle(M, steady_states(M))
+        anchors = np.zeros(len(M), dtype=bool)
+        anchors[[s + min(_ANCHOR_BLOCK, len(M) - s) // 2
+                 for s in range(0, len(M), _ANCHOR_BLOCK)]] = True
+        seen["neighbours proved"] += (proved & ~anchors).sum()
+        seen["neighbours left"] += (~proved & ~anchors).sum()
+    assert seen["neighbours proved"] > 6000 and seen["neighbours left"] > 0
+
+
+@pytest.mark.parametrize("centre", ["not a number", "infinite", "singular"])
+def test_a_block_whose_anchor_fails_takes_the_one_matrix_path(centre,
+                                                             linalg_calls):
+    # a block of the lambda reference grid with its centre matrix replaced:
+    # without an anchor's inverse every matrix takes its own inverse, kappa_F
+    # and, where that fails, cond and the SVD, to the oracle's outcome
+    M = build_liouvillian_stack(reference_params("lambda"),
+                                np.linspace(-5.0, 5.0, _ANCHOR_BLOCK))
+    centre_index = _ANCHOR_BLOCK // 2
+    if centre == "singular":  # the undriven system: B exactly singular
+        M[centre_index] = build_liouvillian(SystemParams(
+            Configuration.LAMBDA, 0.0, 0.0, gamma_a=0.1, gamma_b=6.0)).matrix
+    else:
+        M[centre_index, 3, 5] = np.nan if centre == "not a number" else np.inf
+    linalg_calls.clear()
+    out = steady_states(M)
+    assert call_shapes(linalg_calls)[:2] == [
+        ("inv", (1, 9, 9)), ("inv", (_ANCHOR_BLOCK, 9, 9))]
+    assert "solve1" not in [name for name, a, args in linalg_calls]
+    refs = match_oracle(M, out)
+    assert [i for i, r in enumerate(refs) if isinstance(r, Exception)] == [
+        centre_index]
+
+
+def test_wide_grid_mixes_anchored_and_one_matrix_proofs_in_a_block(linalg_calls):
+    # over +-150 MHz the lambda grid's blocks are wider than the anchors'
+    # reach: inside one block the matrices near the centre are proved by the
+    # anchor's inverse and solved for the state alone, those further out
+    # take their own inverse; the outcomes are the one-matrix oracle's
+    [M] = reference_grids(150.0, ("lambda",))
+    mixed = 0
+    for start in range(0, len(M), 256):  # the chunks of solve_grid
+        proved = anchor_proof(M[start:start + 256])
+        blocks = proved.reshape(-1, _ANCHOR_BLOCK) if len(proved) == 256 else []
+        mixed += sum(block.any() and not block.all() for block in blocks)
+    assert mixed > 0
+    linalg_calls.clear()
+    out = steady_states(M)
+    assert {name for name, a, args in linalg_calls} == {"inv", "solve1"}
+    match_oracle(M, out)
 
 
 def test_kappa_f_and_the_state_are_cond_and_solve_bit_for_bit():
@@ -715,12 +827,9 @@ def test_kappa_f_and_the_state_are_cond_and_solve_bit_for_bit():
     # guarantee: on a build where it fails this test names it
     row = DIAGONAL_VEC_INDICES[-1]
     e_8 = np.eye(9, dtype=complex)[row]
-    grids = [build_liouvillian_stack(reference_params(tag),
-                                     np.linspace(-40.0, 40.0, 2001))
-             for tag in ("lambda", "cascade", "vee")]
     seen = Counter()
     for M in [*stiff_stacks(7, 1e-5, 1e5), *stiff_stacks(7, 1e-12, 1e-8),
-              *grids]:
+              *reference_grids()]:
         B = np.stack([bordered(Mi) for Mi in M])
         with np.errstate(all="ignore"):
             inverse, kappa, norm = _kappa_f(B)
@@ -745,6 +854,15 @@ def test_a_numpy_without_the_stacked_inverse_fails_at_import(monkeypatch):
                                                   eit3.steady.__file__)
     monkeypatch.delattr(_umath_linalg, "inv")
     with pytest.raises(ImportError, match=r"numpy\.linalg\._umath_linalg\.inv"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_a_numpy_without_the_stacked_solve_fails_at_import(monkeypatch):
+    spec = importlib.util.spec_from_file_location("eit3.steady_without_solve1",
+                                                  eit3.steady.__file__)
+    monkeypatch.delattr(_umath_linalg, "solve1")
+    with pytest.raises(ImportError,
+                       match=r"numpy\.linalg\._umath_linalg\.solve1"):
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
