@@ -44,7 +44,11 @@
 # zero) and with delta_pump = -1.7e308 over delta from 0 to 1.7e308, where
 # every point fails (exit 2, partial file): a DegenerateNullSpaceError at
 # delta 0, then the overflowing Liouvillian's SingularSolveError (lambda,
-# vee) or DegenerateNullSpaceError (cascade);
+# vee) or DegenerateNullSpaceError (cascade); 11-point numeric csv sweeps
+# over delta from -1.7e308 to 0 with delta_pump 1e308 and with -1e308, one
+# of which leaves the numeric grid's template Liouvillian (the one at the
+# first detuning) non-finite in each configuration, so no point is proved
+# from it and each is built whole;
 # 2001-point analytic csv and json sweeps with optics n0 = 1e-200, whose
 # alpha column prints three-digit exponents; a 2001-point analytic csv
 # sweep over delta from -2e-4 to 2e-4, whose detunings cross 0.0 and the
@@ -76,7 +80,7 @@
 # with complex coherences, at --t-end 2 --dt 1e-6 (1,000 steps per
 # sample), at --t-end 1e-3 (times such as 5e-07) and at --t-end 1e8
 # (above the cap on steps per sample: a config error, exit 1), each into
-# its own file.  Then `calibrate`: 204 commands in all.  Both checkouts
+# its own file.  Then `calibrate`: 210 commands in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -181,6 +185,13 @@ for tag in ("lambda", "cascade", "vee"):
                                              "delta_pump": -1.7e308,
                                              "range": {"min": 0.0,
                                                        "max": 1.7e308}}))
+    runs += [(f"{tag}-overflowing-template-{sign}", {"backend": "numeric",
+                                                     "points": 11,
+                                                     "format": "csv",
+                                                     "delta_pump": pump,
+                                                     "range": {"min": -1.7e308,
+                                                               "max": 0.0}})
+             for sign, pump in (("plus", 1e308), ("minus", -1e308))]
     runs += [(f"{tag}-tiny-n0-analytic-{fmt}",
               {"backend": "analytic", "points": 2001, "format": fmt,
                "optics": dict(doc["optics"], n0=1e-200)})

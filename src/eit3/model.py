@@ -265,20 +265,30 @@ def build_liouvillian_stack(params: SystemParams, delta_probe) -> np.ndarray:
     differently.)  Entries that overflow read inf or NaN without a numpy
     warning; the steady-state solve names them as non-finite.
     """
+    return _liouvillian_entries(params, delta_probe).reshape(-1, 9, 9)
+
+
+def _liouvillian_entries(params: SystemParams, delta_probe,
+                         slots: slice = slice(None)) -> np.ndarray:
+    """The entries ``slots`` of the row-major 81 of each Liouvillian of
+    :func:`build_liouvillian_stack`, shape (N, entries): all of them, or
+    for example its diagonal, ``slice(None, None, 10)``.  One expression
+    for every slice of the gather maps, so each entry has the bits of the
+    whole build's."""
     with np.errstate(all="ignore"):
         H = _hamiltonian_rows(params, delta_probe)
         # each operand where the np.kron composition has it
-        left = H.take(_TRANSPOSE_GATHER, axis=1)
-        left *= _TRANSPOSE_EYE
-        right = H.take(_GATHER, axis=1)
-        np.multiply(_EYE, right, out=right)
+        left = H.take(_TRANSPOSE_GATHER[slots], axis=1)
+        left *= _TRANSPOSE_EYE[slots]
+        right = H.take(_GATHER[slots], axis=1)
+        np.multiply(_EYE[slots], right, out=right)
         # L is allocated after both factors, so freeing them leaves a gap
         # below L for the solve's temporaries.  Freed at the heap top, they
         # would go back to the system and be faulted in again for the next
         # stack: 6x the page faults of a numeric sweep
         L = 1j * (left - right)
-        L += _dissipator(params).ravel()
-    return L.reshape(-1, 9, 9)
+        L += _dissipator(params).ravel()[slots]
+    return L
 
 
 def obe_rhs(params: SystemParams, rho: np.ndarray) -> np.ndarray:

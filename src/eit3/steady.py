@@ -4,14 +4,15 @@ The steady state is the unit-trace null vector of the Liouvillian.  For the
 generic (one-dimensional null space) case it is found by replacing the last
 population-derivative row of L -- the row generating d(rho_11)/dt -- with
 the trace constraint and solving the resulting linear system.  Two checks
-guard the solve.  In a stack, the inverse of one anchor matrix per block
-of 64 proves both checks on its neighbours too, which are then solved for
-the state alone; a matrix no anchor proves is proved by its own inverse,
-which also gives its state, or decided by the definition: the condition
-number of the bordered matrix and the singular values of L.  The same
-solve serves one Liouvillian (:func:`steady_state`) and a stack of them
-(:func:`steady_states`); :func:`solve_grid` runs either backend over a
-probe-detuning grid.
+guard the solve.  A matrix is proved by its own inverse, which also gives
+its state, or decided by the definition: the condition number of the
+bordered matrix and the singular values of L (:func:`steady_state` for one
+Liouvillian, :func:`steady_states` for a stack of them).  Along a numeric
+probe-detuning grid (:func:`solve_grid`) only L's diagonal moves: one
+template Liouvillian per grid and nine diagonal entries per point make the
+bordered matrices, the inverse of one anchor per 64 detunings proves the
+checks on its neighbours, which are solved for the state alone, and only
+the points no anchor proves are built whole.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .model import (
     DIAGONAL_VEC_INDICES,
     Liouvillian,
     SystemParams,
+    _liouvillian_entries,
     build_liouvillian_stack,
     unvectorize,
     vectorize,
@@ -70,8 +72,8 @@ MAX_STRIDE = 10**6
 # detunings per batched solve in solve_grid: bounds a sweep's working set
 # (building all 2001 points of a sweep at once costs ~8 MB of peak memory)
 _CHUNK = 256
-# matrices per anchor in steady_states: only the centre matrix of each block
-# of this many consecutive matrices is inverted, and its inverse bounds the
+# detunings per anchor in solve_grid: only the centre matrix of each block
+# of this many consecutive detunings is inverted, and its inverse bounds the
 # conditioning of the others
 _ANCHOR_BLOCK = 64
 # the d(rho_11)/dt row of L, which the bordered matrix B replaces with the
@@ -167,109 +169,19 @@ def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
     kappa_F (2e-3 at kappa_F = 1e12), and the SVD an absolute error of a
     few eps sigma_1.
 
-    The bound comes from one inverse per block of 64 consecutive matrices
-    (``_ANCHOR_BLOCK``).  The anchor, the block's centre matrix B_a, gets
-    its inverse X_a and kappa_F = ||B_a||_F ||X_a||_F, its own bound.  Its
-    neighbours B_j are B_a + E_j.  With rho_j = ||diag(E_j) X_a||_F +
-    ||offdiag(E_j)||_F ||X_a||_F >= ||E_j X_a||_2, B_j = (I + E_j X_a) B_a,
-    and for rho_j < 1 the Banach lemma (Higham 2002, ch. 7) bounds
-    ||B_j^-1||_2 <= ||X_a||_2 / (1 - rho_j), so kappa-hat_j = ||B_j||_F
-    ||X_a||_F / (1 - rho_j) >= cond(B_j).  Along a probe-detuning grid only
-    the diagonal moves, so offdiag(E_j) is 0; the bound holds for any
-    stack.  An anchor whose kappa_F is at most 1e-2 * COND_LIMIT lends X_a
-    to the neighbours with rho_j <= 1/2, each proved by its kappa-hat in
-    the two inequalities above; the anchor itself by its kappa_F.  The
-    rounding stays inside the same margins: X_a is within 2e-3 of the
-    inverse, which moves rho_j, ||X_a||_F and, with 1 - rho_j >= 1/2, the
-    factor 1 / (1 - rho_j) by under 1%.  A NaN or inf anywhere leaves a
-    matrix unproved.
-
-    The right-hand side of the trace-row system is e_8, the unit vector of
-    the trace row.  A proved matrix is solved for the state alone, by
-    numpy's stacked ``solve1``, at about half the cost of an inverse.  On
-    this LAPACK build its result is the trace-row column of B^-1 bit for
-    bit (a property of the build, not a numpy guarantee, which
-    ``test_kappa_f_and_the_state_are_cond_and_solve_bit_for_bit`` names), so
-    the state does not depend on which proof a matrix took.  A stack that
-    is proved whole returns at once.  The others, and every matrix of a
-    one-matrix stack (its own anchor), take their own inverse: its kappa_F
-    proves them, and its trace-row column is the state.  kappa_F reads NaN
-    or inf where B is exactly singular or L is not finite.  Every other
-    finite matrix is decided by the definition: cond(B) from
-    ``np.linalg.cond`` (the value in the error message) and the null
-    directions counted from the singular values of L.  So the proofs
-    decide no outcome: each is the definition's.
+    Each matrix takes its own inverse X: kappa_F = ||B||_F ||X||_F is its
+    bound, and the trace-row column of X, the solution of B x = e_8, is its
+    state.  kappa_F reads NaN or inf where B is exactly singular or L is
+    not finite.  Every other matrix that kappa_F leaves unproved is decided
+    by the definition: cond(B) from ``np.linalg.cond`` (the value in the
+    error message) and the null directions counted from the singular
+    values of L.  So the proof decides no outcome: each is the
+    definition's.  (:func:`solve_grid` proves most points of a detuning
+    grid by one inverse per 64; see :func:`_grid_states`.)
     """
     M = np.asarray(matrices)
     bordered = np.array(M, dtype=complex)
     bordered[:, _TRACE_ROW] = _TRACE_CONSTRAINT
-    if len(M) < 2:  # its own anchor
-        return _decided(M, bordered)
-    proved, _ = _anchored(M, bordered)
-    if proved.all():
-        return _symmetrized(_solve(bordered)), []
-    if not proved.any():
-        return _decided(M, bordered)
-    rest = np.flatnonzero(~proved)
-    block = np.empty((len(M), 3, 3), dtype=complex)
-    block[proved] = _symmetrized(_solve(bordered[proved]))
-    block[rest], failed = _decided(M[rest], bordered[rest])
-    return block, [(int(rest[i]), exc) for i, exc in failed]
-
-
-def _anchored(M: np.ndarray,
-              bordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices of a stack of two or more that its anchors prove, and
-    each one's bound on cond(B): an anchor's kappa_F, the others'
-    kappa-hat (see :func:`steady_states`).  A matrix whose rho-hat is NaN,
-    inf or above 1/2 is not proved."""
-    n = len(M)
-    starts = range(0, n, _ANCHOR_BLOCK)
-    sizes = [min(_ANCHOR_BLOCK, n - start) for start in starts]
-    anchors = [start + size // 2 for start, size in zip(starts, sizes)]
-    owner = np.repeat(np.arange(len(anchors)), sizes)  # each matrix's block
-    with np.errstate(all="ignore"):  # NaN and inf leave a matrix unproved
-        inverse, kappa, norm = _kappa_f(bordered[anchors])
-        rows = (inverse.conj() * inverse).real.sum(axis=2)  # ||X_a[i]||^2
-        spread = np.sqrt(rows.sum(axis=1))[owner]  # ||X_a||_F
-        # B_j - B_a: its diagonal scales the rows of X_a, its other
-        # entries count by their Frobenius norm
-        shift = np.repeat(bordered[anchors], sizes, axis=0)
-        np.subtract(bordered, shift, out=shift)
-        diagonal = shift.reshape(n, 81)[:, ::10]
-        rho = np.sqrt(np.einsum("ij,ij->i", (diagonal.conj() * diagonal).real,
-                                rows[owner]))
-        diagonal[...] = 0.0
-        rho += _norm(shift) * spread
-        norm_b = _norm(bordered)
-        bound = norm_b * spread / (1.0 - rho)
-        proved = ((kappa <= 1e-2 * COND_LIMIT)[owner] & (rho <= 0.5)
-                  & _within(bound, _norm(M), norm_b))
-        # each anchor by its own kappa_F, as in a one-matrix stack
-        bound[anchors] = kappa
-        proved[anchors] = _within(kappa, _frobenius(M[anchors]), norm)
-    return proved, bound
-
-
-def _within(bound: np.ndarray, norm_l: np.ndarray,
-            norm_b: np.ndarray) -> np.ndarray:
-    """Where a bound on cond(B) proves both checks of :func:`steady_states`,
-    given ||L||_F and ||B||_F; never where any of them is NaN."""
-    return ((bound <= 1e-2 * COND_LIMIT)
-            & (6.0 * bound * NULL_TOL * norm_l < norm_b))
-
-
-def _solve(bordered: np.ndarray) -> np.ndarray:
-    """The (N, 9) solutions of B x = e_8, the trace row's unit vector, for an
-    (N, 9, 9) stack of trace-bordered matrices: ``np.linalg.solve(B, e_8)``
-    without its checks, NaN where LAPACK finds a matrix singular."""
-    return _umath_linalg.solve1(bordered, _UNIT_TRACE, signature="DD->D")
-
-
-def _decided(M: np.ndarray,
-             bordered: np.ndarray) -> tuple[np.ndarray, list]:
-    """:func:`steady_states` with one inverse per matrix: each matrix's own
-    kappa_F proves it or the definition decides it."""
     with np.errstate(all="ignore"):
         inverse, kappa, norm = _kappa_f(bordered)
         # NaN or inf where M is not finite or a norm overflows: no proof
@@ -293,6 +205,152 @@ def _decided(M: np.ndarray,
                    for i, passed in enumerate(ok.tolist()) if not passed]
 
 
+def _grid_states(params: SystemParams, deltas: np.ndarray) -> tuple[
+        np.ndarray, list, np.ndarray, np.ndarray]:
+    """:func:`solve_grid`'s numeric backend on finite ``deltas``: the block
+    of states and the failures, then the points the anchors prove and each
+    one's bound on cond(B) (NaN for the points they leave).
+
+    Along the grid only L's diagonal moves.  One template L_0, the build at
+    the first detuning, gives the off-diagonal entries of every point's L;
+    per 256 detunings (``_CHUNK``) only the 9 diagonal entries of each L
+    are computed, through the build's gather maps restricted to the
+    diagonal (:func:`eit3.model._liouvillian_entries`), and written into
+    one bordered buffer per call, the template's off-diagonal entries and
+    trace row in place.  Whenever the template's off-diagonal entries and a
+    point's diagonal are finite, its row of the buffer is the whole build's
+    bordered matrix bit for bit: an off-diagonal entry depends on the
+    detuning only through products of H's diagonal with a 0 of the
+    identity, signed zeros that adding the dissipator's +0.0 (or its
+    nonzero entry) erases.  So ||L_j||_F^2 = c_L + sum_i |L_j[i, i]|^2 and
+    ||B_j||_F^2 = c_B + sum_{i<8} |L_j[i, i]|^2, with c_L and c_B the
+    template's off-diagonal sums of squares (c_B counting the trace row and
+    its diagonal 1).  A point with a non-finite diagonal entry, or any
+    point of a grid whose template has a non-finite off-diagonal entry,
+    has a non-finite norm and is never proved.
+
+    The proof takes one inverse per block of 64 consecutive detunings
+    (``_ANCHOR_BLOCK``) within a chunk.  The anchor, the block's centre
+    matrix B_a, gets its inverse X_a and kappa_F = ||B_a||_F ||X_a||_F, its
+    own bound, tested as in :func:`steady_states`.  Its neighbours are B_j
+    = B_a + E_j with E_j diagonal, so rho_j = ||E_j X_a||_F, from the
+    diagonal difference and the row norms of X_a, bounds ||E_j X_a||_2.
+    B_j = (I + E_j X_a) B_a, and for rho_j < 1 the Banach lemma (Higham
+    2002, ch. 7) bounds ||B_j^-1||_2 <= ||X_a||_2 / (1 - rho_j), so
+    kappa-hat_j = ||B_j||_F ||X_a||_F / (1 - rho_j) >= cond(B_j).  An
+    anchor whose kappa_F is at most 1e-2 * COND_LIMIT lends X_a to the
+    neighbours with rho_j <= 1/2, each proved by its kappa-hat in the two
+    inequalities of :func:`steady_states`.  The rounding stays inside the
+    same margins: X_a is within 2e-3 of the inverse, which moves rho_j,
+    ||X_a||_F and, with 1 - rho_j >= 1/2, the factor 1 / (1 - rho_j) by
+    under 1%; the norms from the diagonal round a few eps away from
+    ``np.linalg.norm``'s.  A NaN or inf anywhere leaves a point unproved.
+
+    A proved point is solved for the state alone, by numpy's stacked
+    ``solve1`` on its buffer row, at about half the cost of an inverse.
+    On this LAPACK build its result is the trace-row column of B^-1 bit for
+    bit (a property of the build, not a numpy guarantee, which
+    ``test_kappa_f_and_the_state_are_cond_and_solve_bit_for_bit`` names),
+    so the state does not depend on which proof a point took.  Only the
+    points the anchors leave, and a one-point chunk (its own anchor), are
+    built whole and solved by :func:`steady_states`.
+    """
+    n = len(deltas)
+    block = np.empty((n, 3, 3), dtype=complex)
+    proved = np.zeros(n, dtype=bool)
+    bound = np.full(n, np.nan)
+    failures: list = []
+    if n > 1:
+        # allocated once: the chunks only move its 8 free diagonal entries
+        bordered = np.empty((min(n, _CHUNK), 9, 9), dtype=complex)
+        bordered[:] = build_liouvillian_stack(params, deltas[:1])
+        with np.errstate(all="ignore"):  # an overflow proves nothing
+            c_l = _off_diagonal_squares(bordered[0])
+            bordered[:, _TRACE_ROW] = _TRACE_CONSTRAINT
+            c_b = _off_diagonal_squares(bordered[0]) + 1.0
+        # row 8's diagonal stays the trace constraint's 1
+        free_diagonal = bordered.reshape(-1, 81)[:, :80:10]
+    for start in range(0, n, _CHUNK):
+        chunk = deltas[start:start + _CHUNK]
+        here = slice(start, start + len(chunk))
+        if len(chunk) > 1:  # else its own anchor, built whole
+            B = bordered[:len(chunk)]
+            diagonal = _liouvillian_entries(params, chunk, slice(None, None, 10))
+            free_diagonal[:len(chunk)] = diagonal[:, :8]
+            proved[here], bound[here] = _anchored(B, diagonal, c_l, c_b)
+            solved = proved[here]
+            if solved.all():
+                block[here] = _symmetrized(_solve(B))
+                continue
+            if solved.any():
+                block[here][solved] = _symmetrized(_solve(B[solved]))
+        rest = np.flatnonzero(~proved[here])
+        # named: each stack lives until the next is built, so a chunk's
+        # temporaries reuse its memory instead of faulting in new pages
+        stack = build_liouvillian_stack(params, chunk[rest])
+        block[start + rest], failed = steady_states(stack)
+        failures += [(start + int(rest[i]), exc) for i, exc in failed]
+    bound[~proved] = np.nan
+    return block, failures, proved, bound
+
+
+def _anchored(bordered: np.ndarray, diagonal: np.ndarray, c_l: float,
+              c_b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points of a chunk of two or more that its anchors prove, and
+    each one's bound on cond(B): an anchor's kappa_F, the others'
+    kappa-hat (see :func:`_grid_states`).  ``bordered`` holds the chunk's
+    template-filled bordered matrices, ``diagonal`` the (N, 9) diagonals of
+    their Liouvillians, ``c_l`` and ``c_b`` the template's off-diagonal
+    sums of squares.  A point whose rho-hat or norms are NaN or inf, or
+    whose rho-hat is above 1/2, is not proved."""
+    n = len(bordered)
+    starts = range(0, n, _ANCHOR_BLOCK)
+    sizes = [min(_ANCHOR_BLOCK, n - start) for start in starts]
+    anchors = [start + size // 2 for start, size in zip(starts, sizes)]
+    owner = np.repeat(np.arange(len(anchors)), sizes)  # each point's block
+    with np.errstate(all="ignore"):  # NaN and inf leave a point unproved
+        squares = (diagonal.conj() * diagonal).real
+        free = squares[:, :8].sum(axis=1)  # B's moving diagonal
+        norm_l = np.sqrt(c_l + free + squares[:, 8])
+        norm_b = np.sqrt(c_b + free)
+        inverse, kappa, norm = _kappa_f(bordered[anchors])
+        rows = (inverse.conj() * inverse).real.sum(axis=2)  # ||X_a[i]||^2
+        spread = np.sqrt(rows.sum(axis=1))[owner]  # ||X_a||_F
+        # the diagonal of B_j - B_a scales the rows of X_a
+        shift = diagonal[:, :8] - diagonal[anchors][owner, :8]
+        rho = np.sqrt(np.einsum("ij,ij->i", (shift.conj() * shift).real,
+                                rows[owner, :8]))
+        bound = norm_b * spread / (1.0 - rho)
+        proved = ((kappa <= 1e-2 * COND_LIMIT)[owner] & (rho <= 0.5)
+                  & _within(bound, norm_l, norm_b))
+        # each anchor by its own kappa_F, as in a one-matrix stack
+        bound[anchors] = kappa
+        proved[anchors] = _within(kappa, norm_l[anchors], norm)
+    return proved, bound
+
+
+def _off_diagonal_squares(x: np.ndarray) -> float:
+    """The sum of |x[i, j]|^2 over the off-diagonal entries of a 9x9 x."""
+    squares = (x.conj() * x).real
+    squares.flat[::10] = 0.0
+    return squares.sum()
+
+
+def _within(bound: np.ndarray, norm_l: np.ndarray,
+            norm_b: np.ndarray) -> np.ndarray:
+    """Where a bound on cond(B) proves both checks of :func:`steady_states`,
+    given ||L||_F and ||B||_F; never where any of them is NaN."""
+    return ((bound <= 1e-2 * COND_LIMIT)
+            & (6.0 * bound * NULL_TOL * norm_l < norm_b))
+
+
+def _solve(bordered: np.ndarray) -> np.ndarray:
+    """The (N, 9) solutions of B x = e_8, the trace row's unit vector, for an
+    (N, 9, 9) stack of trace-bordered matrices: ``np.linalg.solve(B, e_8)``
+    without its checks, NaN where LAPACK finds a matrix singular."""
+    return _umath_linalg.solve1(bordered, _UNIT_TRACE, signature="DD->D")
+
+
 def _kappa_f(bordered: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The inverses of an (N, 9, 9) complex stack, NaN where LAPACK finds a
     matrix singular, with kappa_F and ||B||_F per matrix: the inverse and
@@ -309,13 +367,6 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     """||x||_F of each matrix of an (N, 9, 9) stack, in the operations of
     ``np.linalg.norm(x, axis=(1, 2))``."""
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(1, 2)))
-
-
-def _norm(x: np.ndarray) -> np.ndarray:
-    """||x||_F of each matrix of an (N, 9, 9) stack, for a complex stack in
-    one pass and no temporary; rounded unlike :func:`_frobenius`."""
-    parts = np.ascontiguousarray(x, dtype=complex).view(float).reshape(len(x), -1)
-    return np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
 
 def _symmetrized(vectors: np.ndarray) -> np.ndarray:
@@ -351,8 +402,10 @@ def solve_grid(params: SystemParams, deltas,
     detunings ``deltas``, NaN where a point fails, and the (index, error)
     failures in grid order.
 
-    ``backend`` "numeric" solves Liouvillian stacks of 256 detunings
-    (:func:`steady_states`), "analytic" the closed forms: from 32 points
+    ``backend`` "numeric" solves 256 detunings at a time from one template
+    Liouvillian and each point's diagonal, proving most points by one
+    inverse per 64 and building whole only the Liouvillians of the rest
+    (:func:`_grid_states`); "analytic" the closed forms: from 32 points
     (``analytic._GRID_PASS_POINTS``) one evaluation per slice of up to
     2,048 points in float64 arrays that repeat CPython's float and complex
     arithmetic, below it one Python evaluation per point.  Each
@@ -365,14 +418,7 @@ def solve_grid(params: SystemParams, deltas,
     if (bad := deltas[~np.isfinite(deltas)]).size:  # SystemParams' check
         raise ValueError(f"delta_probe must be finite, got {bad[0]}")
     if backend == "numeric":
-        block = np.empty((len(deltas), 3, 3), dtype=complex)
-        failures: list = []
-        for start in range(0, len(deltas), _CHUNK):
-            # named: each stack lives until the next is built, 7.8x fewer faults
-            stack = build_liouvillian_stack(params, deltas[start:start + _CHUNK])
-            block[start:start + _CHUNK], failed = steady_states(stack)
-            failures += [(start + i, exc) for i, exc in failed]
-        return block, failures
+        return _grid_states(params, deltas)[:2]
     if backend == "analytic":
         return _steady_state_rows(params, deltas)
     raise ValueError(f"backend must be 'numeric' or 'analytic', got {backend!r}")

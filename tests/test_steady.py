@@ -26,6 +26,7 @@ from eit3.model import (
     Configuration,
     Liouvillian,
     SystemParams,
+    _liouvillian_entries,
     build_liouvillian,
     build_liouvillian_stack,
     unvectorize,
@@ -41,7 +42,8 @@ from eit3.steady import (
     SingularSolveError,
     StepTooLargeError,
     _ANCHOR_BLOCK,
-    _anchored,
+    _CHUNK,
+    _grid_states,
     _kappa_f,
     evolve,
     is_density_matrix,
@@ -89,10 +91,10 @@ def one_matrix_solve(M):
     return 0.5 * (rho + rho.conj().T)
 
 
-def stiff_stacks(seed, lo, hi, sets=150, per_set=8):
-    """Liouvillian stacks of random parameter sets: rates log-uniform in
-    [lo, hi], about one in seven set to exactly 0, the pump on resonance in
-    every other set, probe detunings spread over both pump resonances."""
+def stiff_grids(seed, lo, hi, sets=150, per_set=8):
+    """Parameter sets and probe detunings: rates log-uniform in [lo, hi],
+    about one in seven set to exactly 0, the pump on resonance in every
+    other set, probe detunings spread over both pump resonances."""
     rng = np.random.default_rng(seed)
     for i in range(sets):
         rates = np.exp(rng.uniform(np.log(lo), np.log(hi), 4))
@@ -100,7 +102,12 @@ def stiff_stacks(seed, lo, hi, sets=150, per_set=8):
         delta_pump = 0.0 if i % 2 else float(rng.uniform(-2, 2) * rates.max())
         p = SystemParams(list(Configuration)[i % 3], *rates.tolist(),
                          delta_pump=delta_pump)
-        deltas = rng.uniform(-2, 2, per_set) * max(rates[1], lo)
+        yield p, rng.uniform(-2, 2, per_set) * max(rates[1], lo)
+
+
+def stiff_stacks(seed, lo, hi):
+    """The Liouvillian stacks of :func:`stiff_grids`."""
+    for p, deltas in stiff_grids(seed, lo, hi):
         yield build_liouvillian_stack(p, deltas)
 
 
@@ -493,13 +500,11 @@ def test_steady_states_attributes_each_failure_to_its_matrix(linalg_calls):
     broken = good.copy()
     broken[3, 5] = np.nan
     out = outcomes(steady_states(np.stack([good, undriven, rank8, broken, good])))
-    # the stack's anchor, its centre matrix, is singular and proves nothing;
-    # then one inverse of the whole stack proves and solves the good
-    # matrices, and the two finite failures get the bordered matrix's
-    # condition number, then L's SVD, each in one call
+    # one inverse of the whole stack proves and solves the good matrices,
+    # and the two finite failures get the bordered matrix's condition
+    # number, then L's SVD, each in one call
     assert call_shapes(linalg_calls) == [
-        ("inv", (1, 9, 9)), ("inv", (5, 9, 9)), ("cond", (2, 9, 9)),
-        ("svd", (2, 9, 9))]
+        ("inv", (5, 9, 9)), ("cond", (2, 9, 9)), ("svd", (2, 9, 9))]
     assert np.array_equal(out[0], steady_state(build_liouvillian(p)))
     assert np.array_equal(out[4], out[0])
     assert isinstance(out[1], DegenerateNullSpaceError)
@@ -563,32 +568,24 @@ def match_oracle(stack, out):
 
 @pytest.mark.parametrize("lo,hi", [(1e-5, 1e5), (1e-12, 1e-8)])
 def test_stiff_stacks_match_the_two_svd_oracle(lo, hi, linalg_calls):
-    # the batched solve decides both checks from the anchor's inverse, or
-    # from a matrix's own inverse where it can prove them, else from the
-    # bordered matrix's condition number and L's SVD; the oracle from the
-    # two SVDs: states bit for bit, errors by type and message; tiny rates
-    # put the condition number near COND_LIMIT, where the SVD's rounding is
-    # largest
+    # the stacked solve decides both checks from each matrix's own inverse
+    # where it can prove them, else from the bordered matrix's condition
+    # number and L's SVD; the oracle from the two SVDs: states bit for bit,
+    # errors by type and message; tiny rates put the condition number near
+    # COND_LIMIT, where the SVD's rounding is largest
     outcomes = Counter()
     for M in stiff_stacks(7, lo, hi):
         linalg_calls.clear()
         out = steady_states(M)
-        # the anchor's inverse; then a one-vector solve of the matrices it
-        # proves and an inverse of the others, then the 2-norm condition
-        # number and L's SVD of the matrices neither proof clears
+        # the stack's inverse, then the 2-norm condition number and L's SVD
+        # of the matrices its kappa_F leaves
         calls = [(name, len(a)) for name, a, args in linalg_calls]
-        assert calls[0] == ("inv", 1)
-        assert [name for name, _ in calls] in (
-            ["inv", "solve1"], ["inv", "inv"], ["inv", "inv", "cond", "svd"],
-            ["inv", "solve1", "inv"], ["inv", "solve1", "inv", "cond", "svd"])
-        anchored = [B for name, a, args in linalg_calls
-                    if name == "solve1" for B in a]
+        assert calls[0] == ("inv", len(M))
+        assert [name for name, _ in calls] in (["inv"], ["inv", "cond", "svd"])
         fallback = [B for name, a, args in linalg_calls
                     if name == "cond" and not args for B in a]
         for Mi, ref in zip(M, match_oracle(M, out)):
-            path = ("anchored" if any(np.array_equal(bordered(Mi), B)
-                                      for B in anchored) else
-                    "fallback" if any(np.array_equal(bordered(Mi), B)
+            path = ("fallback" if any(np.array_equal(bordered(Mi), B)
                                       for B in fallback) else "proof")
             outcomes[path] += 1
             outcomes[path, type(ref).__name__] += 1
@@ -604,11 +601,10 @@ def test_stiff_stacks_match_the_two_svd_oracle(lo, hi, linalg_calls):
     if lo < 1e-8:
         assert outcomes["ndarray", True] > 0
         assert outcomes["SingularSolveError", True] > 0
-    # kappa_F falls on both sides of 1e-2 * COND_LIMIT, and the anchors,
-    # each matrix's own proof and the SVD fallback all decide points
+    # kappa_F falls on both sides of 1e-2 * COND_LIMIT, and both each
+    # matrix's own proof and the SVD fallback decide points
     assert outcomes["kappa_F within the margin", True] > 0
     assert outcomes["kappa_F within the margin", False] > 0
-    assert outcomes["anchored"] > 0
     assert outcomes["proof"] > 0
     assert outcomes["fallback"] > 0
     # the stiff matrices that pass without the proof are solved after both
@@ -673,13 +669,10 @@ def test_singular_and_non_finite_matrices_leave_the_proof_to_the_rest(linalg_cal
                       good[2]])
     linalg_calls.clear()
     out = steady_states(stack)
-    # the anchor (good[1], the centre) proves itself alone: its neighbours
-    # are other systems, too far from it for its inverse to bound; they get
-    # one inverse, and only the singular matrix the bordered matrix's
-    # condition number, then L's SVD
+    # one inverse of the stack, and only the singular matrix gets the
+    # bordered matrix's condition number, then L's SVD
     assert call_shapes(linalg_calls) == [
-        ("inv", (1, 9, 9)), ("solve1", (1, 9, 9), (9,)), ("inv", (5, 9, 9)),
-        ("cond", (1, 9, 9)), ("svd", (1, 9, 9))]
+        ("inv", (6, 9, 9)), ("cond", (1, 9, 9)), ("svd", (1, 9, 9))]
     refs = match_oracle(stack, out)
     assert [type(r).__name__ for r in refs] == [
         "ndarray", "DegenerateNullSpaceError", "SingularSolveError",
@@ -717,104 +710,229 @@ def test_stiff_system_with_a_unique_state_is_solved(config):
     assert err <= 1e-9
 
 
+def counted_builds(monkeypatch):
+    """The detunings of each ``build_liouvillian_stack`` call that
+    ``eit3.steady`` makes from now on."""
+    builds = []
+
+    def build(params, deltas, _build=build_liouvillian_stack):
+        builds.append(np.array(deltas))
+        return _build(params, deltas)
+    monkeypatch.setattr(eit3.steady, "build_liouvillian_stack", build)
+    return builds
+
+
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
-def test_grid_solve_inverts_one_anchor_per_block(tag, linalg_calls):
+def test_grid_solve_inverts_one_anchor_per_block(tag, linalg_calls,
+                                                 monkeypatch):
     # the inverse of each block's centre matrix proves both checks on every
     # point of the 2001-point reference grids (seven chunks of 256 points,
     # four blocks each, and one of 209, in four blocks), and each chunk's
     # states are one stacked solve for e_8: neither the bordered matrix's
-    # SVD nor L's is needed
-    solve_grid(reference_params(tag), np.linspace(-40.0, 40.0, 2001), "numeric")
+    # SVD nor L's is needed, and no Liouvillian but the template, the one
+    # at the first detuning, is built whole
+    builds = counted_builds(monkeypatch)
+    deltas = np.linspace(-40.0, 40.0, 2001)
+    solve_grid(reference_params(tag), deltas, "numeric")
     assert call_shapes(linalg_calls) == [
         *[("inv", (4, 9, 9)), ("solve1", (256, 9, 9), (9,))] * 7,
         ("inv", (4, 9, 9)), ("solve1", (209, 9, 9), (9,))]
-    # a one-point solve is its own anchor: one inverse, and nothing else
-    linalg_calls.clear()
-    steady_state(build_liouvillian(reference_params(tag)))
-    assert call_shapes(linalg_calls) == [("inv", (1, 9, 9))]
+    assert [d.tolist() for d in builds] == [[-40.0]]
+    # a one-point solve, and a one-point grid, is its own anchor: one
+    # inverse, and nothing else
+    for solve in (lambda: steady_state(build_liouvillian(reference_params(tag))),
+                  lambda: solve_grid(reference_params(tag), [0.0], "numeric")):
+        linalg_calls.clear()
+        solve()
+        assert call_shapes(linalg_calls) == [("inv", (1, 9, 9))]
+    assert [d.tolist() for d in builds] == [[-40.0], [0.0]]
 
 
 def reference_grids(half_width=40.0, tags=("lambda", "cascade", "vee")):
-    """The Liouvillian stacks of the reference systems on 2001 detunings."""
-    return [build_liouvillian_stack(reference_params(tag),
-                                    np.linspace(-half_width, half_width, 2001))
+    """The reference systems and 2001 detunings over +-half_width MHz."""
+    return [(reference_params(tag), np.linspace(-half_width, half_width, 2001))
             for tag in tags]
 
 
-def anchor_proof(M):
-    """The matrices of stack M that its anchors prove, each checked against
-    the definitions: cond(B) within COND_LIMIT, at most one singular value
-    of L at or below NULL_TOL * sigma_max, and kappa_F(B) (a bound on cond
-    the Banach lemma also gives) within the returned bound, to the 1e-2
-    that the anchor's rounding may take of it."""
-    B = np.stack([bordered(Mi) for Mi in M])
-    proved, bound = _anchored(M, B)
-    for Bi, Mi, b in zip(B[proved], M[proved], bound[proved]):
+def anchor_proof(p, deltas):
+    """The points of the numeric grid that its anchors prove, each checked
+    against the definitions: cond(B) within COND_LIMIT, at most one singular
+    value of L at or below NULL_TOL * sigma_max, and kappa_F(B) (a bound on
+    cond the Banach lemma also gives) within the returned bound, to the
+    1e-2 that the anchor's rounding may take of it; and the grid's
+    outcomes, the one-matrix oracle's."""
+    block, failures, proved, bound = _grid_states(p, np.asarray(deltas))
+    M = build_liouvillian_stack(p, deltas)
+    for Mi, b in zip(M[proved], bound[proved]):
+        Bi = bordered(Mi)
         assert np.linalg.cond(Bi) <= COND_LIMIT
         sv = np.linalg.svd(Mi, compute_uv=False)
         assert (sv <= NULL_TOL * sv.max()).sum() <= 1
         assert np.linalg.cond(Bi, "fro") <= b * (1 + 1e-2)
+    match_oracle(M, (block, failures))
     return proved
 
 
 def test_anchored_proof_is_sound_and_solves_to_the_oracle():
-    # every matrix an anchor's inverse proves passes both checks by their
-    # definitions, and the solve's states and failures are the one-matrix
-    # oracle's bit for bit, on stiff random stacks (eight detunings per
+    # every point an anchor's inverse proves passes both checks by their
+    # definitions, and the grid's states and failures are the one-matrix
+    # oracle's bit for bit, on stiff random grids (eight detunings per
     # parameter set, one block each) and on the whole reference grids
     seen = Counter()
-    for M in [*stiff_stacks(7, 1e-5, 1e5), *stiff_stacks(7, 1e-12, 1e-8),
-              *reference_grids()]:
-        proved = anchor_proof(M)
-        match_oracle(M, steady_states(M))
-        anchors = np.zeros(len(M), dtype=bool)
-        anchors[[s + min(_ANCHOR_BLOCK, len(M) - s) // 2
-                 for s in range(0, len(M), _ANCHOR_BLOCK)]] = True
-        seen["neighbours proved"] += (proved & ~anchors).sum()
-        seen["neighbours left"] += (~proved & ~anchors).sum()
-    assert seen["neighbours proved"] > 6000 and seen["neighbours left"] > 0
+    for kind, grids in (("stiff", [*stiff_grids(7, 1e-5, 1e5),
+                                   *stiff_grids(7, 1e-12, 1e-8)]),
+                        ("reference", reference_grids())):
+        for p, deltas in grids:
+            proved = anchor_proof(p, deltas)
+            anchors = np.zeros(len(deltas), dtype=bool)
+            for chunk in range(0, len(deltas), _CHUNK):
+                size = min(_CHUNK, len(deltas) - chunk)
+                anchors[[chunk + s + min(_ANCHOR_BLOCK, size - s) // 2
+                         for s in range(0, size, _ANCHOR_BLOCK)]] = True
+            seen[kind, "neighbours proved"] += (proved & ~anchors).sum()
+            seen[kind, "neighbours left"] += (~proved & ~anchors).sum()
+    assert seen["stiff", "neighbours proved"] > 0
+    assert seen["stiff", "neighbours left"] > 0
+    # every point of the reference grids
+    assert seen["reference", "neighbours proved"] == 3 * (2001 - 8 * 4)
 
 
 @pytest.mark.parametrize("centre", ["not a number", "infinite", "singular"])
 def test_a_block_whose_anchor_fails_takes_the_one_matrix_path(centre,
-                                                             linalg_calls):
-    # a block of the lambda reference grid with its centre matrix replaced:
-    # without an anchor's inverse every matrix takes its own inverse, kappa_F
-    # and, where that fails, cond and the SVD, to the oracle's outcome
-    M = build_liouvillian_stack(reference_params("lambda"),
-                                np.linspace(-5.0, 5.0, _ANCHOR_BLOCK))
-    centre_index = _ANCHOR_BLOCK // 2
-    if centre == "singular":  # the undriven system: B exactly singular
-        M[centre_index] = build_liouvillian(SystemParams(
-            Configuration.LAMBDA, 0.0, 0.0, gamma_a=0.1, gamma_b=6.0)).matrix
+                                                             linalg_calls,
+                                                             monkeypatch):
+    # one block of 64 detunings of the lambda reference system, whose
+    # centre's diagonal reads NaN or inf, or of the undriven system, whose
+    # every bordered matrix is exactly singular: without an anchor's inverse
+    # no point is proved, and each is built whole and takes its own
+    # inverse, kappa_F and, where that fails, cond and the SVD, to the
+    # oracle's outcome
+    p = reference_params("lambda")
+    if centre == "singular":
+        p = SystemParams(Configuration.LAMBDA, 0.0, 0.0, gamma_a=0.1,
+                         gamma_b=6.0)
     else:
-        M[centre_index, 3, 5] = np.nan if centre == "not a number" else np.inf
-    linalg_calls.clear()
-    out = steady_states(M)
+        def entries(params, deltas, slots=slice(None),
+                    _entries=_liouvillian_entries):
+            L = _entries(params, deltas, slots)
+            if slots != slice(None):  # the diagonal alone
+                L[_ANCHOR_BLOCK // 2, 3] = (np.nan if centre == "not a number"
+                                            else np.inf)
+            return L
+        monkeypatch.setattr(eit3.steady, "_liouvillian_entries", entries)
+    deltas = np.linspace(-5.0, 5.0, _ANCHOR_BLOCK)
+    builds = counted_builds(monkeypatch)
+    block, failures, proved, _ = _grid_states(p, deltas)
+    assert not proved.any()
     assert call_shapes(linalg_calls)[:2] == [
         ("inv", (1, 9, 9)), ("inv", (_ANCHOR_BLOCK, 9, 9))]
     assert "solve1" not in [name for name, a, args in linalg_calls]
-    refs = match_oracle(M, out)
-    assert [i for i, r in enumerate(refs) if isinstance(r, Exception)] == [
-        centre_index]
+    assert [len(d) for d in builds] == [1, _ANCHOR_BLOCK]
+    refs = match_oracle(build_liouvillian_stack(p, deltas), (block, failures))
+    failed = {type(r).__name__ for r in refs if isinstance(r, Exception)}
+    assert failed == ({"DegenerateNullSpaceError"} if centre == "singular"
+                      else set())
 
 
-def test_wide_grid_mixes_anchored_and_one_matrix_proofs_in_a_block(linalg_calls):
+def test_wide_grid_mixes_anchored_and_one_matrix_proofs_in_a_block(linalg_calls,
+                                                                  monkeypatch):
     # over +-150 MHz the lambda grid's blocks are wider than the anchors'
-    # reach: inside one block the matrices near the centre are proved by the
+    # reach: inside one block the points near the centre are proved by the
     # anchor's inverse and solved for the state alone, those further out
-    # take their own inverse; the outcomes are the one-matrix oracle's
-    [M] = reference_grids(150.0, ("lambda",))
-    mixed = 0
-    for start in range(0, len(M), 256):  # the chunks of solve_grid
-        proved = anchor_proof(M[start:start + 256])
-        blocks = proved.reshape(-1, _ANCHOR_BLOCK) if len(proved) == 256 else []
-        mixed += sum(block.any() and not block.all() for block in blocks)
+    # are built whole and take their own inverse; the outcomes are the
+    # one-matrix oracle's
+    [(p, deltas)] = reference_grids(150.0, ("lambda",))
+    proved = anchor_proof(p, deltas)
+    chunks = range(0, len(deltas), _CHUNK)
+    mixed = sum(block.any() and not block.all()
+                for start in chunks[:-1]
+                for block in proved[start:start + _CHUNK].reshape(
+                    -1, _ANCHOR_BLOCK))
     assert mixed > 0
+    # the template, then per chunk one stack of the points it leaves
+    builds = counted_builds(monkeypatch)
     linalg_calls.clear()
-    out = steady_states(M)
+    solve_grid(p, deltas, "numeric")
     assert {name for name, a, args in linalg_calls} == {"inv", "solve1"}
-    match_oracle(M, out)
+    left = [deltas[start:start + _CHUNK][~proved[start:start + _CHUNK]]
+            for start in chunks]
+    assert [d.tobytes() for d in builds] == [
+        deltas[:1].tobytes(), *(d.tobytes() for d in left if d.size)]
+
+
+def composed_numeric(p, d):
+    """The numeric state at one detuning from the one-point calls,
+    ``steady_state(build_liouvillian(...))`` of the replaced parameters, or
+    the error that point fails with."""
+    try:
+        return steady_state(build_liouvillian(replace(p, delta_probe=float(d))))
+    except ValueError as exc:
+        return exc
+
+
+# parameter changes and (first, last, points) of the numeric grids below
+NUMERIC_GRIDS = {
+    **{f"reference-{n}": ({}, (-40.0, 40.0, n))
+       for n in (1, 2, 3, 64, 65, 257, 601)},
+    "wide": ({}, (-1e77, 1e77, 601)),
+    "pump 1e308": ({"delta_pump": 1e308}, (-1.7e308, 0.0, 601)),
+    "pump -1e308": ({"delta_pump": -1e308}, (-1.7e308, 0.0, 601)),
+    "negative zero probe": ({"g_probe": -0.0}, (-40.0, 40.0, 601)),
+    "gamma_a zero": ({"gamma_a": 0.0}, (-40.0, 40.0, 601)),
+    "gamma_b zero": ({"gamma_b": 0.0}, (-40.0, 40.0, 601)),
+}
+
+
+@pytest.mark.parametrize("grid", list(NUMERIC_GRIDS))
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_numeric_grid_matches_the_per_point_composition(tag, grid):
+    # one template per grid and nine diagonal entries per point give every
+    # state and error of the one-point calls, on both sides of a block and
+    # a chunk boundary and on grids whose template or points overflow: at
+    # a pump detuning of +-1e308 one of the two leaves the template
+    # non-finite in each configuration
+    change, (first, last, points) = NUMERIC_GRIDS[grid]
+    p = replace(reference_params(tag), **change)
+    deltas = np.linspace(first, last, points)
+    states = outcomes(solve_grid(p, deltas, "numeric"))
+    assert len(states) == points
+    for d, got in zip(deltas, states):
+        assert same_outcome(got, composed_numeric(p, d)), d
+
+
+def test_template_filled_rows_are_the_build_rows():
+    # the numeric grid takes each point's off-diagonal entries from the
+    # template, the build at the first detuning, and computes its diagonal
+    # alone.  The diagonal is the build's bit for bit, and wherever the
+    # row so filled is finite it is the point's whole build bit for bit:
+    # random rates (some zero, some near overflow), pump detunings and
+    # probe detunings of either sign from 1e-300 to 1e308
+    rng = np.random.default_rng(33)
+    seen = Counter()
+    for i in range(600):
+        rates = 10.0 ** rng.uniform(-6, 6, 4)
+        rates[rng.random(4) < 0.15] = 0.0
+        if i % 10 == 0:
+            rates[rng.integers(4)] = 10.0 ** rng.uniform(307, 308.2)
+        delta_pump = (0.0, float(rng.uniform(-1, 1) * rates.max()),
+                      float(rng.choice([-1, 1]) * 10.0 ** rng.uniform(307, 308.2))
+                      )[i % 3]
+        p = SystemParams(list(Configuration)[i % 3], *rates.tolist(),
+                         delta_pump=delta_pump)
+        deltas = (rng.choice([-1.0, 1.0], 96)
+                  * 10.0 ** rng.uniform((-300, 300)[i % 2], 308.2, 96))
+        deltas[rng.random(96) < 0.05] = rng.choice([0.0, -0.0])
+        deltas[rng.random(96) < 0.2] = rng.choice([-1.7e308, 1.7e308])
+        M = build_liouvillian_stack(p, deltas)
+        diagonal = _liouvillian_entries(p, deltas, slice(None, None, 10))
+        assert diagonal.tobytes() == M.reshape(-1, 81)[:, ::10].copy().tobytes()
+        filled = np.repeat(M[:1], len(deltas), axis=0)
+        filled.reshape(-1, 81)[:, ::10] = diagonal
+        finite = np.isfinite(filled).all(axis=(1, 2))
+        assert filled[finite].tobytes() == M[finite].tobytes()
+        seen["finite"] += finite.sum()
+        seen["not finite"] += (~finite).sum()
+    assert seen["finite"] > 20000 and seen["not finite"] > 1000
 
 
 def test_kappa_f_and_the_state_are_cond_and_solve_bit_for_bit():
@@ -829,7 +947,7 @@ def test_kappa_f_and_the_state_are_cond_and_solve_bit_for_bit():
     e_8 = np.eye(9, dtype=complex)[row]
     seen = Counter()
     for M in [*stiff_stacks(7, 1e-5, 1e5), *stiff_stacks(7, 1e-12, 1e-8),
-              *reference_grids()]:
+              *(build_liouvillian_stack(p, d) for p, d in reference_grids())]:
         B = np.stack([bordered(Mi) for Mi in M])
         with np.errstate(all="ignore"):
             inverse, kappa, norm = _kappa_f(B)
