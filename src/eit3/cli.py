@@ -200,8 +200,7 @@ def load_config(path) -> RunConfig:
     output_path = _require(out, "path", "output.")
     if not isinstance(output_path, str):
         raise ConfigError(f"field output.path must be a string, got {output_path!r}")
-    if not Path(output_path).name:  # "", ".", "/": no file to write
-        raise ConfigError(f"field output.path must name a file, got {output_path!r}")
+    _require_file_name(output_path, "field output.path")
     output_format = _require(out, "format", "output.")
     if output_format not in ("csv", "json"):
         raise ConfigError(f"field output.format must be csv or json, got {output_format!r}")
@@ -212,6 +211,11 @@ def load_config(path) -> RunConfig:
                      sweep_max=sweep_max, sweep_points=points, backend=backend,
                      output_path=output_path, output_format=output_format,
                      sha256=sha)
+
+
+def _require_file_name(path_str: str, where: str) -> None:
+    if not Path(path_str).name:  # "", ".", "/": no file to write
+        raise ConfigError(f"{where} must name a file, got {path_str!r}")
 
 
 def _resolve_output(path_str: str) -> Path:
@@ -378,7 +382,8 @@ def cmd_sweep(run: RunConfig, out_override: str | None = None) -> int:
     then lists the written sweep's errors; a CSV file keeps a NaN row for
     each failed point, a JSON file has no record for it.
     """
-    path = _resolve_output(out_override or run.output_path)
+    path = _resolve_output(
+        run.output_path if out_override is None else out_override)
     metadata = _metadata(run, "sweep")
     with _writing(path):  # an unwritable path fails before any point is solved
         path.open("a", encoding="utf-8").close()  # "a": nothing truncated yet
@@ -515,7 +520,7 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
         return EXIT_SOLVER
 
     default = Path(run.output_path).with_suffix(".evolve.csv").name
-    path = _resolve_output(out_override or default)
+    path = _resolve_output(default if out_override is None else out_override)
     metadata = _metadata(run, "evolve")
     metadata["delta_probe_mhz"] = repr(delta)
     metadata["t_end_us"] = repr(t_end)
@@ -683,6 +688,8 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, option[2:].replace("-", "_"), None)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"option {option} must be finite, got {value!r}")
+        if getattr(args, "out", None) is not None:  # checked before any solve
+            _require_file_name(args.out, "option --out")
         if args.command == "sweep":
             return cmd_sweep(run, args.out)
         if args.command == "steady":

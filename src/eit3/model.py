@@ -131,8 +131,9 @@ class SystemParams:
     Gamma_32 of T-) for cascade and (Gamma_21 of U-, Gamma_31 of V-) for
     vee; spontaneous decay from lower to higher levels is structurally
     absent.
-    Couplings, decay constants and detunings must be finite; couplings and
-    decay constants must also be >= 0.
+    ``config`` must be a :class:`Configuration` member.  Couplings, decay
+    constants and detunings must be finite; couplings and decay constants
+    must also be >= 0.
     A unique steady state additionally needs at least one positive decay
     constant; that is diagnosed by the solver (DegenerateNullSpaceError),
     since purely unitary parameter sets are still valid for time evolution.
@@ -147,6 +148,8 @@ class SystemParams:
     delta_pump: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.config, Configuration):
+            raise ValueError(f"config must be a Configuration, got {self.config!r}")
         for name in ("g_probe", "g_pump", "gamma_a", "gamma_b",
                      "delta_probe", "delta_pump"):
             if not math.isfinite(getattr(self, name)):
@@ -230,15 +233,15 @@ def _hamiltonian_rows(params: SystemParams, delta_probe) -> np.ndarray:
 
 
 def _dissipator(params: SystemParams) -> np.ndarray:
-    """The 9x9 dissipator matrix: zeros plus each nonzero channel's
-    Gamma_kl times its unit superoperator, in channel order.  Entries that
-    overflow read inf or NaN, with a numpy warning unless the caller
-    ignores it, as :func:`build_liouvillian_stack` does."""
+    """The 9x9 dissipator matrix: zeros plus each channel's Gamma_kl times
+    its unit superoperator, in channel order (a zero rate adds signed zeros,
+    which move no bit).  Entries that overflow read inf or NaN, with a
+    numpy warning unless the caller ignores it, as
+    :func:`build_liouvillian_stack` does."""
     D = np.zeros((9, 9), dtype=complex)
     for gamma, unit in zip((params.gamma_a, params.gamma_b),
                            _DISSIPATORS[params.config]):
-        if gamma != 0.0:
-            D += gamma * unit
+        D += gamma * unit
     return D
 
 

@@ -148,7 +148,8 @@ def steady_state(L: Liouvillian) -> np.ndarray:
 
 def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
     """The (N, 3, 3) block of stationary states of an (N, 9, 9) Liouvillian
-    stack, NaN where a matrix fails, and the (index, error) failures in order.
+    stack, NaN where a matrix fails, and the (index, error) failures in order;
+    any other shape raises ``ValueError``.
 
     Every matrix gets both checks: a null-space dimension above 1 (singular
     values at or below NULL_TOL * sigma_max) gives
@@ -180,6 +181,8 @@ def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
     grid by one inverse per 64; see :func:`_grid_states`.)
     """
     M = np.asarray(matrices)
+    if M.shape[1:] != (9, 9):
+        raise ValueError(f"matrices must be an (N, 9, 9) stack, got shape {M.shape}")
     bordered = np.array(M, dtype=complex)
     bordered[:, _TRACE_ROW] = _TRACE_CONSTRAINT
     with np.errstate(all="ignore"):
@@ -194,10 +197,9 @@ def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
     cond = np.zeros(len(M))  # proved rows are within the limit
     degenerate = np.zeros(len(M), dtype=bool)
     rows = np.flatnonzero(finite & ~proved)
-    if rows.size:
-        cond[rows] = np.linalg.cond(bordered[rows])
-        sv = np.linalg.svd(M[rows], compute_uv=False)  # sigma_max first
-        degenerate[rows] = (sv <= NULL_TOL * sv[:, :1]).sum(axis=1) > 1
+    cond[rows] = np.linalg.cond(bordered[rows])
+    sv = np.linalg.svd(M[rows], compute_uv=False)  # sigma_max first
+    degenerate[rows] = (sv <= NULL_TOL * sv[:, :1]).sum(axis=1) > 1
     ok = finite & ~degenerate & (cond <= COND_LIMIT)
     block = np.full((len(M), 3, 3), complex(np.nan, np.nan))
     block[ok] = _symmetrized(inverse[ok][:, :, _TRACE_ROW])
@@ -206,10 +208,10 @@ def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
 
 
 def _grid_states(params: SystemParams, deltas: np.ndarray) -> tuple[
-        np.ndarray, list, np.ndarray, np.ndarray]:
+        np.ndarray, list, np.ndarray]:
     """:func:`solve_grid`'s numeric backend on finite ``deltas``: the block
-    of states and the failures, then the points the anchors prove and each
-    one's bound on cond(B) (NaN for the points they leave).
+    of states, the failures and each point's bound on cond(B), NaN exactly
+    where no anchor proves the point.
 
     Along the grid only L's diagonal moves.  One template L_0, the build at
     the first detuning, gives the off-diagonal entries of every point's L;
@@ -257,7 +259,6 @@ def _grid_states(params: SystemParams, deltas: np.ndarray) -> tuple[
     """
     n = len(deltas)
     block = np.empty((n, 3, 3), dtype=complex)
-    proved = np.zeros(n, dtype=bool)
     bound = np.full(n, np.nan)
     failures: list = []
     if n > 1:
@@ -277,32 +278,31 @@ def _grid_states(params: SystemParams, deltas: np.ndarray) -> tuple[
             B = bordered[:len(chunk)]
             diagonal = _liouvillian_entries(params, chunk, slice(None, None, 10))
             free_diagonal[:len(chunk)] = diagonal[:, :8]
-            proved[here], bound[here] = _anchored(B, diagonal, c_l, c_b)
-            solved = proved[here]
+            bound[here] = _anchored(B, diagonal, c_l, c_b)
+            solved = ~np.isnan(bound[here])
             if solved.all():
                 block[here] = _symmetrized(_solve(B))
                 continue
             if solved.any():
                 block[here][solved] = _symmetrized(_solve(B[solved]))
-        rest = np.flatnonzero(~proved[here])
+        rest = np.flatnonzero(np.isnan(bound[here]))
         # named: each stack lives until the next is built, so a chunk's
         # temporaries reuse its memory instead of faulting in new pages
         stack = build_liouvillian_stack(params, chunk[rest])
         block[start + rest], failed = steady_states(stack)
         failures += [(start + int(rest[i]), exc) for i, exc in failed]
-    bound[~proved] = np.nan
-    return block, failures, proved, bound
+    return block, failures, bound
 
 
 def _anchored(bordered: np.ndarray, diagonal: np.ndarray, c_l: float,
-              c_b: float) -> tuple[np.ndarray, np.ndarray]:
-    """The points of a chunk of two or more that its anchors prove, and
-    each one's bound on cond(B): an anchor's kappa_F, the others'
-    kappa-hat (see :func:`_grid_states`).  ``bordered`` holds the chunk's
+              c_b: float) -> np.ndarray:
+    """Each point's bound on cond(B) in a chunk of two or more, NaN where
+    its anchor proves nothing: an anchor's kappa_F, the others' kappa-hat
+    (see :func:`_grid_states`).  ``bordered`` holds the chunk's
     template-filled bordered matrices, ``diagonal`` the (N, 9) diagonals of
     their Liouvillians, ``c_l`` and ``c_b`` the template's off-diagonal
-    sums of squares.  A point whose rho-hat or norms are NaN or inf, or
-    whose rho-hat is above 1/2, is not proved."""
+    sums of squares.  A point whose rho-hat or norms are NaN or inf, whose
+    rho-hat is above 1/2, or whose bound fails either check, reads NaN."""
     n = len(bordered)
     starts = range(0, n, _ANCHOR_BLOCK)
     sizes = [min(_ANCHOR_BLOCK, n - start) for start in starts]
@@ -326,7 +326,8 @@ def _anchored(bordered: np.ndarray, diagonal: np.ndarray, c_l: float,
         # each anchor by its own kappa_F, as in a one-matrix stack
         bound[anchors] = kappa
         proved[anchors] = _within(kappa, norm_l[anchors], norm)
-    return proved, bound
+    bound[~proved] = np.nan
+    return bound
 
 
 def _off_diagonal_squares(x: np.ndarray) -> float:
@@ -412,9 +413,12 @@ def solve_grid(params: SystemParams, deltas,
     row, and each failure's error, is that of the one-point call
     ``steady_state(build_liouvillian(replace(params, delta_probe=d)))`` or
     ``analytic_steady_state(replace(params, delta_probe=d))``, bit for bit;
-    a non-finite d is that call's ValueError, before any point is solved.
+    a non-finite d is that call's ValueError, before any point is solved,
+    and ``deltas`` of any shape but 1-D raise ``ValueError``.
     """
     deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 1:
+        raise ValueError(f"deltas must be 1-D detunings, got shape {deltas.shape}")
     if (bad := deltas[~np.isfinite(deltas)]).size:  # SystemParams' check
         raise ValueError(f"delta_probe must be finite, got {bad[0]}")
     if backend == "numeric":

@@ -275,6 +275,26 @@ def test_evolve_output_path_without_a_file_name_is_config_error(tmp_path, capsys
 
 
 @pytest.mark.parametrize("command", [["sweep"], ["evolve", "--t-end", "1"]])
+@pytest.mark.parametrize("out", ["", ".", "/"])
+def test_out_without_a_file_name_is_config_error(tmp_path, capsys, monkeypatch,
+                                                 command, out):
+    # --out is held to output.path's rule, before anything is solved or
+    # integrated: "" is no file, not the config's output.path
+    cfg = write_config(tmp_path, backend="numeric")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before --out was checked")
+
+    monkeypatch.setattr(eit3.cli, "sweep", no_solve)
+    monkeypatch.setattr(eit3.cli, "evolve", no_solve)
+    argv = [command[0], str(cfg), *command[1:], "--out", out]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: option --out must name a file, got {out!r}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["evolve", "--t-end", "1"]])
 @pytest.mark.parametrize("target,error", [
     ("blocker/out.csv", "FileExistsError"),         # mkdir: a file in the way
     ("blocker/sub/out.csv", "NotADirectoryError"),  # mkdir: a file as parent

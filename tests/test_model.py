@@ -188,6 +188,14 @@ def test_negative_parameters_rejected():
         SystemParams(Configuration.LAMBDA, -0.5, 105.0, 0.1, 6.0)
 
 
+@pytest.mark.parametrize("config", ["lambda", "LAMBDA", None, 0])
+def test_config_that_is_no_configuration_rejected(config):
+    # not a raw KeyError at the first build or closed-form solve
+    with pytest.raises(ValueError, match=f"^config must be a Configuration, "
+                                         f"got {config!r}$"):
+        SystemParams(config, 0.5, 105.0, 0.1, 6.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["g_probe", "g_pump", "gamma_a", "gamma_b",
                                   "delta_probe", "delta_pump"])

@@ -1,5 +1,6 @@
 """Static checks on the package sources, with the standard library's ast:
-every ``__all__`` name exists and every imported name is used."""
+every ``__all__`` name exists, every imported name is used and the public
+settable values keep their count."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,24 @@ def dunder_all(tree):
     return []
 
 
+def settable_values(tree):
+    """The parameters of the functions and the fields of the dataclasses
+    that the module's ``__all__`` names."""
+    public = set(dunder_all(tree))
+    count = 0
+    for node in tree.body:
+        if getattr(node, "name", None) not in public:
+            continue
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            count += len([*a.posonlyargs, *a.args, *a.kwonlyargs,
+                          *filter(None, [a.vararg, a.kwarg])])
+        elif (isinstance(node, ast.ClassDef)
+              and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
+            count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+    return count
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_dunder_all_names_exist(module):
     tree = parse(module)
@@ -65,3 +84,9 @@ def test_no_unused_imports(module):
                     for name, line in imported_names(tree).items()
                     if name not in used)
     assert not unused, f"{module}: unused imports {unused}"
+
+
+def test_public_settable_values_keep_their_count():
+    # a public parameter or dataclass field added or removed changes this
+    # number on purpose, with the count in ROADMAP.md
+    assert sum(settable_values(parse(module)) for module in MODULES) == 85

@@ -518,6 +518,25 @@ def test_steady_states_attributes_each_failure_to_its_matrix(linalg_calls):
         assert str(single.value) == str(err)
 
 
+@pytest.mark.parametrize("shape", [(9, 9), (1, 8, 9), (1, 9, 8), (9,),
+                                   (1, 1, 9, 9)])
+def test_steady_states_rejects_a_matrix_stack_of_another_shape(shape):
+    # a named error, not numpy's AxisError or IndexError
+    with pytest.raises(ValueError, match=re.escape(
+            f"matrices must be an (N, 9, 9) stack, got shape {shape}")):
+        steady_states(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("backend", ["numeric", "analytic"])
+@pytest.mark.parametrize("deltas", [0.0, [[0.0, 1.0]], np.zeros((2, 3))])
+def test_solve_grid_rejects_detunings_that_are_not_one_dimensional(backend,
+                                                                   deltas):
+    shape = np.shape(deltas)
+    with pytest.raises(ValueError, match=re.escape(
+            f"deltas must be 1-D detunings, got shape {shape}")):
+        solve_grid(reference_params("lambda"), deltas, backend)
+
+
 @pytest.mark.parametrize("points", [11, 601])
 def test_grid_solve_mixes_solved_and_failed_points_in_one_chunk(points):
     # with decays of 1e-8 the null-space probe resolves the steady state
@@ -761,7 +780,8 @@ def anchor_proof(p, deltas):
     cond the Banach lemma also gives) within the returned bound, to the
     1e-2 that the anchor's rounding may take of it; and the grid's
     outcomes, the one-matrix oracle's."""
-    block, failures, proved, bound = _grid_states(p, np.asarray(deltas))
+    block, failures, bound = _grid_states(p, np.asarray(deltas))
+    proved = ~np.isnan(bound)
     M = build_liouvillian_stack(p, deltas)
     for Mi, b in zip(M[proved], bound[proved]):
         Bi = bordered(Mi)
@@ -822,7 +842,8 @@ def test_a_block_whose_anchor_fails_takes_the_one_matrix_path(centre,
         monkeypatch.setattr(eit3.steady, "_liouvillian_entries", entries)
     deltas = np.linspace(-5.0, 5.0, _ANCHOR_BLOCK)
     builds = counted_builds(monkeypatch)
-    block, failures, proved, _ = _grid_states(p, deltas)
+    block, failures, bound = _grid_states(p, deltas)
+    proved = ~np.isnan(bound)
     assert not proved.any()
     assert call_shapes(linalg_calls)[:2] == [
         ("inv", (1, 9, 9)), ("inv", (_ANCHOR_BLOCK, 9, 9))]
