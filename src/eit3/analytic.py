@@ -402,45 +402,39 @@ _GRID_CHUNK = 2048
 
 
 def _grid_pass(params: SystemParams, rates: tuple, scale,
-               deltas: np.ndarray, points: list, flat: np.ndarray) -> list:
+               deltas: np.ndarray, flat: np.ndarray) -> list:
     """Write into ``flat`` the row of every point of ``deltas`` whose terms,
-    evaluated once over all of ``deltas``, are finite and whose |D| is above
+    evaluated once over all of ``deltas``, are finite and whose |D| clears
     the floor; return the indices of the other points (all of them when a
     power of the rates alone overflows a Python float), whose rows the
     scalar loop overwrites with its state or NaN and its own error.  Every
     kept row has the bytes of the scalar loop's.  The floor test is one
-    array comparison with a relative margin of 1e-9; only the points that
-    fail it, or sit within the margin, take the scalar loop's test in
-    Python floats, so a point is kept exactly when that test keeps it."""
+    array comparison with a relative margin of 1e-9, so it keeps only
+    points the scalar loop's test keeps; the scalar loop alone decides the
+    rest."""
     deg = _DEGREE[params.config]
     with np.errstate(all="ignore"):  # inf and NaN leave the point to the loop
         try:
             D, *numerators = _TERMS[params.config](*rates, _Grid(deltas))
         except OverflowError:  # a power of the rates alone: every point fails
-            return list(range(len(points)))
+            return list(range(len(deltas)))
         D = D.re
-        finite = np.isfinite(D)
+        kept = np.isfinite(D)
         for term in numerators:
             for part in _parts(term):
                 if part is not None:
-                    finite &= np.isfinite(part)
+                    kept &= np.isfinite(part)
         # the floor test of _point_terms: the limit is its product bit for
         # bit, but numpy's power and C's pow differ by a few ulp, so only a
-        # point clearing the limit by the 1e-9 margin is kept here; the
-        # others retake the test in Python floats (not numpy scalars, whose
-        # ** rounds differently)
-        root, floor = 1 / deg, _FLOOR_ROOT[params.config]
-        limit = floor * np.maximum(scale, np.abs(deltas))
-        kept = finite & (np.abs(D) ** root > limit * (1 + 1e-9))
-        left = [i for i in np.flatnonzero(~kept).tolist()
-                if not finite[i]
-                or abs(float(D[i])) ** root <= floor * max(scale, abs(points[i]))]
+        # point clearing the limit by the 1e-9 margin is kept here
+        limit = _FLOOR_ROOT[params.config] * np.maximum(scale, np.abs(deltas))
+        kept &= np.abs(D) ** (1 / deg) > limit * (1 + 1e-9)
         r11, r22, r33, r12, r13, r23 = (_quotient(n, D) for n in numerators)
     c23, c13, c12 = ((re, -im) for re, im in (r23, r13, r12))  # conjugates
     for j, (re, im) in enumerate((r33, c23, c13, r23, r22, c12, r13, r12, r11)):
         column = flat[:, j]
         column.real, column.imag = re, im
-    return left
+    return np.flatnonzero(~kept).tolist()
 
 
 def _steady_state_rows(params: SystemParams, deltas) -> tuple[np.ndarray, list]:
@@ -472,7 +466,6 @@ def _steady_state_rows(params: SystemParams, deltas) -> tuple[np.ndarray, list]:
         todo = [start + i for start in range(0, len(points), _GRID_CHUNK)
                 for i in _grid_pass(params, rates, scale,
                                     deltas[start:start + _GRID_CHUNK],
-                                    points[start:start + _GRID_CHUNK],
                                     flat[start:start + _GRID_CHUNK])]
     for i in todo:
         d = points[i]

@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from ._floatrepr import rows_text
 from .darkstate import dark_state_vector, estimate_mixing_angle, verify_dark_state
-from .model import Configuration, SystemParams, build_liouvillian
+from .model import Configuration, SystemParams, _finite_real, build_liouvillian
 from .optics import (
     CALIBRATED_CONVENTION,
     OpticalConstants,
@@ -118,16 +118,10 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
 
 
 def _number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {field} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int past the float range
-        raise ConfigError(f"field {field} must be finite, got an integer "
-                          "too large for a float")
-    if not math.isfinite(number):  # JSON's NaN/Infinity literals parse
-        raise ConfigError(f"field {field} must be finite, got {value!r}")
-    return number
+    try:  # JSON's NaN/Infinity literals parse, and fail here
+        return _finite_real(value, f"field {field}")
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def load_config(path) -> RunConfig:
@@ -508,8 +502,9 @@ def cmd_evolve(run: RunConfig, delta: float, t_end: float, dt: float | None,
     rho0 = _initial_state(rho0_spec)  # a bad file is a config error first
     params = replace(run.params, delta_probe=delta)
     L = build_liouvillian(params)
-    if dt is None:  # an all-zero config has no step bound; its solve fails below
-        dt = STEP_SAFETY / params.rate_scale if params.rate_scale else math.inf
+    if dt is None:  # an all-zero config has no step bound (one step); its
+        # solve fails below
+        dt = STEP_SAFETY / params.rate_scale if params.rate_scale else t_end
     try:  # before the steady solve: a bad step is a config error whatever L is
         traj = evolve(L, rho0, t_end=t_end, dt_max=dt)
     except ValueError as exc:  # t_end or dt <= 0, StepTooLargeError, too many steps
@@ -697,12 +692,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evolve":
             return cmd_evolve(run, args.delta, args.t_end, args.dt, args.rho0,
                               args.out)
-        if args.command == "darkstate":
-            return cmd_darkstate(run)
+        return cmd_darkstate(run)  # the parser admits no other command
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -44,6 +44,12 @@ _DARK_PAIR = {
 }
 
 
+def _dark_pair(config: Configuration) -> tuple[int, int]:
+    if not isinstance(config, Configuration):  # not a raw KeyError
+        raise ValueError(f"config must be a Configuration, got {config!r}")
+    return _DARK_PAIR[config]
+
+
 class UndefinedAngleError(ValueError):
     """Dark-state pair carries too little population to define an angle."""
 
@@ -58,15 +64,16 @@ def estimate_mixing_angle(populations: tuple[float, float, float],
 
     ``populations`` is (rho11, rho22, rho33), normalized; tiny negative
     entries from numerics are clipped to zero; a NaN or inf entry is a
-    ValueError.  Raises :class:`UndefinedAngleError` when the pair holds
-    less than 1e-6 of the population.
+    ValueError, as is a ``config`` that is no :class:`Configuration`.
+    Raises :class:`UndefinedAngleError` when the pair holds less than 1e-6
+    of the population.
     """
     r11, r22, r33 = populations
     total = r11 + r22 + r33
     if not abs(total - 1.0) <= 1e-6:  # a NaN or inf entry makes the sum fail
         raise ValueError(f"populations must sum to 1, got {total}")
     by_level = {1: max(r11, 0.0), 2: max(r22, 0.0), 3: max(r33, 0.0)}
-    p, q = _DARK_PAIR[config]
+    p, q = _dark_pair(config)
     if by_level[p] + by_level[q] < 1e-6:
         raise UndefinedAngleError(
             f"UndefinedAngle: dark pair |{p}>,|{q}> holds "
@@ -75,10 +82,12 @@ def estimate_mixing_angle(populations: tuple[float, float, float],
 
 
 def dark_state_vector(theta: float, config: Configuration) -> np.ndarray:
-    """cos(theta)|p> - sin(theta)|q> for the dark pair, in (|3>, |2>, |1>) order."""
+    """cos(theta)|p> - sin(theta)|q> for the dark pair, in (|3>, |2>, |1>)
+    order; a theta outside [0, pi/2] or a ``config`` that is no
+    :class:`Configuration` is a ValueError."""
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError(f"theta must be in [0, pi/2], got {theta}")
-    p, q = _DARK_PAIR[config]
+    p, q = _dark_pair(config)
     vec = np.zeros(3, dtype=complex)
     vec[LEVEL_INDEX[p]] = np.cos(theta)
     vec[LEVEL_INDEX[q]] = -np.sin(theta)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Configuration, SystemParams
+from .model import Configuration, SystemParams, _finite_real
 from .presets import REFERENCE_OMEGA_MHZ, REFERENCE_VG_NM_PER_S, reference_params
 from .steady import solve_grid
 from .su3 import LEVEL_INDEX
@@ -77,8 +77,11 @@ class OpticalConstants:
     dipole moment in SI units (by default the Bohr magneton's numerical
     value, kept for fidelity to the reference data despite the dimensional
     oddity for an electric dipole).  ``angular_convention`` defaults to
-    :data:`CALIBRATED_CONVENTION`.  Constants whose prefactor times
-    ``omega_probe`` is not a finite float are a ValueError.
+    :data:`CALIBRATED_CONVENTION`.  ``omega_probe``, ``n0`` and ``mu`` must
+    be positive real numbers, finite as floats, as in
+    :class:`~eit3.model.SystemParams`; those, and constants whose
+    prefactor times ``omega_probe`` is not a finite float, are a
+    ValueError.
     """
 
     omega_probe: float
@@ -88,8 +91,7 @@ class OpticalConstants:
 
     def __post_init__(self) -> None:
         for name in ("omega_probe", "n0", "mu"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            _finite_real(getattr(self, name), name)
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.angular_convention not in ANGULAR_CONVENTIONS:
@@ -164,14 +166,16 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
     at the two endpoints, flagged via ``edge_stencil``).
     The state columns view the (N, 3, 3) block of
     :func:`eit3.steady.solve_grid` (``backend`` "numeric": batched
-    Liouvillian stacks, "analytic": the closed forms).  A grid that is not
-    strictly increasing, or of more than MAX_POINTS points, is a ValueError.
+    Liouvillian stacks, "analytic": the closed forms).  ``points`` that is
+    no integer >= 3 (a bool included), and a grid that is not strictly
+    increasing or of more than MAX_POINTS points, are a ValueError.
     A failed point raises nothing: its row keeps its detuning and is NaN in
     every other column, and the whole grid has ``edge_stencil`` set and NaN
     group quantities, since the grid is broken.
     """
-    if points < 3:
-        raise ValueError(f"points must be >= 3, got {points}")
+    if (isinstance(points, bool) or not isinstance(points, (int, np.integer))
+            or points < 3):
+        raise ValueError(f"points must be an integer >= 3, got {points!r}")
     deltas = _detunings(delta_min, delta_max, points)
     rho, failed = solve_grid(params, deltas, backend)
     failures = [(float(deltas[i]), exc) for i, exc in failed]

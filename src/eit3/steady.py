@@ -40,6 +40,7 @@ from .model import (
     DIAGONAL_VEC_INDICES,
     Liouvillian,
     SystemParams,
+    _finite_real,
     _liouvillian_entries,
     build_liouvillian_stack,
     unvectorize,
@@ -455,17 +456,25 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_end: float,
     a trajectory by 4.7e-14 to 1.03e-13 per step of stride on the reference
     systems (the trace error is ~1e-11 at the default step 0.1 / rate_scale
     and ~3e-8 at a 1000x finer step), so a stride above MAX_STRIDE = 1e6,
-    where the drift would pass 1e-7, raises ``ValueError``.  So does a
-    ``rho0`` that is not a finite (3, 3) array.
+    where the drift would pass 1e-7, raises ``ValueError``.  So does an
+    ``L`` whose matrix is not (9, 9) or whose ``rate_scale`` is not a finite
+    number >= 0, a ``t_end`` or ``dt_max`` that is not a finite number (the
+    rule of :class:`~eit3.model.SystemParams`), and a ``rho0`` that is not
+    a finite (3, 3) array.
     """
+    if np.shape(L.matrix) != (9, 9):
+        raise ValueError(f"L.matrix must be a (9, 9) Liouvillian, got shape "
+                         f"{np.shape(L.matrix)}")
+    if _finite_real(L.rate_scale, "rate_scale") < 0:
+        raise ValueError(f"rate_scale must be >= 0, got {L.rate_scale!r}")
     rho0 = np.asarray(rho0)
     if rho0.shape != (3, 3):
         raise ValueError(f"rho0 must be a (3, 3) array, got shape {rho0.shape}")
     if not np.isfinite(rho0).all():
         raise ValueError("rho0 must be finite, got a NaN or inf entry")
-    if t_end <= 0:
+    if _finite_real(t_end, "t_end") <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if dt_max <= 0:
+    if _finite_real(dt_max, "dt_max") <= 0:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
     bound = STEP_SAFETY / L.rate_scale if L.rate_scale else np.inf
     if dt_max > bound:

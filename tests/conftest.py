@@ -4,6 +4,20 @@ import pytest
 from eit3.model import Configuration, SystemParams
 
 
+# values that are no finite real number, each with the message tail
+# SystemParams and OpticalConstants give after the field's name; before
+# one rule checked them, each was a raw TypeError or OverflowError, or
+# (True) accepted
+BAD_NUMBERS = [
+    pytest.param("1", "must be a number, got '1'", id="str"),
+    pytest.param(None, "must be a number, got None", id="None"),
+    pytest.param(1j, "must be a number, got 1j", id="complex"),
+    pytest.param(True, "must be a number, got True", id="bool"),
+    pytest.param(10**400, "must be finite, got an integer too large for a float",
+                 id="huge-int"),
+]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

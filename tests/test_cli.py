@@ -228,6 +228,13 @@ def test_missing_field_rejected(tmp_path, capsys):
     ({"backend": {"both": 1}},
      "field backend must be numeric/analytic/both, got {'both': 1}"),
     ({"backend": None}, "field backend must be numeric/analytic/both, got None"),
+    # the model's rule for numbers, the CLI's messages
+    ({"g_probe": "1"}, "field g_probe must be a number, got '1'"),
+    ({"g_pump": True}, "field g_pump must be a number, got True"),
+    ({"gamma_b": None}, "field gamma_b must be a number, got None"),
+    ({"delta_pump": [0]}, "field delta_pump must be a number, got [0]"),
+    ({"sweep": {"min": "-1", "max": 1.0, "points": 5}},
+     "field sweep.min must be a number, got '-1'"),
 ])
 def test_malformed_section_is_config_error(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
@@ -846,6 +853,19 @@ def test_calibrate_reports_targets_and_choice(capsys):
     assert "chosen convention" in out and "two_pi_mhz" in out
     assert "n_g(0) >= 1e12" in out     # honest fallback statement
     assert "rel err" in out
+
+
+def test_calibrate_reports_a_reproduced_lambda_target(capsys, monkeypatch):
+    # the bundled data reproduce neither convention within 10%
+    # (test_calibration_table_and_default_convention); a table that does
+    # prints the other line
+    table = eit3.cli.calibration_table()
+    monkeypatch.setattr(eit3.cli, "calibration_table",
+                        lambda: {**table, "within_10pct": True})
+    assert main(["calibrate"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "\nlambda target reproduced within 10%\n" in out
+    assert "neither convention" not in out
 
 
 def test_sweep_output_is_deterministic(tmp_path):

@@ -123,6 +123,16 @@ def test_dark_state_vectors():
         dark_state_vector(2.0, Configuration.LAMBDA)
 
 
+@pytest.mark.parametrize("config", ["lambda", None, 0])
+def test_dark_pair_of_what_is_no_configuration(config):
+    # the message of SystemParams, not a raw KeyError
+    message = f"^config must be a Configuration, got {config!r}$"
+    with pytest.raises(ValueError, match=message):
+        estimate_mixing_angle((0.5, 0.5, 0.0), config)
+    with pytest.raises(ValueError, match=message):
+        dark_state_vector(0.3, config)
+
+
 def test_undefined_angle():
     with pytest.raises(UndefinedAngleError):
         estimate_mixing_angle((1e-7, 1e-8, 1.0 - 1e-7 - 1e-8),

@@ -1,13 +1,14 @@
 """Liouvillian assembly against the hand-transcribed Bloch equations."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import random_params, random_state
+from conftest import BAD_NUMBERS, random_params, random_state
 
 from eit3.model import (
     Configuration,
@@ -203,6 +204,20 @@ def test_non_finite_parameters_rejected(name, bad):
     p = reference_params("lambda")
     with pytest.raises(ValueError, match=name):
         replace(p, **{name: bad})
+
+
+@pytest.mark.parametrize("bad,message", BAD_NUMBERS)
+@pytest.mark.parametrize("name", ["g_probe", "g_pump", "gamma_a", "gamma_b",
+                                  "delta_probe", "delta_pump"])
+def test_system_params_reject_what_is_no_number(name, bad, message):
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(message)}$"):
+        replace(reference_params("lambda"), **{name: bad})
+
+
+def test_system_params_take_numpy_real_scalars():
+    p = SystemParams(Configuration.LAMBDA, np.float32(0.5), np.int64(105),
+                     np.float64(0.1), 6, delta_probe=np.float16(-1.0))
+    assert p.rate_scale == 105
 
 
 def _kron_hamiltonian(p):

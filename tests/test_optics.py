@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import outcomes
+from conftest import BAD_NUMBERS, outcomes
 
 import eit3.optics
 from eit3.model import Configuration, SystemParams
@@ -277,6 +278,19 @@ def test_sweep_argument_validation():
         sweep(p, k, -1.0, 1.0, eit3.optics.MAX_POINTS + 1, backend="analytic")
 
 
+@pytest.mark.parametrize("points", [3.5, 3.0, "3", None, True, 2])
+def test_sweep_points_must_be_an_integer(points):
+    # not the raw TypeError of linspace or of "3" < 3
+    with pytest.raises(ValueError, match=re.escape(
+            f"points must be an integer >= 3, got {points!r}")):
+        sweep(reference_params("lambda"), optics_for("lambda"), -1.0, 1.0,
+              points, backend="analytic")
+    # a numpy integer is an integer
+    spectrum, _ = sweep(reference_params("lambda"), optics_for("lambda"),
+                        -1.0, 1.0, np.int64(3), backend="analytic")
+    assert len(spectrum.delta) == 3
+
+
 def test_sweep_rejects_repeated_detunings():
     # 11 points over a 2-ulp span: linspace repeats detunings
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -416,6 +430,18 @@ def test_optical_constants_reject_non_finite(name, bad):
     fields = {"omega_probe": 1.0, name: bad}
     with pytest.raises(ValueError, match=name):
         OpticalConstants(**fields)
+
+
+@pytest.mark.parametrize("bad,message", BAD_NUMBERS)
+@pytest.mark.parametrize("name", ["omega_probe", "n0", "mu"])
+def test_optical_constants_reject_what_is_no_number(name, bad, message):
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(message)}$"):
+        OpticalConstants(**{"omega_probe": 1.0, name: bad})
+
+
+def test_optical_constants_take_numpy_real_scalars():
+    k = OpticalConstants(omega_probe=np.float32(2.0), n0=np.int64(10**18))
+    assert prefactor(k) == prefactor(OpticalConstants(omega_probe=2.0, n0=1e18))
 
 
 def test_si_constants_pinned():

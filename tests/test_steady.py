@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -460,6 +461,45 @@ def test_evolve_argument_validation():
     with pytest.raises(ValueError, match=r"rho0 must be a \(3, 3\) array, "
                                          r"got shape \(2, 2\)"):
         evolve(L, np.eye(2) / 2, t_end=1.0, dt_max=0.1)
+
+
+@pytest.mark.parametrize("matrix,rate_scale,times,message", [
+    # numpy's broadcast error before; the shape as steady_states names it
+    pytest.param(np.eye(3), 1.0, (1.0, 0.01), r"L\.matrix must be a \(9, 9\) "
+                 r"Liouvillian, got shape \(3, 3\)", id="3x3"),
+    pytest.param(np.eye(9).reshape(1, 9, 9), 1.0, (1.0, 0.01), r"L\.matrix must "
+                 r"be a \(9, 9\) Liouvillian, got shape \(1, 9, 9\)", id="stack"),
+    # integrated with no stability check before: 0.1 / nan compares false
+    pytest.param(np.zeros((9, 9)), math.nan, (1.0, 0.01),
+                 "rate_scale must be finite, got nan", id="nan-scale"),
+    pytest.param(np.zeros((9, 9)), math.inf, (1.0, 0.01),
+                 "rate_scale must be finite, got inf", id="inf-scale"),
+    # StepTooLargeError with a negative bound before
+    pytest.param(np.zeros((9, 9)), -1.0, (1.0, 0.01),
+                 r"rate_scale must be >= 0, got -1\.0", id="negative-scale"),
+    pytest.param(np.zeros((9, 9)), "1", (1.0, 0.01),
+                 "rate_scale must be a number, got '1'", id="str-scale"),
+    # SystemParams' rule for the times: raw TypeErrors before
+    pytest.param(np.zeros((9, 9)), 0.0, ("1", 0.01),
+                 "t_end must be a number, got '1'", id="str-t_end"),
+    pytest.param(np.zeros((9, 9)), 0.0, (1.0, None),
+                 "dt_max must be a number, got None", id="None-dt_max"),
+    pytest.param(np.zeros((9, 9)), 0.0, (math.nan, 0.01),
+                 "t_end must be finite, got nan", id="nan-t_end"),
+    pytest.param(np.zeros((9, 9)), 0.0, (1.0, 10**400), "dt_max must be "
+                 "finite, got an integer too large for a float", id="huge-dt_max"),
+    # the messages of values <= 0 are kept
+    pytest.param(np.zeros((9, 9)), 0.0, (-1, 0.01),
+                 "t_end must be positive, got -1$", id="negative-t_end"),
+    pytest.param(np.zeros((9, 9)), 0.0, (1.0, 0.0),
+                 r"dt_max must be positive, got 0\.0$", id="zero-dt_max"),
+])
+def test_evolve_checks_the_liouvillian_and_the_times(matrix, rate_scale, times,
+                                                     message):
+    L = Liouvillian(matrix=matrix.astype(complex), rate_scale=rate_scale)
+    with pytest.raises(ValueError, match=f"^{message}") as caught:
+        evolve(L, np.eye(3) / 3, *times)
+    assert type(caught.value) is ValueError
 
 
 def test_is_density_matrix_checks():
@@ -1002,6 +1042,17 @@ def test_a_numpy_without_the_stacked_solve_fails_at_import(monkeypatch):
     monkeypatch.delattr(_umath_linalg, "solve1")
     with pytest.raises(ImportError,
                        match=r"numpy\.linalg\._umath_linalg\.solve1"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_a_numpy_without_the_linalg_extension_fails_at_import(monkeypatch):
+    # no numpy.linalg._umath_linalg at all: the ImportError fallback, then
+    # the same named error
+    spec = importlib.util.spec_from_file_location("eit3.steady_without_umath",
+                                                  eit3.steady.__file__)
+    monkeypatch.delattr(np.linalg, "_umath_linalg")
+    monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+    with pytest.raises(ImportError, match=r"numpy\.linalg\._umath_linalg\.inv"):
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
