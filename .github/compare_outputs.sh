@@ -15,10 +15,11 @@
 # decays 1e-8, delta from -1e3 to 1e3), whose chunks mix points solved on
 # the conditioning proof, points decided by the definition (cond of the
 # bordered matrix and the SVD of L) and DegenerateNullSpaceError points;
-# 2001-point numeric csv sweeps over delta from -150 to 150, whose blocks
-# of 64 points mix points proved by the inverse of the block's centre
-# matrix (solved for the state alone) with points that take their own
-# inverse;
+# 2001-point numeric csv sweeps over delta from -150 to 150, where the
+# inverse of each block's centre matrix (one per 64 points, then one per 8
+# of the points left) proves only part of the lambda and cascade grids:
+# the proved points are solved for the state alone, the others take their
+# own inverse;
 # 2001-point analytic csv and json sweeps over delta from -1e77 to 1e77,
 # whose points overflow the closed forms, fall to the denominator floor
 # (each message quoting its point's rate scale) or solve (at delta = 0),

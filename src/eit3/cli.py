@@ -47,6 +47,7 @@ from .optics import (
     CALIBRATED_CONVENTION,
     OpticalConstants,
     Spectrum,
+    _check_points,
     _detunings,
     calibration_table,
     prefactor,
@@ -160,8 +161,10 @@ def load_config(path) -> RunConfig:
     sweep_min = _number(_require(sw, "min", "sweep."), "sweep.min")
     sweep_max = _number(_require(sw, "max", "sweep."), "sweep.max")
     points = _require(sw, "points", "sweep.")
-    if isinstance(points, bool) or not isinstance(points, int) or points < 3:
-        raise ConfigError(f"field sweep.points must be an integer >= 3, got {points!r}")
+    try:
+        _check_points(points, "field sweep.")
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if not sweep_min < sweep_max:
         raise ConfigError("field sweep.min must be below sweep.max")
     if not math.isfinite(sweep_max - sweep_min):  # the grid would be NaN/inf

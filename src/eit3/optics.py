@@ -138,6 +138,14 @@ def prefactor(k: OpticalConstants) -> float:
     return p_si / _UNIT[k.angular_convention]
 
 
+def _check_points(points, where: str = "") -> None:
+    """ValueError naming ``{where}points`` unless ``points`` is an integer
+    >= 3: a Python or numpy integer, not a bool."""
+    if (isinstance(points, bool) or not isinstance(points, (int, np.integer))
+            or points < 3):
+        raise ValueError(f"{where}points must be an integer >= 3, got {points!r}")
+
+
 def _detunings(delta_min: float, delta_max: float, points: int) -> np.ndarray:
     """The uniform sweep grid; ValueError above MAX_POINTS points or unless
     it strictly increases (a span too narrow for ``points`` distinct floats
@@ -173,9 +181,7 @@ def sweep(params: SystemParams, k: OpticalConstants, delta_min: float,
     every other column, and the whole grid has ``edge_stencil`` set and NaN
     group quantities, since the grid is broken.
     """
-    if (isinstance(points, bool) or not isinstance(points, (int, np.integer))
-            or points < 3):
-        raise ValueError(f"points must be an integer >= 3, got {points!r}")
+    _check_points(points)
     deltas = _detunings(delta_min, delta_max, points)
     rho, failed = solve_grid(params, deltas, backend)
     failures = [(float(deltas[i]), exc) for i, exc in failed]

@@ -10,9 +10,10 @@ bordered matrix and the singular values of L (:func:`steady_state` for one
 Liouvillian, :func:`steady_states` for a stack of them).  Along a numeric
 probe-detuning grid (:func:`solve_grid`) only L's diagonal moves: one
 template Liouvillian per grid and nine diagonal entries per point make the
-bordered matrices, the inverse of one anchor per 64 detunings proves the
-checks on its neighbours, which are solved for the state alone, and only
-the points no anchor proves are built whole.
+bordered matrices, the inverse of one anchor per 64 detunings, and then one
+per 8 of the points those anchors leave, proves the checks on its
+neighbours, which are solved for the state alone, and only the points no
+anchor proves are built whole.
 """
 
 from __future__ import annotations
@@ -71,12 +72,20 @@ MAX_SAMPLES = 2001
 # phi**stride drifts the trace of a trajectory by ~1e-13 per step of stride
 MAX_STRIDE = 10**6
 # detunings per batched solve in solve_grid: bounds a sweep's working set
-# (building all 2001 points of a sweep at once costs ~8 MB of peak memory)
-_CHUNK = 256
+# (building all 2001 points of a sweep at once costs ~8 MB of peak memory).
+# The bordered buffer of 512 is 663 KB, mapped apart from the heap; freeing
+# it lifts glibc's dynamic mmap threshold above every per-chunk temporary,
+# which then reuse heap pages: 15 in-process numeric CLI sweeps of 2001
+# points after a warm-up fault in 0-2 pages, against 3,891 (7,110 with one
+# BLAS thread) at 256, whose 331 KB buffer left later temporaries above it
+_CHUNK = 512
 # detunings per anchor in solve_grid: only the centre matrix of each block
 # of this many consecutive detunings is inverted, and its inverse bounds the
 # conditioning of the others
 _ANCHOR_BLOCK = 64
+# detunings per anchor of solve_grid's second pass, over the points of a
+# chunk that the first pass leaves unproved
+_SECOND_BLOCK = 8
 # the d(rho_11)/dt row of L, which the bordered matrix B replaces with the
 # trace constraint
 _TRACE_ROW = DIAGONAL_VEC_INDICES[-1]
@@ -179,7 +188,8 @@ def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
     error message) and the null directions counted from the singular
     values of L.  So the proof decides no outcome: each is the
     definition's.  (:func:`solve_grid` proves most points of a detuning
-    grid by one inverse per 64; see :func:`_grid_states`.)
+    grid by one inverse per 64, then per 8 of the rest; see
+    :func:`_grid_states`.)
     """
     M = np.asarray(matrices)
     if M.shape[1:] != (9, 9):
@@ -216,7 +226,7 @@ def _grid_states(params: SystemParams, deltas: np.ndarray) -> tuple[
 
     Along the grid only L's diagonal moves.  One template L_0, the build at
     the first detuning, gives the off-diagonal entries of every point's L;
-    per 256 detunings (``_CHUNK``) only the 9 diagonal entries of each L
+    per 512 detunings (``_CHUNK``) only the 9 diagonal entries of each L
     are computed, through the build's gather maps restricted to the
     diagonal (:func:`eit3.model._liouvillian_entries`), and written into
     one bordered buffer per call, the template's off-diagonal entries and
@@ -249,14 +259,24 @@ def _grid_states(params: SystemParams, deltas: np.ndarray) -> tuple[
     under 1%; the norms from the diagonal round a few eps away from
     ``np.linalg.norm``'s.  A NaN or inf anywhere leaves a point unproved.
 
+    The anchor's reach is a count of points, not a detuning width, so on a
+    coarse or wide grid the points far from a centre are left.  A second
+    pass runs the same proof over the chunk's unproved points alone, taken
+    in order as one stack, with an anchor per 8 of them (``_SECOND_BLOCK``).
+    Nothing in the proof needs B_j and B_a to be adjacent, only B_j - B_a
+    diagonal, which holds for any two points of the grid, so the second
+    pass is as sound as the first.  On the bundled lambda grid it proves
+    198 of the 201 points against the first pass's 76, and 1,858 of 2001
+    against 776 over +-150 MHz.
+
     A proved point is solved for the state alone, by numpy's stacked
     ``solve1`` on its buffer row, at about half the cost of an inverse.
     On this LAPACK build its result is the trace-row column of B^-1 bit for
     bit (a property of the build, not a numpy guarantee, which
     ``test_kappa_f_and_the_state_are_cond_and_solve_bit_for_bit`` names),
-    so the state does not depend on which proof a point took.  Only the
-    points the anchors leave, and a one-point chunk (its own anchor), are
-    built whole and solved by :func:`steady_states`.
+    so the state does not depend on which proof a point took, nor on which
+    pass.  Only the points both passes leave, and a one-point chunk (its own
+    anchor), are built whole and solved by :func:`steady_states`.
     """
     n = len(deltas)
     block = np.empty((n, 3, 3), dtype=complex)
@@ -279,7 +299,11 @@ def _grid_states(params: SystemParams, deltas: np.ndarray) -> tuple[
             B = bordered[:len(chunk)]
             diagonal = _liouvillian_entries(params, chunk, slice(None, None, 10))
             free_diagonal[:len(chunk)] = diagonal[:, :8]
-            bound[here] = _anchored(B, diagonal, c_l, c_b)
+            bound[here] = _anchored(B, diagonal, c_l, c_b, _ANCHOR_BLOCK)
+            rest = np.flatnonzero(np.isnan(bound[here]))
+            if rest.size:  # anchors closer together over the rows left
+                bound[start + rest] = _anchored(B[rest], diagonal[rest], c_l,
+                                                c_b, _SECOND_BLOCK)
             solved = ~np.isnan(bound[here])
             if solved.all():
                 block[here] = _symmetrized(_solve(B))
@@ -296,19 +320,19 @@ def _grid_states(params: SystemParams, deltas: np.ndarray) -> tuple[
 
 
 def _anchored(bordered: np.ndarray, diagonal: np.ndarray, c_l: float,
-              c_b: float) -> np.ndarray:
-    """Each point's bound on cond(B) in a chunk of two or more, NaN where
-    its anchor proves nothing: an anchor's kappa_F, the others' kappa-hat
-    (see :func:`_grid_states`).  ``bordered`` holds the chunk's
-    template-filled bordered matrices, ``diagonal`` the (N, 9) diagonals of
-    their Liouvillians, ``c_l`` and ``c_b`` the template's off-diagonal
-    sums of squares.  A point whose rho-hat or norms are NaN or inf, whose
-    rho-hat is above 1/2, or whose bound fails either check, reads NaN."""
+              c_b: float, block: int) -> np.ndarray:
+    """Each point's bound on cond(B) in a stack of grid points, one anchor
+    per ``block`` consecutive points, NaN where its anchor proves nothing:
+    an anchor's kappa_F, the others' kappa-hat (see :func:`_grid_states`).
+    ``bordered`` holds the points' template-filled bordered matrices,
+    ``diagonal`` the (N, 9) diagonals of their Liouvillians, ``c_l`` and
+    ``c_b`` the template's off-diagonal sums of squares.  A point whose
+    rho-hat or norms are NaN or inf, whose rho-hat is above 1/2, or whose
+    bound fails either check, reads NaN."""
     n = len(bordered)
-    starts = range(0, n, _ANCHOR_BLOCK)
-    sizes = [min(_ANCHOR_BLOCK, n - start) for start in starts]
-    anchors = [start + size // 2 for start, size in zip(starts, sizes)]
-    owner = np.repeat(np.arange(len(anchors)), sizes)  # each point's block
+    owner = np.arange(n) // block  # each point's block
+    starts = np.arange(0, n, block)
+    anchors = starts + np.minimum(block, n - starts) // 2
     with np.errstate(all="ignore"):  # NaN and inf leave a point unproved
         squares = (diagonal.conj() * diagonal).real
         free = squares[:, :8].sum(axis=1)  # B's moving diagonal
@@ -404,9 +428,10 @@ def solve_grid(params: SystemParams, deltas,
     detunings ``deltas``, NaN where a point fails, and the (index, error)
     failures in grid order.
 
-    ``backend`` "numeric" solves 256 detunings at a time from one template
+    ``backend`` "numeric" solves 512 detunings at a time from one template
     Liouvillian and each point's diagonal, proving most points by one
-    inverse per 64 and building whole only the Liouvillians of the rest
+    inverse per 64, then one per 8 of the points left, and building whole
+    only the Liouvillians of the rest
     (:func:`_grid_states`); "analytic" the closed forms: from 32 points
     (``analytic._GRID_PASS_POINTS``) one evaluation per slice of up to
     2,048 points in float64 arrays that repeat CPython's float and complex

@@ -328,7 +328,7 @@ _HOSTILE_DELTAS = {
 @pytest.mark.parametrize("case", list(_HOSTILE))
 def test_liouvillian_build_matches_kron_formula_on_hostile_inputs(config, case, n):
     # byte for byte, inf and NaN entries included, at the one-point size,
-    # a short stack and a full 256-point chunk; every builder runs under its
+    # a short stack and a 256-point stack; every builder runs under its
     # own np.errstate, so an entry that overflows raises no numpy warning
     p = replace(reference_params(config), **_HOSTILE[case])
     deltas = np.array(_HOSTILE_DELTAS[n])

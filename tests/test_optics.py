@@ -239,15 +239,15 @@ def test_sweep_surfaces_per_point_failures():
 
 
 def test_degenerate_sweep_fails_every_point_in_delta_order():
-    # 300 points: two chunks of the batched solve
+    # 600 points: two chunks of the batched solve
     p = SystemParams(Configuration.LAMBDA, g_probe=0.0, g_pump=0.0,
                      gamma_a=0.1, gamma_b=6.0)
-    s, failures = sweep(p, optics_for("lambda"), -1.0, 1.0, 300,
+    s, failures = sweep(p, optics_for("lambda"), -1.0, 1.0, 600,
                         backend="numeric")
-    assert [d for d, _ in failures] == np.linspace(-1.0, 1.0, 300).tolist()
+    assert [d for d, _ in failures] == np.linspace(-1.0, 1.0, 600).tolist()
     assert all(isinstance(e, DegenerateNullSpaceError) for _, e in failures)
-    assert s.delta.tolist() == np.linspace(-1.0, 1.0, 300).tolist()
-    assert_failed_rows(s, range(300))
+    assert s.delta.tolist() == np.linspace(-1.0, 1.0, 600).tolist()
+    assert_failed_rows(s, range(600))
 
 
 def assert_failed_rows(s, rows):

@@ -1,6 +1,7 @@
 """Null-space steady states and RK4 time evolution."""
 
 import importlib.util
+import json
 import math
 import re
 import sys
@@ -33,7 +34,7 @@ from eit3.model import (
     unvectorize,
     vectorize,
 )
-from eit3.presets import reference_params
+from eit3.presets import bundled_config_path, reference_params
 from eit3.steady import (
     COND_LIMIT,
     MAX_SAMPLES,
@@ -44,6 +45,7 @@ from eit3.steady import (
     StepTooLargeError,
     _ANCHOR_BLOCK,
     _CHUNK,
+    _SECOND_BLOCK,
     _grid_states,
     _kappa_f,
     evolve,
@@ -519,7 +521,7 @@ def test_is_density_matrix_checks():
 @pytest.mark.parametrize("delta_pump", [0.0, 1.7])
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
 def test_grid_solve_matches_single_solves_bitwise(tag, delta_pump):
-    # 601 detunings span three chunks of the batched solve, the last partial
+    # 601 detunings span two chunks of the batched solve, the last partial
     p = replace(reference_params(tag), delta_pump=delta_pump)
     deltas = np.linspace(-40.0, 40.0, 601)
     states = outcomes(solve_grid(p, deltas, "numeric"))
@@ -577,10 +579,10 @@ def test_solve_grid_rejects_detunings_that_are_not_one_dimensional(backend,
         solve_grid(reference_params("lambda"), deltas, backend)
 
 
-@pytest.mark.parametrize("points", [11, 601])
+@pytest.mark.parametrize("points", [11, 1201])
 def test_grid_solve_mixes_solved_and_failed_points_in_one_chunk(points):
     # with decays of 1e-8 the null-space probe resolves the steady state
-    # only near resonance; far detunings read as degenerate.  At 601 points
+    # only near resonance; far detunings read as degenerate.  At 1201 points
     # the solved run straddles the first chunk boundary and all three chunks
     # hold failures, so each chunk's failure indices must be offset by the
     # chunk's start
@@ -604,8 +606,8 @@ def test_grid_solve_mixes_solved_and_failed_points_in_one_chunk(points):
         assert solved == [5]
         assert np.array_equal(states[5], steady_state(build_liouvillian(p)))
     else:
-        assert solved[0] < 256 <= solved[-1]
-        assert {i // 256 for i, _ in failures} == {0, 1, 2}
+        assert solved[0] < _CHUNK <= solved[-1]
+        assert {i // _CHUNK for i, _ in failures} == {0, 1, 2}
 
 
 def match_oracle(stack, out):
@@ -785,17 +787,18 @@ def counted_builds(monkeypatch):
 def test_grid_solve_inverts_one_anchor_per_block(tag, linalg_calls,
                                                  monkeypatch):
     # the inverse of each block's centre matrix proves both checks on every
-    # point of the 2001-point reference grids (seven chunks of 256 points,
-    # four blocks each, and one of 209, in four blocks), and each chunk's
-    # states are one stacked solve for e_8: neither the bordered matrix's
-    # SVD nor L's is needed, and no Liouvillian but the template, the one
-    # at the first detuning, is built whole
+    # point of the 2001-point reference grids (three chunks of 512 points,
+    # eight blocks each, and one of 465, in eight blocks), so no second
+    # pass runs, and each chunk's states are one stacked solve for e_8:
+    # neither the bordered matrix's SVD nor L's is needed, and no
+    # Liouvillian but the template, the one at the first detuning, is built
+    # whole
     builds = counted_builds(monkeypatch)
     deltas = np.linspace(-40.0, 40.0, 2001)
     solve_grid(reference_params(tag), deltas, "numeric")
     assert call_shapes(linalg_calls) == [
-        *[("inv", (4, 9, 9)), ("solve1", (256, 9, 9), (9,))] * 7,
-        ("inv", (4, 9, 9)), ("solve1", (209, 9, 9), (9,))]
+        *[("inv", (8, 9, 9)), ("solve1", (512, 9, 9), (9,))] * 3,
+        ("inv", (8, 9, 9)), ("solve1", (465, 9, 9), (9,))]
     assert [d.tolist() for d in builds] == [[-40.0]]
     # a one-point solve, and a one-point grid, is its own anchor: one
     # inverse, and nothing else
@@ -833,11 +836,27 @@ def anchor_proof(p, deltas):
     return proved
 
 
+def anchored_passes(monkeypatch):
+    """The (block size, points proved) of each ``_anchored`` call that
+    ``eit3.steady`` makes from now on: per chunk the first pass, and the
+    second over the points it leaves."""
+    passes = []
+
+    def anchored(bordered, diagonal, c_l, c_b, block,
+                 _anchored=eit3.steady._anchored):
+        bound = _anchored(bordered, diagonal, c_l, c_b, block)
+        passes.append((block, int((~np.isnan(bound)).sum())))
+        return bound
+    monkeypatch.setattr(eit3.steady, "_anchored", anchored)
+    return passes
+
+
 def test_anchored_proof_is_sound_and_solves_to_the_oracle():
     # every point an anchor's inverse proves passes both checks by their
     # definitions, and the grid's states and failures are the one-matrix
     # oracle's bit for bit, on stiff random grids (eight detunings per
-    # parameter set, one block each) and on the whole reference grids
+    # parameter set, one block each, and a second pass over the rest) and
+    # on the whole reference grids, which the first pass proves
     seen = Counter()
     for kind, grids in (("stiff", [*stiff_grids(7, 1e-5, 1e5),
                                    *stiff_grids(7, 1e-12, 1e-8)]),
@@ -853,8 +872,10 @@ def test_anchored_proof_is_sound_and_solves_to_the_oracle():
             seen[kind, "neighbours left"] += (~proved & ~anchors).sum()
     assert seen["stiff", "neighbours proved"] > 0
     assert seen["stiff", "neighbours left"] > 0
-    # every point of the reference grids
-    assert seen["reference", "neighbours proved"] == 3 * (2001 - 8 * 4)
+    # every point of the reference grids: one anchor per block of each chunk
+    anchors = sum(-(-min(_CHUNK, 2001 - start) // _ANCHOR_BLOCK)
+                  for start in range(0, 2001, _CHUNK))
+    assert seen["reference", "neighbours proved"] == 3 * (2001 - anchors)
 
 
 @pytest.mark.parametrize("centre", ["not a number", "infinite", "singular"])
@@ -863,10 +884,12 @@ def test_a_block_whose_anchor_fails_takes_the_one_matrix_path(centre,
                                                              monkeypatch):
     # one block of 64 detunings of the lambda reference system, whose
     # centre's diagonal reads NaN or inf, or of the undriven system, whose
-    # every bordered matrix is exactly singular: without an anchor's inverse
-    # no point is proved, and each is built whole and takes its own
-    # inverse, kappa_F and, where that fails, cond and the SVD, to the
-    # oracle's outcome
+    # every bordered matrix is exactly singular: without the anchor's
+    # inverse the first pass proves no point.  The second pass, one anchor
+    # per 8 points, proves all but the NaN or inf row, which alone is built
+    # whole; the undriven system's anchors prove nothing in either pass, so
+    # each point is built whole and takes its own inverse, kappa_F and,
+    # where that fails, cond and the SVD.  Every outcome is the oracle's
     p = reference_params("lambda")
     if centre == "singular":
         p = SystemParams(Configuration.LAMBDA, 0.0, 0.0, gamma_a=0.1,
@@ -882,13 +905,26 @@ def test_a_block_whose_anchor_fails_takes_the_one_matrix_path(centre,
         monkeypatch.setattr(eit3.steady, "_liouvillian_entries", entries)
     deltas = np.linspace(-5.0, 5.0, _ANCHOR_BLOCK)
     builds = counted_builds(monkeypatch)
+    passes = anchored_passes(monkeypatch)
     block, failures, bound = _grid_states(p, deltas)
     proved = ~np.isnan(bound)
-    assert not proved.any()
-    assert call_shapes(linalg_calls)[:2] == [
-        ("inv", (1, 9, 9)), ("inv", (_ANCHOR_BLOCK, 9, 9))]
-    assert "solve1" not in [name for name, a, args in linalg_calls]
-    assert [len(d) for d in builds] == [1, _ANCHOR_BLOCK]
+    second = _ANCHOR_BLOCK // _SECOND_BLOCK  # the second pass's anchors
+    if centre == "singular":
+        assert passes == [(_ANCHOR_BLOCK, 0), (_SECOND_BLOCK, 0)]
+        assert not proved.any()
+        assert call_shapes(linalg_calls)[:3] == [
+            ("inv", (1, 9, 9)), ("inv", (second, 9, 9)),
+            ("inv", (_ANCHOR_BLOCK, 9, 9))]
+        assert "solve1" not in [name for name, a, args in linalg_calls]
+        assert [len(d) for d in builds] == [1, _ANCHOR_BLOCK]
+    else:
+        assert passes == [(_ANCHOR_BLOCK, 0), (_SECOND_BLOCK, _ANCHOR_BLOCK - 1)]
+        assert np.flatnonzero(~proved).tolist() == [_ANCHOR_BLOCK // 2]
+        assert call_shapes(linalg_calls) == [
+            ("inv", (1, 9, 9)), ("inv", (second, 9, 9)),
+            ("solve1", (_ANCHOR_BLOCK - 1, 9, 9), (9,)), ("inv", (1, 9, 9))]
+        assert [d.tolist() for d in builds] == [
+            deltas[:1].tolist(), [deltas[_ANCHOR_BLOCK // 2]]]
     refs = match_oracle(build_liouvillian_stack(p, deltas), (block, failures))
     failed = {type(r).__name__ for r in refs if isinstance(r, Exception)}
     assert failed == ({"DegenerateNullSpaceError"} if centre == "singular"
@@ -897,13 +933,19 @@ def test_a_block_whose_anchor_fails_takes_the_one_matrix_path(centre,
 
 def test_wide_grid_mixes_anchored_and_one_matrix_proofs_in_a_block(linalg_calls,
                                                                   monkeypatch):
-    # over +-150 MHz the lambda grid's blocks are wider than the anchors'
+    # over +-1000 MHz the lambda grid's blocks are wider than the anchors'
     # reach: inside one block the points near the centre are proved by the
-    # anchor's inverse and solved for the state alone, those further out
-    # are built whole and take their own inverse; the outcomes are the
-    # one-matrix oracle's
-    [(p, deltas)] = reference_grids(150.0, ("lambda",))
+    # anchor's inverse and solved for the state alone, the second pass's
+    # closer anchors prove more of the rest, and those still left are built
+    # whole and take their own inverse; the outcomes are the one-matrix
+    # oracle's
+    [(p, deltas)] = reference_grids(1000.0, ("lambda",))
+    passes = anchored_passes(monkeypatch)
     proved = anchor_proof(p, deltas)
+    first = sum(count for size, count in passes if size == _ANCHOR_BLOCK)
+    second = sum(count for size, count in passes if size == _SECOND_BLOCK)
+    assert len(passes) == 2 * 4 and first + second == proved.sum()
+    assert first > 0 and second > 0 and 0 < (~proved).sum() < 400
     chunks = range(0, len(deltas), _CHUNK)
     mixed = sum(block.any() and not block.all()
                 for start in chunks[:-1]
@@ -921,6 +963,27 @@ def test_wide_grid_mixes_anchored_and_one_matrix_proofs_in_a_block(linalg_calls,
         deltas[:1].tobytes(), *(d.tobytes() for d in left if d.size)]
 
 
+@pytest.mark.parametrize("grid,least", [("bundled lambda", 198),
+                                        ("lambda +-150 MHz", 1850)])
+def test_second_pass_proves_most_of_what_the_first_leaves(grid, least,
+                                                          monkeypatch):
+    # the first pass's anchors reach under half of these grids' points (76
+    # of the bundled lambda config's 201, 776 of 2001 over +-150 MHz); the
+    # second, one anchor per 8 of the points left, proves nearly all the
+    # rest.  Every proved point passes both checks by their definitions,
+    # and every outcome is the one-matrix oracle's bit for bit
+    if grid == "bundled lambda":
+        sweep = json.loads(bundled_config_path("lambda").read_text())["sweep"]
+        deltas = np.linspace(sweep["min"], sweep["max"], sweep["points"])
+    else:
+        deltas = np.linspace(-150.0, 150.0, 2001)
+    passes = anchored_passes(monkeypatch)
+    proved = anchor_proof(reference_params("lambda"), deltas)
+    first = sum(count for size, count in passes if size == _ANCHOR_BLOCK)
+    assert first < len(deltas) / 2
+    assert proved.sum() >= least
+
+
 def composed_numeric(p, d):
     """The numeric state at one detuning from the one-point calls,
     ``steady_state(build_liouvillian(...))`` of the replaced parameters, or
@@ -934,7 +997,7 @@ def composed_numeric(p, d):
 # parameter changes and (first, last, points) of the numeric grids below
 NUMERIC_GRIDS = {
     **{f"reference-{n}": ({}, (-40.0, 40.0, n))
-       for n in (1, 2, 3, 64, 65, 257, 601)},
+       for n in (1, 2, 3, 64, 65, 257, 513, 601)},
     "wide": ({}, (-1e77, 1e77, 601)),
     "pump 1e308": ({"delta_pump": 1e308}, (-1.7e308, 0.0, 601)),
     "pump -1e308": ({"delta_pump": -1e308}, (-1.7e308, 0.0, 601)),
