@@ -32,7 +32,11 @@
 # once (eit3.analytic._GRID_PASS_POINTS, read from HEAD); analytic json
 # sweeps of one JSON writer slice and of one slice and one record
 # (eit3.cli._WRITE_ROWS and one more, read from HEAD), where the first
-# record's "[" and the separators of a streamed second slice meet; 2001-point
+# record's "[" and the separators of a streamed second slice meet; an
+# analytic json sweep of one slice and one record over delta from -1e77 to
+# 0, where every point but the last (delta = 0) overflows or falls to the
+# denominator floor (exit 2, partial file), so the first record's "["
+# opens the second slice; 2001-point
 # analytic csv and json sweeps with g_probe = g_pump = 1e60, where a power
 # of the rates alone overflows a Python float and every point fails;
 # 11- and 2001-point analytic csv sweeps (the per-point path and the grid
@@ -81,7 +85,7 @@
 # with complex coherences, at --t-end 2 --dt 1e-6 (1,000 steps per
 # sample), at --t-end 1e-3 (times such as 5e-07) and at --t-end 1e8
 # (above the cap on steps per sample: a config error, exit 1), each into
-# its own file.  Then `calibrate`: 210 commands in all.  Both checkouts
+# its own file.  Then `calibrate`: 213 commands in all.  Both checkouts
 # write into one shared output directory, so the paths they print agree.
 # Exits 1 and prints the diff on a difference.
 set -euo pipefail
@@ -169,6 +173,9 @@ for tag in ("lambda", "cascade", "vee"):
                                                 "points": points,
                                                 "format": "json"})
              for points in (_WRITE_ROWS, _WRITE_ROWS + 1)]
+    runs.append((f"{tag}-late-first-analytic-json",
+                 {"backend": "analytic", "points": _WRITE_ROWS + 1,
+                  "format": "json", "range": {"min": -1e77, "max": 0.0}}))
     runs += [(f"{tag}-huge-analytic-{fmt}", {"backend": "analytic",
                                              "points": 2001, "format": fmt,
                                              "g_probe": 1e60, "g_pump": 1e60})

@@ -172,11 +172,12 @@ def _tables():
 
 
 def _masks() -> np.ndarray:
-    """The slots of each pattern, as (2 * _PATTERNS, 6) words of 0xFF (kept)
-    and 0x00 bytes: patterns 0-339 the fixed form, at (decpt + 3) * 17 +
-    shown digits - 1 for decpt in [-3, 16]; 340-373 the exponent form at
-    340 + shown digits - 1, + 17 with a three-digit exponent; 374 nan and
-    inf; then the same with the "-" sign."""
+    """The slots of each pattern, as words of 0xFF (kept) and 0x00 bytes in
+    a (6, 2 * _PATTERNS) array, a row per slot word: patterns 0-339 the
+    fixed form, at (decpt + 3) * 17 + shown digits - 1 for decpt in
+    [-3, 16]; 340-373 the exponent form at 340 + shown digits - 1, + 17
+    with a three-digit exponent; 374 nan and inf; then the same with the
+    "-" sign."""
     pattern = np.arange(_PATTERNS)
     fixed = pattern < 340
     decpt = np.where(fixed, pattern // 17 - 3, 1)
@@ -198,7 +199,7 @@ def _masks() -> np.ndarray:
     mask[:, :, 40:45] = exponent_form[:, None]
     mask[:, :, 42] = exponent_form & (pattern >= 357)  # the hundreds
     mask[:, :, 45] = True
-    return (mask.reshape(-1, _SLOTS) * np.uint8(0xFF)).view(np.uint64)
+    return (mask.reshape(-1, _SLOTS) * np.uint8(0xFF)).view(np.uint64).T.copy()
 
 
 # numbers formatted at once: their temporaries, ~150 bytes a number, stay
@@ -228,20 +229,22 @@ def _chunk_text(block: np.ndarray) -> str:
     f *= ~zero
     decpt = k + count  # the value is 0.d1d2...d17 10^decpt
 
-    words = np.empty((rows * cols, 6), dtype=np.uint64)
+    # one contiguous row per slot word, the numbers' words side by side
+    words = np.empty((6, rows * cols), dtype=np.uint64)
     first = f // _U(10**16)
-    lead.take(first.view(np.int64), out=words[:, 0], mode="clip")
+    lead.take(first.view(np.int64), out=words[0], mode="clip")
     f -= first * _U(10**16)
+    high = f // _U(10**8)
     quads = []
-    for half in (f // _U(10**8), f % _U(10**8)):
+    for half in (high, f - high * _U(10**8)):  # uint64 % is slower than //
         upper = half // _U(10**4)
         quads += [upper.view(np.int64), (half - upper * _U(10**4)).view(np.int64)]
     used = np.ones(f.size, dtype=np.int8)  # digits up to the last nonzero one
     for i, quad in enumerate(quads):
-        groups.take(quad, out=words[:, 1 + i], mode="clip")
+        groups.take(quad, out=words[1 + i], mode="clip")
         np.maximum(used, last[i].take(quad), out=used)
     e = decpt - 1
-    exponent_words = words.reshape(rows, cols, 6)[:, :, 5]
+    exponent_words = words[5].reshape(rows, cols)
     exponents.take(e.reshape(rows, cols) + 324, out=exponent_words, mode="clip")
     exponent_words |= separators[(np.arange(cols) == cols - 1).view(np.int8)]
 
@@ -253,11 +256,14 @@ def _chunk_text(block: np.ndarray) -> str:
     if not finite.all():  # nan, inf and -inf in the first three digit slots
         where = np.flatnonzero(~finite)
         inf = magnitude[where] == _U(0x7FF << 52)
-        words[where, 0] = lead[10 + inf]
-        words[where, 1] = groups[10_000 + inf]
+        words[0, where] = lead[10 + inf]
+        words[1, where] = groups[10_000 + inf]
         pattern[where] = _PATTERNS - 1
         sign[where] &= inf
     pattern += _PATTERNS * sign
-    words &= masks.take(pattern, axis=0)
-    # not np.compress: it would first list the kept bytes' indices, 8 bytes each
-    return words.tobytes().translate(None, b"\0").decode("ascii")
+    for row, mask in zip(words, masks):
+        row &= mask.take(pattern)
+    # column order: each number's six words in turn, with no transposed
+    # copy; not np.compress: it would first list the kept bytes' indices,
+    # 8 bytes each
+    return words.tobytes(order="F").translate(None, b"\0").decode("ascii")

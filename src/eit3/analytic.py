@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -263,7 +264,7 @@ def steady_state_terms(params: SystemParams) -> tuple:
     type.
     """
     return _point_terms(params, _float_rates(params), float(params.delta_probe),
-                        params.rate_scale)
+                        float(params.rate_scale))
 
 
 class _Grid:
@@ -278,7 +279,7 @@ class _Grid:
     ``z ** k`` is ``c_powu``'s square-and-multiply from ``(1, 0)``, and
     ``x ** k`` is Python's ``pow`` at each point, an ``OverflowError``
     read as inf (numpy's ``**`` rounds differently).  Each ``**`` computes
-    anew, a Python ``pow`` loop over the grid for a real number, so the
+    anew, a ``math.pow`` map over the grid for a real number, so the
     term functions take each power of a name once, into a local
     (``test_each_power_is_evaluated_once``).  CPython 3.14's mixed
     real/complex arithmetic (C99 Annex G) gives other bytes:
@@ -362,9 +363,20 @@ def _power_or_inf(x: float, k: int) -> float:
 
 
 def _float_power(x: np.ndarray, k: int) -> np.ndarray:
+    """``x ** k`` at each point of the float64 array ``x`` for an integer
+    k >= 2, as a Python float raised to k gives it, an overflow as inf.
+
+    ``math.pow`` in one C-level map: for finite operands it and
+    ``float.__pow__`` both return the C library's ``pow(x, k)``, but
+    ``float.__pow__`` takes ``pow(|x|, k)`` and negates it for an odd k,
+    and glibc's ``pow`` is sign-symmetric there; on a zero, an infinity or
+    a NaN both return the same special value.  An overflow raises in both,
+    and the grid is then taken again point by point.
+    """
     values = x.tolist()
     try:
-        return np.array([v ** k for v in values])
+        return np.fromiter(map(math.pow, values, repeat(float(k))), float,
+                           len(values))
     except OverflowError:
         return np.array([_power_or_inf(v, k) for v in values])
 
@@ -456,8 +468,10 @@ def _steady_state_rows(params: SystemParams, deltas) -> tuple[np.ndarray, list]:
     """
     points = deltas.tolist()
     rates = _float_rates(params)
-    # max over the rates first, then d: SystemParams.rate_scale at delta_pump = 0
-    scale = max(params.g_probe, params.g_pump, params.gamma_a, params.gamma_b)
+    # max over the rates first, then d: SystemParams.rate_scale at delta_pump
+    # = 0, in Python floats whatever the rates' type, so the floor limit is a
+    # float64 product on the grid and per point
+    scale = max(rates)
     block = np.empty((len(points), 3, 3), dtype=complex)
     flat = block.reshape(-1, 9)
     failures: list = []

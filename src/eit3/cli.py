@@ -33,7 +33,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import chain, compress, repeat
+from itertools import compress
 from operator import attrgetter
 from pathlib import Path
 
@@ -307,9 +307,10 @@ _RECORD_PIECES = (",\n  {\n%s\n  }" % ",\n".join(
     f'   "{key}": %s' for key in _RECORD_KEYS)).split("%s")
 
 
-def _json_records(points: Spectrum, rows: slice, kept: list[bool]):
-    """The records of ``write_sweep_json`` for the kept Spectrum rows at
-    ``rows``, lazily."""
+def _json_records(points: Spectrum, rows: slice, kept: list[bool]) -> list[str]:
+    """The pieces of ``write_sweep_json``'s records for the kept Spectrum
+    rows at ``rows``, in order: 23 a record, its 12 literal pieces around
+    its 11 numbers."""
     # one text line per column: the repr of each number, which is also how
     # json prints a finite float
     text = rows_text(np.stack(_columns(points, rows)))
@@ -319,11 +320,16 @@ def _json_records(points: Spectrum, rows: slice, kept: list[bool]):
                for name, line in zip(_COLUMNS, text.split("\n"))}
     columns["edge_stencil"] = ["true" if e else "false"
                                for e in points.edge_stencil[rows].tolist()]
-    parts = []
-    for piece, key in zip(_RECORD_PIECES, _RECORD_KEYS):
-        parts += repeat(piece), columns[key]
-    parts.append(repeat(_RECORD_PIECES[-1]))
-    return compress(map("".join, zip(*parts)), kept[rows])
+    keep = kept[rows]
+    count = sum(keep)
+    width = len(_RECORD_PIECES) + len(_RECORD_KEYS)
+    pieces = [""] * (width * count)
+    for i, piece in enumerate(_RECORD_PIECES):
+        pieces[2 * i::width] = [piece] * count
+    for i, key in enumerate(_RECORD_KEYS):
+        pieces[2 * i + 1::width] = (columns[key] if count == len(keep)
+                                    else compress(columns[key], keep))
+    return pieces
 
 
 def write_sweep_json(path: Path, metadata: dict, points: Spectrum,
@@ -334,31 +340,30 @@ def write_sweep_json(path: Path, metadata: dict, points: Spectrum,
     With ``indent`` set, ``json`` drops its C encoder for the pure-Python
     one, which took longer than the closed forms of an analytic sweep.  So
     only the small errors + metadata part goes through ``json.dumps``
-    (string escaping unchanged).  Each record is one ``str.join`` of a fixed
-    template's literal pieces and the numbers' ``repr`` text, which
-    ``rows_text`` gives a column at a time, nan and +-inf respelled as
-    json spells them in a slice whose text holds one.  The
-    numbers are formatted ``_WRITE_ROWS`` Spectrum rows at a time and the
-    records streamed to the file one by one, each after its ",\\n" (the
-    first after "[\\n"), so the document is never held whole.
+    (string escaping unchanged).  The records fill a fixed template's
+    literal pieces with the numbers' ``repr`` text, which ``rows_text``
+    gives a column at a time, nan and +-inf respelled as json spells them
+    in a slice whose text holds one.  The numbers are formatted
+    ``_WRITE_ROWS`` Spectrum rows at a time, and each slice's records,
+    each after its ",\\n" (the first of the file after "[\\n"), are
+    joined and written at once, so the document is never held whole.
     """
     head = json.dumps({"errors": [{"delta_mhz": d, "error": msg}
                                   for d, msg in (errors or [])],
                        "metadata": metadata}, indent=1, sort_keys=True)
     kept = (~np.isin(points.delta, [d for d, _ in errors or []])).tolist()
-    records = chain.from_iterable(
-        _json_records(points, slice(start, start + _WRITE_ROWS), kept)
-        for start in range(0, len(kept), _WRITE_ROWS))
+    opening = "[\n"  # the separator of the first record, until it is written
     with path.open("w", encoding="utf-8") as out:
         # head ends in "\n}": reopen it for the last key, "records"
         out.write(f'{head[:-2]},\n "records": ')
-        first = next(records, None)
-        if first is None:
-            out.write("[]\n}\n")
-        else:
-            out.write("[\n" + first[2:])
-            out.writelines(records)
-            out.write("\n ]\n}\n")
+        for start in range(0, len(kept), _WRITE_ROWS):
+            pieces = _json_records(points, slice(start, start + _WRITE_ROWS),
+                                   kept)
+            if pieces and opening:
+                pieces[0] = opening + pieces[0][2:]
+                opening = ""
+            out.write("".join(pieces))
+        out.write("[]\n}\n" if opening else "\n ]\n}\n")
 
 
 def read_sweep_json(path) -> tuple[dict, list[dict], list[dict]]:

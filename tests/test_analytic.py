@@ -20,6 +20,7 @@ from eit3.analytic import (
     _GRID_PASS_POINTS,
     _TERMS,
     _Grid,
+    _float_power,
     _quotient,
     ClosedFormOverflowError,
     DegenerateDenominatorError,
@@ -325,6 +326,43 @@ def test_grid_arithmetic_is_cpythons():
             for D in (5e-324, -1e-310, 1e300, -1e-300, 2.0, 3.0, -1.5):
                 re, im = _quotient(one_point(a), np.array([D]))
                 assert grid_bytes(_Grid(re, im)) == scalar_bytes(complex(a) / D), (a, D)
+
+
+def python_powers(values, k):
+    """``v ** k`` of each Python float, an OverflowError read as inf."""
+    powers = []
+    for v in values:
+        try:
+            powers.append(v ** k)
+        except OverflowError:
+            powers.append(math.inf)
+    return np.array(powers)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_float_power_is_pythons_pow_bit_for_bit(k):
+    # a real grid's x ** k maps math.pow, which calls the C library's
+    # pow(x, k), where a Python float's x ** k calls pow(|x|, k) and negates
+    # it for an odd k.  That the two agree on a negative x is a property of
+    # the libm (glibc's pow is sign-symmetric for an integral exponent), not
+    # a Python guarantee: on a libm where they differ this test names it
+    rng = np.random.default_rng(37)
+    signs = rng.choice([-1.0, 1.0], 4000)
+    magnitudes = 10.0 ** rng.uniform(-60, 60, 4000)
+    tiny = 10.0 ** rng.uniform(-330 / k, -308 / k, 4000)  # subnormal k-th powers
+    overflowing = magnitudes.copy()
+    overflowing[1234] = 1e200
+    grids = {"positive": magnitudes, "both-signs": signs * magnitudes,
+             "special": np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324,
+                                  math.inf, -math.inf, math.nan]),
+             "underflow": signs * tiny, "overflow": signs * overflowing}
+    for name, x in grids.items():
+        expected = python_powers(x.tolist(), k)
+        assert _float_power(x, k).tobytes() == expected.tobytes(), (name, k)
+    underflow = python_powers(grids["underflow"].tolist(), k)
+    assert (underflow == 0.0).any() and (underflow != 0.0).any()
+    assert (np.abs(underflow) < 2.2250738585072014e-308).all()
+    assert np.isinf(python_powers(grids["overflow"].tolist(), k)).sum() == 1
 
 
 def test_each_power_is_evaluated_once(config, monkeypatch):

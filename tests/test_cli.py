@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: configs, exit codes, file formats, determinism."""
 
 import argparse
+import functools
 import json
 import math
 from dataclasses import fields, replace
@@ -1050,12 +1051,33 @@ def wide_vee_failures(monkeypatch, points):
     return run, s, [(d, f"{type(e).__name__}: {e}") for d, e in failures]
 
 
-@pytest.mark.parametrize("failing", [interleaved_failures, wide_vee_failures],
-                         ids=["interleaved", "wide-vee"])
+def late_first_record(monkeypatch, points, tag):
+    """The ``tag`` reference system swept over delta in [-1e77, 0] on the
+    closed forms: every point overflows or falls to the denominator floor
+    but the last, delta = 0, so the JSON writer's first record falls in
+    the last slice."""
+    run = load_config(str(bundled_config_path(tag)))
+    s, failures = eit3.optics.sweep(run.params, run.optics, -1e77, 0.0,
+                                    points, backend="analytic")
+    assert [d for d, _ in failures] == s.delta[:-1].tolist()
+    return run, s, [(d, f"{type(e).__name__}: {e}") for d, e in failures]
+
+
+# the first kept record after one writer slice of failed points
+LATE_FIRST = [pytest.param(functools.partial(late_first_record, tag=tag),
+                           eit3.cli._WRITE_ROWS + 1, id=f"late-first-{tag}")
+              for tag in ("lambda", "cascade", "vee")]
+
+
+@pytest.mark.parametrize("failing, points", [
+    pytest.param(interleaved_failures, 2 * eit3.cli._WRITE_ROWS + 1,
+                 id="interleaved"),
+    pytest.param(wide_vee_failures, 2 * eit3.cli._WRITE_ROWS + 1,
+                 id="wide-vee"),
+    *LATE_FIRST])
 @pytest.mark.parametrize("write", ["write_sweep_csv", "write_sweep_json"])
 def test_writer_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch,
-                                                      write, failing):
-    points = 2 * eit3.cli._WRITE_ROWS + 1
+                                                      write, failing, points):
     run, s, errors = failing(monkeypatch, points)
     assert 0 < len(errors) < points
     metadata = eit3.cli._metadata(run, "sweep")
@@ -1066,6 +1088,34 @@ def test_writer_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch,
         getattr(eit3.cli, write)(out, metadata, s, errors)
         written.add(out.read_bytes())
     assert len(written) == 1
+
+
+def all_failed(monkeypatch, points):
+    """The lambda reference system with g_probe = g_pump = 1e60 on the
+    closed forms: a power of the rates alone overflows, every point fails."""
+    run = load_config(str(bundled_config_path("lambda")))
+    params = replace(run.params, g_probe=1e60, g_pump=1e60)
+    s, failures = eit3.optics.sweep(params, run.optics, run.sweep_min,
+                                    run.sweep_max, points, backend="analytic")
+    assert len(failures) == points
+    return run, s, [(d, f"{type(e).__name__}: {e}") for d, e in failures]
+
+
+@pytest.mark.parametrize("failing, points", [
+    *LATE_FIRST,
+    pytest.param(all_failed, 2 * eit3.cli._WRITE_ROWS + 1, id="all-failed")])
+def test_json_writer_opens_its_records_in_a_later_slice(tmp_path, monkeypatch,
+                                                        failing, points):
+    # the "[" of the first record written, wherever it falls, and "[]"
+    # when there is none
+    run, s, errors = failing(monkeypatch, points)
+    solved = np.isin(s.delta, [d for d, _ in errors], invert=True)
+    kept = eit3.optics.Spectrum(**{f.name: getattr(s, f.name)[solved]
+                                   for f in fields(eit3.optics.Spectrum)})
+    metadata = eit3.cli._metadata(run, "sweep")
+    out = tmp_path / "out.json"
+    eit3.cli.write_sweep_json(out, metadata, s, errors)
+    assert out.read_bytes() == dumps_oracle(metadata, kept, errors)
 
 
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])

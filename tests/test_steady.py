@@ -1270,6 +1270,37 @@ def test_analytic_grid_floor_decision_where_the_array_test_defers(tag, monkeypat
             assert failed[700]
 
 
+def one_point_analytic(p, d):
+    """``analytic_steady_state`` at probe detuning ``d``, or its error."""
+    try:
+        return analytic_steady_state(replace(p, delta_probe=float(d)))
+    except ValueError as exc:
+        return exc
+
+
+def test_float32_rates_meet_one_floor_on_the_grid_and_per_point(monkeypatch):
+    # with numpy float32 rates the floor limit _FLOOR_ROOT * rate scale is
+    # a float64 product on the grid and per point (float32 * float would
+    # round it to float32): with the floor 1e-8 relative below one point's
+    # own ratio, the grid, the one-point call and steady_state_terms agree
+    # on every point
+    p = reference_params("lambda")
+    p = replace(p, **{name: np.float32(getattr(p, name))
+                      for name in ("g_probe", "g_pump", "gamma_a", "gamma_b")})
+    deltas = np.linspace(-40.0, 40.0, 2001)
+    root = 1 / eit3.analytic._DEGREE[p.config]
+    scale = float(max(p.g_probe, p.g_pump, p.gamma_a, p.gamma_b))
+    d = deltas[700]
+    ratio = (abs(steady_state_terms(replace(p, delta_probe=float(d)))[0]) ** root
+             / max(scale, abs(d)))
+    monkeypatch.setitem(eit3.analytic._FLOOR_ROOT, p.config, ratio * (1 - 1e-8))
+    states = outcomes(solve_grid(p, deltas, "analytic"))
+    for d, rho in zip(deltas, states):
+        assert same_outcome(rho, one_point_analytic(p, d)), d
+        assert same_outcome(rho, composed_analytic(p, d)), d
+    assert isinstance(states[700], np.ndarray)
+
+
 @pytest.mark.parametrize("rates", [
     (1e60, 1e60, 6.0, 6.0), (1e52, 1.0, 1.0, 1.0), (1.0, 1e60, 1.0, 1.0),
     (1.0, 1.0, 1e60, 1e60), (1e40, 1e40, 1.0, 1.0), (1e30, 1e30, 1e30, 1e30)])
