@@ -18,8 +18,8 @@
 # 2001-point numeric csv sweeps over delta from -150 to 150, where the
 # inverse of each block's centre matrix (one per 64 points, then one per 8
 # of the points left) proves only part of the lambda and cascade grids:
-# the proved points are solved for the state alone, the others take their
-# own inverse;
+# the proved points are solved for the state alone, the others are decided
+# from their template-filled Liouvillians, each by its own inverse;
 # 2001-point analytic csv and json sweeps over delta from -1e77 to 1e77,
 # whose points overflow the closed forms, fall to the denominator floor
 # (each message quoting its point's rate scale) or solve (at delta = 0),
@@ -51,9 +51,10 @@
 # delta 0, then the overflowing Liouvillian's SingularSolveError (lambda,
 # vee) or DegenerateNullSpaceError (cascade); 11-point numeric csv sweeps
 # over delta from -1.7e308 to 0 with delta_pump 1e308 and with -1e308, one
-# of which leaves the numeric grid's template Liouvillian (the one at the
-# first detuning) non-finite in each configuration, so no point is proved
-# from it and each is built whole;
+# of which overflows the Liouvillians of the first points in each
+# configuration while the numeric grid's template Liouvillian (the one at
+# delta 0) stays finite, so every point is decided from its
+# template-filled Liouvillian, non-finite exactly where the whole build is;
 # 2001-point analytic csv and json sweeps with optics n0 = 1e-200, whose
 # alpha column prints three-digit exponents; a 2001-point analytic csv
 # sweep over delta from -2e-4 to 2e-4, whose detunings cross 0.0 and the

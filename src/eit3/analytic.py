@@ -212,11 +212,12 @@ _FLOOR_ROOT = {config: DENOMINATOR_FLOOR ** (1 / deg)
                for config, deg in _DEGREE.items()}
 
 
-def _point_terms(params: SystemParams, rates: tuple, delta: float,
-                 rate_scale: float) -> tuple:
+def _point_terms(params: SystemParams, rates: tuple, delta: float) -> tuple:
     """The terms at the float rates and probe detuning ``delta``, after the
-    checks of :func:`steady_state_terms`, with ``rate_scale`` for that
-    point's overflow message and denominator floor."""
+    checks of :func:`steady_state_terms`.  The rate scale of the overflow
+    message and the denominator floor is max(max(rates), |delta|):
+    ``SystemParams.rate_scale`` at delta_pump = 0, the same float, in
+    Python floats whatever the rates' type."""
     if params.delta_pump != 0.0:
         raise PumpDetuningUnsupportedError(
             "PumpDetuningUnsupported: closed-form steady states require "
@@ -226,6 +227,7 @@ def _point_terms(params: SystemParams, rates: tuple, delta: float,
         finite = all(map(cmath.isfinite, terms))
     except OverflowError:  # a float power raises; a float product gives inf
         finite = False
+    rate_scale = max(max(rates), abs(delta))
     if not finite:
         raise ClosedFormOverflowError(
             "ClosedFormOverflow: closed-form terms overflow double precision "
@@ -263,8 +265,7 @@ def steady_state_terms(params: SystemParams) -> tuple:
     The terms are evaluated in Python floats, whatever the parameters' float
     type.
     """
-    return _point_terms(params, _float_rates(params), float(params.delta_probe),
-                        float(params.rate_scale))
+    return _point_terms(params, _float_rates(params), float(params.delta_probe))
 
 
 class _Grid:
@@ -413,8 +414,8 @@ _GRID_PASS_POINTS = 32
 _GRID_CHUNK = 2048
 
 
-def _grid_pass(params: SystemParams, rates: tuple, scale,
-               deltas: np.ndarray, flat: np.ndarray) -> list:
+def _grid_pass(params: SystemParams, rates: tuple, deltas: np.ndarray,
+               flat: np.ndarray) -> list:
     """Write into ``flat`` the row of every point of ``deltas`` whose terms,
     evaluated once over all of ``deltas``, are finite and whose |D| clears
     the floor; return the indices of the other points (all of them when a
@@ -439,7 +440,8 @@ def _grid_pass(params: SystemParams, rates: tuple, scale,
         # the floor test of _point_terms: the limit is its product bit for
         # bit, but numpy's power and C's pow differ by a few ulp, so only a
         # point clearing the limit by the 1e-9 margin is kept here
-        limit = _FLOOR_ROOT[params.config] * np.maximum(scale, np.abs(deltas))
+        limit = _FLOOR_ROOT[params.config] * np.maximum(max(rates),
+                                                        np.abs(deltas))
         kept &= np.abs(D) ** (1 / deg) > limit * (1 + 1e-9)
         r11, r22, r33, r12, r13, r23 = (_quotient(n, D) for n in numerators)
     c23, c13, c12 = ((re, -im) for re, im in (r23, r13, r12))  # conjugates
@@ -468,23 +470,19 @@ def _steady_state_rows(params: SystemParams, deltas) -> tuple[np.ndarray, list]:
     """
     points = deltas.tolist()
     rates = _float_rates(params)
-    # max over the rates first, then d: SystemParams.rate_scale at delta_pump
-    # = 0, in Python floats whatever the rates' type, so the floor limit is a
-    # float64 product on the grid and per point
-    scale = max(rates)
     block = np.empty((len(points), 3, 3), dtype=complex)
     flat = block.reshape(-1, 9)
     failures: list = []
     todo = range(len(points))
     if len(points) >= _GRID_PASS_POINTS and params.delta_pump == 0.0:
         todo = [start + i for start in range(0, len(points), _GRID_CHUNK)
-                for i in _grid_pass(params, rates, scale,
+                for i in _grid_pass(params, rates,
                                     deltas[start:start + _GRID_CHUNK],
                                     flat[start:start + _GRID_CHUNK])]
     for i in todo:
         d = points[i]
         try:
-            D, *numerators = _point_terms(params, rates, d, max(scale, abs(d)))
+            D, *numerators = _point_terms(params, rates, d)
         except ValueError as exc:
             failures.append((i, exc))
             flat[i] = complex(np.nan, np.nan)

@@ -25,11 +25,8 @@ Vectorization is column-major over the (|3>, |2>, |1>) matrix layout:
 ``vec(rho)[3*c + r] = rho[r, c]``, so vec(A rho B) = (B^T kron A) vec(rho).
 The diagonal entries rho_33, rho_22, rho_11 sit at vec indices 0, 4, 8.
 
-So L = i (H^T kron I - I kron H) + sum_k Gamma_k D_k.  The build calls no
-np.kron: each detuning's Hamiltonian is one row of 9 entries, read through
-two 81-entry index maps fixed at import and multiplied by the matching
-identity entries.  These are np.kron's products, with the same operands in
-the same order, so L is the np.kron composition bit for bit.
+So L = i (H^T kron I - I kron H) + sum_k Gamma_k D_k, built without np.kron
+but bit for bit as it (:func:`_liouvillian_entries`).
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ __all__ = [
     "unvectorize",
     "build_hamiltonian_rwa",
     "build_liouvillian",
-    "build_liouvillian_stack",
     "obe_rhs",
 ]
 
@@ -255,7 +251,7 @@ def _dissipator(params: SystemParams) -> np.ndarray:
     its unit superoperator, in channel order (a zero rate adds signed zeros,
     which move no bit).  Entries that overflow read inf or NaN, with a
     numpy warning unless the caller ignores it, as
-    :func:`build_liouvillian_stack` does."""
+    :func:`_liouvillian_entries` does."""
     D = np.zeros((9, 9), dtype=complex)
     for gamma, unit in zip((params.gamma_a, params.gamma_b),
                            _DISSIPATORS[params.config]):
@@ -265,37 +261,29 @@ def _dissipator(params: SystemParams) -> np.ndarray:
 
 def build_liouvillian(params: SystemParams) -> Liouvillian:
     """Full generator: commutator part i[rho, H_rot] plus the dissipator."""
-    L = build_liouvillian_stack(params, [params.delta_probe])[0]
+    L = _liouvillian_entries(params, [params.delta_probe]).reshape(9, 9)
     return Liouvillian(matrix=L, rate_scale=params.rate_scale)
-
-
-def build_liouvillian_stack(params: SystemParams, delta_probe) -> np.ndarray:
-    """Liouvillian matrices of ``params`` at each probe detuning in
-    ``delta_probe``, shape (N, 9, 9).
-
-    The commutator 1j (kron(H^T, I) - kron(I, H)) is read from the (N, 9)
-    Hamiltonian rows through two fixed gather maps: entry (3i + k, 3j + l)
-    is H[j, i] I[k, l] minus I[i, j] H[k, l].  Those are the products
-    np.kron forms, with the same operands in the same order, so each
-    slice equals the np.kron composition on its own Hamiltonian bit for
-    bit, inf and NaN included.  The detuning-independent dissipator is
-    computed once and added to every slice.  Slice n therefore equals
-    ``build_liouvillian(replace(params, delta_probe=delta_probe[n])).matrix``
-    bit for bit.  (Splitting L into
-    L0 + Delta L1 would not be exact: (dp + dq) - dp and dq round
-    differently.)  Entries that overflow read inf or NaN without a numpy
-    warning; the steady-state solve names them as non-finite.
-    """
-    return _liouvillian_entries(params, delta_probe).reshape(-1, 9, 9)
 
 
 def _liouvillian_entries(params: SystemParams, delta_probe,
                          slots: slice = slice(None)) -> np.ndarray:
-    """The entries ``slots`` of the row-major 81 of each Liouvillian of
-    :func:`build_liouvillian_stack`, shape (N, entries): all of them, or
-    for example its diagonal, ``slice(None, None, 10)``.  One expression
-    for every slice of the gather maps, so each entry has the bits of the
-    whole build's."""
+    """The entries ``slots`` of the row-major 81 of the Liouvillian of
+    ``params`` at each probe detuning in ``delta_probe``, shape (N,
+    entries): all of them, or for example the diagonal, ``slice(None,
+    None, 10)``.
+
+    The commutator 1j (kron(H^T, I) - kron(I, H)) is read from the (N, 9)
+    Hamiltonian rows through two fixed gather maps: entry (3i + k, 3j + l)
+    is H[j, i] I[k, l] minus I[i, j] H[k, l].  Those are the products
+    np.kron forms, with the same operands in the same order, so each row
+    equals the np.kron composition on its own Hamiltonian bit for bit, inf
+    and NaN included, and so does any slice of it: one expression serves
+    every ``slots``.  The detuning-independent dissipator is computed once
+    and added to every row.  (Splitting L into L0 + Delta L1 would not be
+    exact: (dp + dq) - dp and dq round differently.)  Entries that overflow
+    read inf or NaN without a numpy warning; the steady-state solve names
+    them as non-finite.
+    """
     with np.errstate(all="ignore"):
         H = _hamiltonian_rows(params, delta_probe)
         # each operand where the np.kron composition has it
@@ -306,7 +294,7 @@ def _liouvillian_entries(params: SystemParams, delta_probe,
         # L is allocated after both factors, so freeing them leaves a gap
         # below L for the solve's temporaries.  Freed at the heap top, they
         # would go back to the system and be faulted in again for the next
-        # stack: 6x the page faults of a numeric sweep
+        # call: 6x the page faults of a numeric sweep
         L = 1j * (left - right)
         L += _dissipator(params).ravel()[slots]
     return L

@@ -9,11 +9,11 @@ its state, or decided by the definition: the condition number of the
 bordered matrix and the singular values of L (:func:`steady_state` for one
 Liouvillian, :func:`steady_states` for a stack of them).  Along a numeric
 probe-detuning grid (:func:`solve_grid`) only L's diagonal moves: one
-template Liouvillian per grid and nine diagonal entries per point make the
-bordered matrices, the inverse of one anchor per 64 detunings, and then one
-per 8 of the points those anchors leave, proves the checks on its
-neighbours, which are solved for the state alone, and only the points no
-anchor proves are built whole.
+template Liouvillian per grid and nine diagonal entries per point make
+every point's matrix.  The inverse of one anchor per 64 detunings, and then
+one per 8 of the points those anchors leave, proves the checks on its
+neighbours, which are solved for the state alone; the points no anchor
+proves go to :func:`steady_states`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .model import (
     SystemParams,
     _finite_real,
     _liouvillian_entries,
-    build_liouvillian_stack,
     unvectorize,
     vectorize,
 )
@@ -225,22 +224,24 @@ def _grid_states(params: SystemParams, deltas: np.ndarray) -> tuple[
     where no anchor proves the point.
 
     Along the grid only L's diagonal moves.  One template L_0, the build at
-    the first detuning, gives the off-diagonal entries of every point's L;
-    per 512 detunings (``_CHUNK``) only the 9 diagonal entries of each L
+    a probe detuning of 0, gives the off-diagonal entries of every point's
+    L; per 512 detunings (``_CHUNK``) only the 9 diagonal entries of each L
     are computed, through the build's gather maps restricted to the
     diagonal (:func:`eit3.model._liouvillian_entries`), and written into
     one bordered buffer per call, the template's off-diagonal entries and
-    trace row in place.  Whenever the template's off-diagonal entries and a
-    point's diagonal are finite, its row of the buffer is the whole build's
-    bordered matrix bit for bit: an off-diagonal entry depends on the
-    detuning only through products of H's diagonal with a 0 of the
-    identity, signed zeros that adding the dissipator's +0.0 (or its
-    nonzero entry) erases.  So ||L_j||_F^2 = c_L + sum_i |L_j[i, i]|^2 and
-    ||B_j||_F^2 = c_B + sum_{i<8} |L_j[i, i]|^2, with c_L and c_B the
-    template's off-diagonal sums of squares (c_B counting the trace row and
-    its diagonal 1).  A point with a non-finite diagonal entry, or any
-    point of a grid whose template has a non-finite off-diagonal entry,
-    has a non-finite norm and is never proved.
+    trace row in place.  An off-diagonal entry depends on the detuning only
+    through products of H's diagonal with a 0 of the identity: signed
+    zeros, which adding the dissipator's +0.0 (or its nonzero entry)
+    erases, or NaN where H's diagonal holds an inf.  The template's H
+    diagonal (0 and +-delta_pump) is finite, and an inf on a point's makes
+    one of the point's own diagonal entries NaN, so a template-filled row
+    is the whole build bit for bit where it is finite, and non-finite
+    exactly where the build is.  Its norms are ||L_j||_F^2 = c_L + sum_i
+    |L_j[i, i]|^2 and ||B_j||_F^2 = c_B + sum_{i<8} |L_j[i, i]|^2, with c_L
+    and c_B the template's off-diagonal sums of squares (c_B counting the
+    trace row and its diagonal 1), so a point with a non-finite diagonal
+    entry, or any point of a grid whose template has a non-finite
+    off-diagonal entry, has a non-finite norm and is never proved.
 
     The proof takes one inverse per block of 64 consecutive detunings
     (``_ANCHOR_BLOCK``) within a chunk.  The anchor, the block's centre
@@ -269,67 +270,72 @@ def _grid_states(params: SystemParams, deltas: np.ndarray) -> tuple[
     198 of the 201 points against the first pass's 76, and 1,858 of 2001
     against 776 over +-150 MHz.
 
-    A proved point is solved for the state alone, by numpy's stacked
-    ``solve1`` on its buffer row, at about half the cost of an inverse.
-    On this LAPACK build its result is the trace-row column of B^-1 bit for
-    bit (a property of the build, not a numpy guarantee, which
+    Each chunk is solved for its states alone, by one call of numpy's
+    stacked ``solve1`` on the buffer, at about half the cost of an inverse
+    per point.  On this LAPACK build its result is the trace-row column of
+    B^-1 bit for bit (a property of the build, not a numpy guarantee, which
     ``test_kappa_f_and_the_state_are_cond_and_solve_bit_for_bit`` names),
-    so the state does not depend on which proof a point took, nor on which
-    pass.  Only the points both passes leave, and a one-point chunk (its own
-    anchor), are built whole and solved by :func:`steady_states`.
+    so a proved point's state does not depend on which proof it took, nor
+    on which pass.  The points both passes leave are decided again by
+    :func:`steady_states` on their template-filled Liouvillians, the buffer
+    row with the template's trace row back in place and the point's own
+    L[8, 8], whose outcomes replace their solves, so every outcome is the
+    one-point call's.  Solving the rows left with the rest wastes a solve
+    on each but copies no proved row out of the buffer: a chunk's
+    temporaries then keep their size from chunk to chunk and reuse the
+    heap's pages (see ``_CHUNK``).
     """
     n = len(deltas)
     block = np.empty((n, 3, 3), dtype=complex)
     bound = np.full(n, np.nan)
     failures: list = []
-    if n > 1:
-        # allocated once: the chunks only move its 8 free diagonal entries
-        bordered = np.empty((min(n, _CHUNK), 9, 9), dtype=complex)
-        bordered[:] = build_liouvillian_stack(params, deltas[:1])
-        with np.errstate(all="ignore"):  # an overflow proves nothing
-            c_l = _off_diagonal_squares(bordered[0])
-            bordered[:, _TRACE_ROW] = _TRACE_CONSTRAINT
-            c_b = _off_diagonal_squares(bordered[0]) + 1.0
-        # row 8's diagonal stays the trace constraint's 1
-        free_diagonal = bordered.reshape(-1, 81)[:, :80:10]
+    template = _liouvillian_entries(params, [0.0]).reshape(9, 9)
+    trace_row = template[_TRACE_ROW].copy()
+    with np.errstate(all="ignore"):  # an overflow proves nothing
+        c_l = _off_diagonal_squares(template)
+        template[_TRACE_ROW] = _TRACE_CONSTRAINT
+        c_b = _off_diagonal_squares(template) + 1.0
+    # allocated once: the chunks only move its 8 free diagonal entries
+    bordered = np.empty((min(n, _CHUNK), 9, 9), dtype=complex)
+    bordered[:] = template
+    # row 8's diagonal stays the trace constraint's 1
+    free_diagonal = bordered.reshape(-1, 81)[:, :80:10]
     for start in range(0, n, _CHUNK):
         chunk = deltas[start:start + _CHUNK]
         here = slice(start, start + len(chunk))
-        if len(chunk) > 1:  # else its own anchor, built whole
-            B = bordered[:len(chunk)]
-            diagonal = _liouvillian_entries(params, chunk, slice(None, None, 10))
-            free_diagonal[:len(chunk)] = diagonal[:, :8]
-            bound[here] = _anchored(B, diagonal, c_l, c_b, _ANCHOR_BLOCK)
-            rest = np.flatnonzero(np.isnan(bound[here]))
-            if rest.size:  # anchors closer together over the rows left
-                bound[start + rest] = _anchored(B[rest], diagonal[rest], c_l,
-                                                c_b, _SECOND_BLOCK)
-            solved = ~np.isnan(bound[here])
-            if solved.all():
-                block[here] = _symmetrized(_solve(B))
-                continue
-            if solved.any():
-                block[here][solved] = _symmetrized(_solve(B[solved]))
+        B = bordered[:len(chunk)]
+        diagonal = _liouvillian_entries(params, chunk, slice(None, None, 10))
+        free_diagonal[:len(chunk)] = diagonal[:, :8]
+        bound[here] = _anchored(B, diagonal, np.arange(len(chunk)), c_l, c_b,
+                                _ANCHOR_BLOCK)
         rest = np.flatnonzero(np.isnan(bound[here]))
-        # named: each stack lives until the next is built, so a chunk's
-        # temporaries reuse its memory instead of faulting in new pages
-        stack = build_liouvillian_stack(params, chunk[rest])
-        block[start + rest], failed = steady_states(stack)
-        failures += [(start + int(rest[i]), exc) for i, exc in failed]
+        if rest.size:  # anchors closer together over the rows left
+            bound[start + rest] = _anchored(B, diagonal, rest, c_l, c_b,
+                                            _SECOND_BLOCK)
+            rest = np.flatnonzero(np.isnan(bound[here]))
+        with np.errstate(all="ignore"):  # a row left may be singular
+            block[here] = _symmetrized(_solve(B))
+        if rest.size:  # decided by steady_states on their own L
+            L = B[rest]  # the template-filled rows: trace row and L[8, 8]
+            L[:, _TRACE_ROW] = trace_row
+            L[:, _TRACE_ROW, _TRACE_ROW] = diagonal[rest, _TRACE_ROW]
+            block[start + rest], failed = steady_states(L)
+            failures += [(start + int(rest[i]), exc) for i, exc in failed]
     return block, failures, bound
 
 
-def _anchored(bordered: np.ndarray, diagonal: np.ndarray, c_l: float,
-              c_b: float, block: int) -> np.ndarray:
-    """Each point's bound on cond(B) in a stack of grid points, one anchor
-    per ``block`` consecutive points, NaN where its anchor proves nothing:
-    an anchor's kappa_F, the others' kappa-hat (see :func:`_grid_states`).
-    ``bordered`` holds the points' template-filled bordered matrices,
-    ``diagonal`` the (N, 9) diagonals of their Liouvillians, ``c_l`` and
-    ``c_b`` the template's off-diagonal sums of squares.  A point whose
-    rho-hat or norms are NaN or inf, whose rho-hat is above 1/2, or whose
-    bound fails either check, reads NaN."""
-    n = len(bordered)
+def _anchored(bordered: np.ndarray, diagonal: np.ndarray, points: np.ndarray,
+              c_l: float, c_b: float, block: int) -> np.ndarray:
+    """The bound on cond(B) of each grid point of ``points``, taken in order
+    with one anchor per ``block`` of them, NaN where its anchor proves
+    nothing: an anchor's kappa_F, the others' kappa-hat (see
+    :func:`_grid_states`).  ``bordered`` holds the chunk's template-filled
+    bordered matrices, ``diagonal`` the (N, 9) diagonals of their
+    Liouvillians, ``c_l`` and ``c_b`` the template's off-diagonal sums of
+    squares.  A point whose rho-hat or norms are NaN or inf, whose rho-hat
+    is above 1/2, or whose bound fails either check, reads NaN."""
+    n = len(points)
+    diagonal = diagonal[points]
     owner = np.arange(n) // block  # each point's block
     starts = np.arange(0, n, block)
     anchors = starts + np.minimum(block, n - starts) // 2
@@ -338,7 +344,7 @@ def _anchored(bordered: np.ndarray, diagonal: np.ndarray, c_l: float,
         free = squares[:, :8].sum(axis=1)  # B's moving diagonal
         norm_l = np.sqrt(c_l + free + squares[:, 8])
         norm_b = np.sqrt(c_b + free)
-        inverse, kappa, norm = _kappa_f(bordered[anchors])
+        inverse, kappa, norm = _kappa_f(bordered[points[anchors]])
         rows = (inverse.conj() * inverse).real.sum(axis=2)  # ||X_a[i]||^2
         spread = np.sqrt(rows.sum(axis=1))[owner]  # ||X_a||_F
         # the diagonal of B_j - B_a scales the rows of X_a
@@ -430,8 +436,8 @@ def solve_grid(params: SystemParams, deltas,
 
     ``backend`` "numeric" solves 512 detunings at a time from one template
     Liouvillian and each point's diagonal, proving most points by one
-    inverse per 64, then one per 8 of the points left, and building whole
-    only the Liouvillians of the rest
+    inverse per 64, then one per 8 of the points left, and deciding the
+    rest by :func:`steady_states`
     (:func:`_grid_states`); "analytic" the closed forms: from 32 points
     (``analytic._GRID_PASS_POINTS``) one evaluation per slice of up to
     2,048 points in float64 arrays that repeat CPython's float and complex

@@ -383,3 +383,22 @@ def test_each_power_is_evaluated_once(config, monkeypatch):
                                     p.gamma_b, p.delta_probe)))
     assert calls
     assert all(n == 1 for n in calls.values()), sorted(calls.values())
+
+
+@pytest.mark.parametrize("rates,delta", [
+    ((1e60, 1e60, 0.1, 6.0), 0.0),
+    ((10**60, Fraction(10**60), Fraction(1, 3), 6), 2.5),
+    ((np.float64(0.5), 105, 0.1, 6.0), -1e77),
+])
+def test_overflow_message_quotes_the_params_rate_scale(config, rates, delta):
+    # the closed forms take their rate scale as max(max(rates), |delta|)
+    # in Python floats: SystemParams.rate_scale at a zero pump detuning,
+    # whatever the number types, on the per-point path and the grid's
+    p = SystemParams(config, *rates, delta_probe=delta, delta_pump=-0.0)
+    quoted = f"(rate scale {float(p.rate_scale):.3e} MHz)"
+    with pytest.raises(ClosedFormOverflowError) as info:
+        steady_state_terms(p)
+    assert str(info.value).endswith(quoted)
+    deltas = np.full(_GRID_PASS_POINTS, float(delta))
+    block, failures = eit3.steady.solve_grid(p, deltas, "analytic")
+    assert [str(exc) for i, exc in failures] == [str(info.value)] * len(deltas)

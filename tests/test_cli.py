@@ -501,10 +501,10 @@ def test_evolve_builds_one_liouvillian(tmp_path, capsys, monkeypatch, tag):
         s[:, 1, 0].real, s[:, 1, 0].imag, np.trace(s, axis1=1, axis2=2).real])
     builds = []
     for module in (eit3.model, eit3.steady):
-        def counted(*args, _build=module.build_liouvillian_stack):
+        def counted(*args, _build=module._liouvillian_entries):
             builds.append(args)
             return _build(*args)
-        monkeypatch.setattr(module, "build_liouvillian_stack", counted)
+        monkeypatch.setattr(module, "_liouvillian_entries", counted)
     out = tmp_path / "traj.csv"
     code = main(["evolve", tag, "--delta", "2.5", "--t-end", "500",
                  "--out", str(out)])

@@ -16,11 +16,11 @@ from eit3.model import (
     SystemParams,
     build_hamiltonian_rwa,
     build_liouvillian,
-    build_liouvillian_stack,
     obe_rhs,
     unvectorize,
     vectorize,
     _dissipator,
+    _liouvillian_entries,
 )
 from eit3.presets import reference_params
 from eit3.su3 import LEVEL_INDEX
@@ -288,13 +288,13 @@ def test_dissipator_matches_kron_formula_bitwise(config, zero_rate):
 
 @pytest.mark.parametrize("delta_pump", [0.0, 1.7])
 def test_liouvillian_stack_matches_kron_formula(config, delta_pump):
-    # the stack's commutator, slice by slice, against np.kron on each
+    # the batched build's commutator, slice by slice, against np.kron on each
     # single-detuning Hamiltonian: same products, so equal bit for bit.  An
     # affine split L0 + Delta L1 fails here: with delta_pump = 1.7,
     # (1 + 1.7) - 1.7 != 1 in floating point
     p = replace(reference_params(config), delta_pump=delta_pump)
     deltas = np.linspace(-40.0, 40.0, 61)
-    stack = build_liouvillian_stack(p, deltas)
+    stack = _liouvillian_entries(p, deltas).reshape(-1, 9, 9)
     assert stack.shape == (61, 9, 9)
     for d, L in zip(deltas, stack):
         q = replace(p, delta_probe=float(d))
@@ -334,7 +334,7 @@ def test_liouvillian_build_matches_kron_formula_on_hostile_inputs(config, case, 
     deltas = np.array(_HOSTILE_DELTAS[n])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stack = build_liouvillian_stack(p, deltas)
+        stack = _liouvillian_entries(p, deltas).reshape(-1, 9, 9)
         assert stack.shape == (n, 9, 9) and stack.dtype == complex
         for d, L in zip(deltas, stack):
             q = replace(p, delta_probe=float(d))
@@ -349,3 +349,30 @@ def test_liouvillian_build_matches_kron_formula_on_hostile_inputs(config, case, 
         assert _dissipator(p).tobytes() == _kron_dissipator(p).tobytes()
     if case.endswith("limit") and n == 256:  # the bytes compared hold inf or NaN
         assert not np.isfinite(stack).all()
+
+
+@pytest.mark.parametrize("case", list(_HOSTILE))
+def test_zero_detuning_template_and_the_diagonal_are_the_build(config, case):
+    # the numeric grid fills each point's Liouvillian from the template,
+    # the build at a probe detuning of 0, and the point's own diagonal:
+    # wherever that is finite it is build_liouvillian's matrix bit for bit,
+    # and wherever it is not, so is the build's
+    p = replace(reference_params(config), **_HOSTILE[case])
+    template = _liouvillian_entries(p, [0.0]).reshape(9, 9)
+    seen = set()
+    for deltas in _HOSTILE_DELTAS.values():
+        diagonal = _liouvillian_entries(p, deltas, slice(None, None, 10))
+        for d, entries in zip(deltas, diagonal):
+            filled = template.copy()
+            filled.flat[::10] = entries
+            whole = build_liouvillian(replace(p, delta_probe=float(d))).matrix
+            finite = bool(np.isfinite(filled).all())
+            if finite:
+                assert filled.tobytes() == whole.tobytes(), d
+            else:
+                assert not np.isfinite(whole).all(), d
+            seen.add(finite)
+    # dp +- dq past the float limit leaves some points not finite, and the
+    # overflowing decays every point
+    assert seen == ({True, False} if case.startswith("pump") else
+                    {False} if case == "decays-at-limit" else {True})

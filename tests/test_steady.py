@@ -30,7 +30,6 @@ from eit3.model import (
     SystemParams,
     _liouvillian_entries,
     build_liouvillian,
-    build_liouvillian_stack,
     unvectorize,
     vectorize,
 )
@@ -63,6 +62,12 @@ def bordered(M):
     B[DIAGONAL_VEC_INDICES[-1], :] = 0.0
     B[DIAGONAL_VEC_INDICES[-1], list(DIAGONAL_VEC_INDICES)] = 1.0
     return B
+
+
+def liouvillians(p, deltas):
+    """The (N, 9, 9) Liouvillians of ``p`` at each probe detuning in
+    ``deltas``: the build's one expression over all 81 entries."""
+    return _liouvillian_entries(p, deltas).reshape(-1, 9, 9)
 
 
 # the trace constraint: the d(rho_11)/dt row of every bordered matrix
@@ -111,7 +116,7 @@ def stiff_grids(seed, lo, hi, sets=150, per_set=8):
 def stiff_stacks(seed, lo, hi):
     """The Liouvillian stacks of :func:`stiff_grids`."""
     for p, deltas in stiff_grids(seed, lo, hi):
-        yield build_liouvillian_stack(p, deltas)
+        yield liouvillians(p, deltas)
 
 
 @pytest.fixture
@@ -772,15 +777,24 @@ def test_stiff_system_with_a_unique_state_is_solved(config):
 
 
 def counted_builds(monkeypatch):
-    """The detunings of each ``build_liouvillian_stack`` call that
-    ``eit3.steady`` makes from now on."""
+    """The detunings and the entries per point of each
+    ``_liouvillian_entries`` call that ``eit3.steady`` makes from now on."""
     builds = []
 
-    def build(params, deltas, _build=build_liouvillian_stack):
-        builds.append(np.array(deltas))
-        return _build(params, deltas)
-    monkeypatch.setattr(eit3.steady, "build_liouvillian_stack", build)
+    def build(params, deltas, slots=slice(None),
+              _build=eit3.steady._liouvillian_entries):
+        entries = _build(params, deltas, slots)
+        builds.append((np.asarray(deltas).tolist(), entries.shape[1]))
+        return entries
+    monkeypatch.setattr(eit3.steady, "_liouvillian_entries", build)
     return builds
+
+
+def grid_builds(deltas):
+    """The builds of a numeric grid: the 81-entry template at a probe
+    detuning of 0, then the 9 diagonal entries of each chunk's points."""
+    return [([0.0], 81), *((deltas[start:start + _CHUNK].tolist(), 9)
+                           for start in range(0, len(deltas), _CHUNK))]
 
 
 @pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
@@ -790,24 +804,26 @@ def test_grid_solve_inverts_one_anchor_per_block(tag, linalg_calls,
     # point of the 2001-point reference grids (three chunks of 512 points,
     # eight blocks each, and one of 465, in eight blocks), so no second
     # pass runs, and each chunk's states are one stacked solve for e_8:
-    # neither the bordered matrix's SVD nor L's is needed, and no
-    # Liouvillian but the template, the one at the first detuning, is built
-    # whole
+    # neither the bordered matrix's SVD nor L's is needed, and the only
+    # build of all 81 entries is the template's, at a probe detuning of 0
     builds = counted_builds(monkeypatch)
     deltas = np.linspace(-40.0, 40.0, 2001)
     solve_grid(reference_params(tag), deltas, "numeric")
     assert call_shapes(linalg_calls) == [
         *[("inv", (8, 9, 9)), ("solve1", (512, 9, 9), (9,))] * 3,
         ("inv", (8, 9, 9)), ("solve1", (465, 9, 9), (9,))]
-    assert [d.tolist() for d in builds] == [[-40.0]]
-    # a one-point solve, and a one-point grid, is its own anchor: one
-    # inverse, and nothing else
-    for solve in (lambda: steady_state(build_liouvillian(reference_params(tag))),
-                  lambda: solve_grid(reference_params(tag), [0.0], "numeric")):
-        linalg_calls.clear()
-        solve()
-        assert call_shapes(linalg_calls) == [("inv", (1, 9, 9))]
-    assert [d.tolist() for d in builds] == [[-40.0], [0.0]]
+    assert builds == grid_builds(deltas)
+    # a one-point solve is its own inverse, and nothing else; a one-point
+    # grid is its own anchor, whose inverse proves it for the solve
+    linalg_calls.clear()
+    steady_state(build_liouvillian(reference_params(tag)))
+    assert call_shapes(linalg_calls) == [("inv", (1, 9, 9))]
+    linalg_calls.clear()
+    builds.clear()
+    solve_grid(reference_params(tag), [2.5], "numeric")
+    assert call_shapes(linalg_calls) == [("inv", (1, 9, 9)),
+                                         ("solve1", (1, 9, 9), (9,))]
+    assert builds == grid_builds(np.array([2.5]))
 
 
 def reference_grids(half_width=40.0, tags=("lambda", "cascade", "vee")):
@@ -825,7 +841,7 @@ def anchor_proof(p, deltas):
     outcomes, the one-matrix oracle's."""
     block, failures, bound = _grid_states(p, np.asarray(deltas))
     proved = ~np.isnan(bound)
-    M = build_liouvillian_stack(p, deltas)
+    M = liouvillians(p, deltas)
     for Mi, b in zip(M[proved], bound[proved]):
         Bi = bordered(Mi)
         assert np.linalg.cond(Bi) <= COND_LIMIT
@@ -842,9 +858,9 @@ def anchored_passes(monkeypatch):
     second over the points it leaves."""
     passes = []
 
-    def anchored(bordered, diagonal, c_l, c_b, block,
+    def anchored(bordered, diagonal, points, c_l, c_b, block,
                  _anchored=eit3.steady._anchored):
-        bound = _anchored(bordered, diagonal, c_l, c_b, block)
+        bound = _anchored(bordered, diagonal, points, c_l, c_b, block)
         passes.append((block, int((~np.isnan(bound)).sum())))
         return bound
     monkeypatch.setattr(eit3.steady, "_anchored", anchored)
@@ -886,49 +902,56 @@ def test_a_block_whose_anchor_fails_takes_the_one_matrix_path(centre,
     # centre's diagonal reads NaN or inf, or of the undriven system, whose
     # every bordered matrix is exactly singular: without the anchor's
     # inverse the first pass proves no point.  The second pass, one anchor
-    # per 8 points, proves all but the NaN or inf row, which alone is built
-    # whole; the undriven system's anchors prove nothing in either pass, so
-    # each point is built whole and takes its own inverse, kappa_F and,
-    # where that fails, cond and the SVD.  Every outcome is the oracle's
+    # per 8 points, proves all but the NaN or inf row, which alone goes to
+    # steady_states as its template-filled Liouvillian and fails there as
+    # non-finite; the undriven system's anchors prove nothing in either
+    # pass, so each point goes to steady_states and takes its own inverse,
+    # kappa_F and, where that fails, cond and the SVD.  Every outcome is
+    # the oracle's on the Liouvillians the grid was built from, and the
+    # only build of all 81 entries is the template's
     p = reference_params("lambda")
     if centre == "singular":
         p = SystemParams(Configuration.LAMBDA, 0.0, 0.0, gamma_a=0.1,
                          gamma_b=6.0)
-    else:
+    deltas = np.linspace(-5.0, 5.0, _ANCHOR_BLOCK)
+    M = liouvillians(p, deltas)
+    if centre != "singular":
+        fault = np.nan if centre == "not a number" else np.inf
+        M[_ANCHOR_BLOCK // 2, 3, 3] = fault
+
         def entries(params, deltas, slots=slice(None),
                     _entries=_liouvillian_entries):
             L = _entries(params, deltas, slots)
             if slots != slice(None):  # the diagonal alone
-                L[_ANCHOR_BLOCK // 2, 3] = (np.nan if centre == "not a number"
-                                            else np.inf)
+                L[_ANCHOR_BLOCK // 2, 3] = fault
             return L
         monkeypatch.setattr(eit3.steady, "_liouvillian_entries", entries)
-    deltas = np.linspace(-5.0, 5.0, _ANCHOR_BLOCK)
     builds = counted_builds(monkeypatch)
     passes = anchored_passes(monkeypatch)
     block, failures, bound = _grid_states(p, deltas)
     proved = ~np.isnan(bound)
     second = _ANCHOR_BLOCK // _SECOND_BLOCK  # the second pass's anchors
+    assert builds == grid_builds(deltas)
     if centre == "singular":
         assert passes == [(_ANCHOR_BLOCK, 0), (_SECOND_BLOCK, 0)]
         assert not proved.any()
-        assert call_shapes(linalg_calls)[:3] == [
+        # the chunk's one solve runs on every row, the left ones too
+        assert call_shapes(linalg_calls)[:4] == [
             ("inv", (1, 9, 9)), ("inv", (second, 9, 9)),
+            ("solve1", (_ANCHOR_BLOCK, 9, 9), (9,)),
             ("inv", (_ANCHOR_BLOCK, 9, 9))]
-        assert "solve1" not in [name for name, a, args in linalg_calls]
-        assert [len(d) for d in builds] == [1, _ANCHOR_BLOCK]
     else:
         assert passes == [(_ANCHOR_BLOCK, 0), (_SECOND_BLOCK, _ANCHOR_BLOCK - 1)]
         assert np.flatnonzero(~proved).tolist() == [_ANCHOR_BLOCK // 2]
+        # the non-finite row leaves nothing to cond and the SVD
         assert call_shapes(linalg_calls) == [
             ("inv", (1, 9, 9)), ("inv", (second, 9, 9)),
-            ("solve1", (_ANCHOR_BLOCK - 1, 9, 9), (9,)), ("inv", (1, 9, 9))]
-        assert [d.tolist() for d in builds] == [
-            deltas[:1].tolist(), [deltas[_ANCHOR_BLOCK // 2]]]
-    refs = match_oracle(build_liouvillian_stack(p, deltas), (block, failures))
+            ("solve1", (_ANCHOR_BLOCK, 9, 9), (9,)), ("inv", (1, 9, 9)),
+            ("cond", (0, 9, 9)), ("svd", (0, 9, 9))]
+    refs = match_oracle(M, (block, failures))
     failed = {type(r).__name__ for r in refs if isinstance(r, Exception)}
     assert failed == ({"DegenerateNullSpaceError"} if centre == "singular"
-                      else set())
+                      else {"SingularSolveError"})
 
 
 def test_wide_grid_mixes_anchored_and_one_matrix_proofs_in_a_block(linalg_calls,
@@ -936,9 +959,9 @@ def test_wide_grid_mixes_anchored_and_one_matrix_proofs_in_a_block(linalg_calls,
     # over +-1000 MHz the lambda grid's blocks are wider than the anchors'
     # reach: inside one block the points near the centre are proved by the
     # anchor's inverse and solved for the state alone, the second pass's
-    # closer anchors prove more of the rest, and those still left are built
-    # whole and take their own inverse; the outcomes are the one-matrix
-    # oracle's
+    # closer anchors prove more of the rest, and those still left go to
+    # steady_states as their template-filled Liouvillians and take their
+    # own inverse; the outcomes are the one-matrix oracle's
     [(p, deltas)] = reference_grids(1000.0, ("lambda",))
     passes = anchored_passes(monkeypatch)
     proved = anchor_proof(p, deltas)
@@ -952,15 +975,22 @@ def test_wide_grid_mixes_anchored_and_one_matrix_proofs_in_a_block(linalg_calls,
                 for block in proved[start:start + _CHUNK].reshape(
                     -1, _ANCHOR_BLOCK))
     assert mixed > 0
-    # the template, then per chunk one stack of the points it leaves
+    # per chunk: the two passes' anchors, one solve of every point and one
+    # inverse of the points the passes leave, and no build of all 81
+    # entries but the template's
+    expected = []
+    for start, (_, once), (_, twice) in zip(chunks, passes[::2], passes[1::2]):
+        size = min(_CHUNK, len(deltas) - start)
+        left = size - once - twice
+        expected += [("inv", (-(-size // _ANCHOR_BLOCK), 9, 9)),
+                     ("inv", (-(-(size - once) // _SECOND_BLOCK), 9, 9)),
+                     ("solve1", (size, 9, 9), (9,)),
+                     ("inv", (left, 9, 9))]
     builds = counted_builds(monkeypatch)
     linalg_calls.clear()
     solve_grid(p, deltas, "numeric")
-    assert {name for name, a, args in linalg_calls} == {"inv", "solve1"}
-    left = [deltas[start:start + _CHUNK][~proved[start:start + _CHUNK]]
-            for start in chunks]
-    assert [d.tobytes() for d in builds] == [
-        deltas[:1].tobytes(), *(d.tobytes() for d in left if d.size)]
+    assert call_shapes(linalg_calls) == expected
+    assert builds == grid_builds(deltas)
 
 
 @pytest.mark.parametrize("grid,least", [("bundled lambda", 198),
@@ -1012,9 +1042,9 @@ NUMERIC_GRIDS = {
 def test_numeric_grid_matches_the_per_point_composition(tag, grid):
     # one template per grid and nine diagonal entries per point give every
     # state and error of the one-point calls, on both sides of a block and
-    # a chunk boundary and on grids whose template or points overflow: at
-    # a pump detuning of +-1e308 one of the two leaves the template
-    # non-finite in each configuration
+    # a chunk boundary and on grids whose points overflow: at a pump
+    # detuning of +-1e308 one of the two overflows the Liouvillians of the
+    # grid's first points in each configuration
     change, (first, last, points) = NUMERIC_GRIDS[grid]
     p = replace(reference_params(tag), **change)
     deltas = np.linspace(first, last, points)
@@ -1024,13 +1054,53 @@ def test_numeric_grid_matches_the_per_point_composition(tag, grid):
         assert same_outcome(got, composed_numeric(p, d)), d
 
 
+@pytest.mark.parametrize("tag", ["lambda", "cascade", "vee"])
+def test_overflowing_grid_is_decided_from_the_zero_detuning_template(
+        tag, monkeypatch):
+    # the byte guard's 11-point grid over [-1.7e308, 0] at a pump detuning
+    # of 1e308: the template, built at a probe detuning of 0, is finite, so
+    # no point is built whole.  Every point goes to steady_states as its
+    # template-filled Liouvillian, which is the whole build bit for bit
+    # where finite and non-finite where the whole build is, and every
+    # outcome is the one-point call's
+    p = replace(reference_params(tag), delta_pump=1e308)
+    deltas = np.linspace(-1.7e308, 0.0, 11)
+    builds = counted_builds(monkeypatch)
+    handed = []
+
+    def decided(M, _steady_states=steady_states):
+        handed.append(M.copy())
+        return _steady_states(M)
+    monkeypatch.setattr(eit3.steady, "steady_states", decided)
+    states = outcomes(solve_grid(p, deltas, "numeric"))
+    assert builds == grid_builds(deltas)
+    assert np.isfinite(liouvillians(p, [0.0])).all()
+    [M] = handed
+    whole = liouvillians(p, deltas)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    # dp - dq (lambda, vee) overflows at the first 6 detunings
+    assert finite.sum() == (11 if tag == "cascade" else 5)
+    assert M[finite].tobytes() == whole[finite].tobytes()
+    assert not np.isfinite(whole[~finite]).all(axis=(1, 2)).any()
+    for d, got in zip(deltas, states):
+        assert same_outcome(got, composed_numeric(p, d)), d
+
+
+@pytest.mark.parametrize("backend", ["numeric", "analytic"])
+def test_an_empty_grid_is_an_empty_block(backend):
+    block, failures = solve_grid(reference_params("lambda"), [], backend)
+    assert block.shape == (0, 3, 3) and block.dtype == complex
+    assert failures == []
+
+
 def test_template_filled_rows_are_the_build_rows():
     # the numeric grid takes each point's off-diagonal entries from the
-    # template, the build at the first detuning, and computes its diagonal
-    # alone.  The diagonal is the build's bit for bit, and wherever the
-    # row so filled is finite it is the point's whole build bit for bit:
-    # random rates (some zero, some near overflow), pump detunings and
-    # probe detunings of either sign from 1e-300 to 1e308
+    # template, the build at a probe detuning of 0, and computes its
+    # diagonal alone.  The diagonal is the build's bit for bit, wherever
+    # the row so filled is finite it is the point's whole build bit for
+    # bit, and wherever it is not, so is the whole build: random rates
+    # (some zero, some near overflow), pump detunings and probe detunings
+    # of either sign from 1e-300 to 1e308
     rng = np.random.default_rng(33)
     seen = Counter()
     for i in range(600):
@@ -1047,13 +1117,14 @@ def test_template_filled_rows_are_the_build_rows():
                   * 10.0 ** rng.uniform((-300, 300)[i % 2], 308.2, 96))
         deltas[rng.random(96) < 0.05] = rng.choice([0.0, -0.0])
         deltas[rng.random(96) < 0.2] = rng.choice([-1.7e308, 1.7e308])
-        M = build_liouvillian_stack(p, deltas)
+        M = liouvillians(p, deltas)
         diagonal = _liouvillian_entries(p, deltas, slice(None, None, 10))
         assert diagonal.tobytes() == M.reshape(-1, 81)[:, ::10].copy().tobytes()
-        filled = np.repeat(M[:1], len(deltas), axis=0)
+        filled = np.repeat(liouvillians(p, [0.0]), len(deltas), axis=0)
         filled.reshape(-1, 81)[:, ::10] = diagonal
         finite = np.isfinite(filled).all(axis=(1, 2))
         assert filled[finite].tobytes() == M[finite].tobytes()
+        assert not np.isfinite(M[~finite]).all(axis=(1, 2)).any()
         seen["finite"] += finite.sum()
         seen["not finite"] += (~finite).sum()
     assert seen["finite"] > 20000 and seen["not finite"] > 1000
@@ -1071,7 +1142,7 @@ def test_kappa_f_and_the_state_are_cond_and_solve_bit_for_bit():
     e_8 = np.eye(9, dtype=complex)[row]
     seen = Counter()
     for M in [*stiff_stacks(7, 1e-5, 1e5), *stiff_stacks(7, 1e-12, 1e-8),
-              *(build_liouvillian_stack(p, d) for p, d in reference_grids())]:
+              *(liouvillians(p, d) for p, d in reference_grids())]:
         B = np.stack([bordered(Mi) for Mi in M])
         with np.errstate(all="ignore"):
             inverse, kappa, norm = _kappa_f(B)
@@ -1321,7 +1392,7 @@ def test_failed_rows_are_nan_in_both_parts():
     undriven = SystemParams(Configuration.LAMBDA, 0.0, 0.0, gamma_a=0.1,
                             gamma_b=6.0)
     good = reference_params("lambda")
-    stack = build_liouvillian_stack(good, [-1.0, 0.0, 1.0])
+    stack = liouvillians(good, [-1.0, 0.0, 1.0])
     stack[1] = build_liouvillian(undriven).matrix
     results = {"steady_states": steady_states(stack)}
     for backend in ("numeric", "analytic"):
